@@ -1,10 +1,13 @@
 """Capacity objectives and the one-dimensional search over the control gain d.
 
-All reported values are in bits.  The Shannon and eta-th-moment capacities
-come from a coarse grid scan (log-densified near d = 0 and near -1/mean,
-where the closed-form optimizers live) followed by golden-section refinement;
-the zero-error capacity has an exact minimax closed form over the support
-interval.
+All reported values are in bits.  Each objective is one weighted sum over
+the law's quadrature node set, with b = -1/d declared as the singular
+point: the Shannon objective sums -log|1 + b d|, the eta-th-moment
+objective takes one weighted log-sum-exp of eta log|1 + b d|, which stays
+free of overflow for every eta.  The capacities come from a coarse grid scan
+(log-densified near d = 0 and near -1/mean, where the closed-form optimizers
+live) followed by golden-section refinement; the zero-error capacity has an
+exact minimax closed form over the support interval.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ __all__ = [
 INF = float("inf")
 _LOG2 = math.log(2.0)
 _TIE_TOL = 1e-12
-# beyond this the plain power objective risks overflow; evaluate in log space
-_LOG_SPACE_ETA = 8.0
 _MAX_DOUBLINGS = 3
 
 
@@ -80,59 +81,35 @@ def shannon_objective(dist: ActuationDistribution, d: float) -> float:
             return INF
 
     def integrand(b):
-        t = abs(1.0 + b * d)
-        if t == 0.0:
+        bd = b * d
+        t = np.abs(1.0 + bd)
+        zero = t == 0.0
+        if zero.any():
             # float cancellation can zero 1 + b d a hair away from the
             # declared singular point; the true magnitude there is below
             # one ulp of the products involved
-            t = 2.3e-16 * max(1.0, abs(b * d))
-        return -math.log(t)
+            t[zero] = 2.3e-16 * np.maximum(1.0, np.abs(bd[zero]))
+        return -np.log(t)
 
     return dist.expect(integrand, (hit,)) / _LOG2
 
 
 def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
-    """-(1/eta) log2 E[|1 + B d|^eta]."""
+    """-(1/eta) log2 E[|1 + B d|^eta], as a log-sum-exp for every eta."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     if d == 0.0:
         return 0.0
-    hit = -1.0 / d
-    if eta < _LOG_SPACE_ETA:
-        val = dist.expect(lambda b: abs(1.0 + b * d) ** eta, (hit,))
-        if val == 0.0:
-            return INF
-        return -math.log2(val) / eta
-    # Large eta: normalize by the sup of |1 + b d| so the integrand stays in
-    # [0, 1]; the log of the normalizer is restored exactly afterwards.
-    log_m = _log2_sup_abs(dist, d)
-    if log_m == -INF:
+    nodes, weights, _ = dist.quadrature_nodes((-1.0 / d,))
+    with np.errstate(divide="ignore"):
+        logs = eta * np.log(np.abs(1.0 + nodes * d))
+    top = logs.max()
+    if top == -INF:
         return INF
-    scale = eta * log_m * _LOG2
-
-    def normalized(b):
-        t = abs(1.0 + b * d)
-        if t == 0.0:
-            return 0.0
-        return math.exp(eta * math.log(t) - scale)
-
-    val = dist.expect(normalized, (hit,))
-    if val <= 0.0:
+    total = float(weights @ np.exp(logs - top))
+    if total <= 0.0:
         return INF
-    return -(log_m + math.log2(val) / eta)
-
-
-def _log2_sup_abs(dist, d):
-    """log2 sup |1 + b d| over the (tail-truncated) support and atoms."""
-    info = dist.support()
-    cands = [loc for loc, _ in info.atoms]
-    lo, hi = info.lower, info.upper
-    for piece_lo, piece_hi, _ in dist._density_pieces():
-        cands.extend((piece_lo, piece_hi))
-    if not cands:
-        cands.extend(c for c in (lo, hi) if math.isfinite(c))
-    m = max(abs(1.0 + b * d) for b in cands)
-    return math.log2(m) if m > 0.0 else -INF
+    return -(top + math.log(total)) / (eta * _LOG2)
 
 
 def default_halfwidth(dist: ActuationDistribution) -> float:

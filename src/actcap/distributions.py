@@ -1,10 +1,13 @@
 """Laws of the multiplicative actuation gain.
 
 Each distribution knows its support (bounds plus atoms), exact moments, how
-to draw reproducible samples, how to integrate functionals against itself
-(atoms summed exactly, continuous parts by singularity-aware quadrature) and
-how to condition on an interval cell.  Values are immutable and safe for
-concurrent reads; sampling always goes through an explicit generator.
+to draw reproducible samples, its quadrature node set (atoms weighted by
+their mass, density pieces covered by the graded pattern of
+:mod:`actcap.quadrature` around declared singular points), and how to
+condition on an interval cell.  Every expectation is one weighted sum over
+that node set.  Constructors reject non-finite parameters and laws whose
+moments overflow.  Values are immutable and safe for concurrent reads;
+sampling always goes through an explicit generator.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .quadrature import NonIntegrable, integrate_panels
+from .quadrature import FAIL_REL, NonIntegrable, panel_nodes
 
 __all__ = [
     "ActuationDistribution",
@@ -37,8 +40,8 @@ __all__ = [
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-# Beyond 10 sigma the Gaussian tail mass is < 1e-23, far below the 1e-9
-# quadrature target.
+# Beyond 10 sigma the Gaussian density is below e^-50 of its peak, far below
+# the 1e-9 quadrature target.
 _GAUSS_TAIL_SIGMAS = 10.0
 
 _ATOM_MASS_TOL = 1e-12
@@ -124,26 +127,51 @@ class ActuationDistribution:
         """
         raise NotImplementedError
 
-    # hooks used by the shared expectation engine
+    # hooks used by the shared node set
     def _atoms(self) -> tuple[tuple[float, float], ...]:
         return ()
 
     def _density_pieces(self):
-        """Weighted density pieces as (lo, hi, pdf) with pdf absolutely scaled."""
+        """Density pieces as (lo, hi, pdf): pdf array-valued, absolutely scaled."""
         return ()
 
-    def expect(self, integrand, singularities=()):
-        """E[integrand(B)]: atoms summed exactly, densities by quadrature.
+    def quadrature_nodes(self, singularities=()):
+        """``(nodes, weights, inner)`` with E[f(B)] = sum(weights * f(nodes)).
 
+        Atoms are nodes weighted by their mass.  Each density piece is
+        covered by the graded pattern of :func:`panel_nodes` between its
+        ends and the ``singularities`` clipped into it; ``inner`` marks the
+        innermost graded panels.
+        """
+        parts = []
+        if atoms := self._atoms():
+            locs, masses = np.array(atoms, dtype=float).T
+            parts.append((locs, masses, np.zeros(len(atoms), dtype=bool)))
+        for lo, hi, pdf in self._density_pieces():
+            breaks = sorted({lo, hi, *(min(max(s, lo), hi) for s in singularities)})
+            nodes, weights, inner = panel_nodes(breaks)
+            parts.append((nodes, weights * pdf(nodes), inner))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def expect(self, integrand, singularities=()):
+        """E[integrand(B)] as one weighted sum over the node set.
+
+        ``integrand`` maps an array of gains to an array (or a constant).
         ``singularities`` lists the locations of any integrable blow-ups of
         the integrand (logarithmic, or power law with exponent > -1).
+        Raises :class:`NonIntegrable` when the innermost graded panels
+        carry more than ``FAIL_REL * max(1, |total|)``, or the sum is NaN.
         """
-        total = 0.0
-        for loc, mass in self._atoms():
-            total += mass * float(integrand(loc))
-        for lo, hi, pdf in self._density_pieces():
-            total += integrate_panels(
-                lambda b: float(integrand(b)) * pdf(b), lo, hi, singularities
+        nodes, weights, inner = self.quadrature_nodes(singularities)
+        terms = weights * integrand(nodes)
+        total = float(terms.sum())
+        tail = float(np.abs(terms[inner]).sum())
+        if not tail <= FAIL_REL * np.maximum(1.0, abs(total)):
+            raise NonIntegrable(
+                f"innermost panels carry {tail!r} of {total!r}; divergent "
+                "integrand or misdeclared singularity"
             )
         return total
 
@@ -156,6 +184,7 @@ class Uniform(ActuationDistribution):
     def __post_init__(self):
         if not self.b1 < self.b2:
             raise ValueError(f"uniform requires b1 < b2, got [{self.b1}, {self.b2}]")
+        _require_finite(self, self.b1, self.b2, 1.0 / (self.b2 - self.b1))
 
     def support(self):
         return SupportInfo.build(self.b1, self.b2)
@@ -188,6 +217,10 @@ class Gaussian(ActuationDistribution):
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"gaussian requires sigma > 0, got {self.sigma}")
+        _require_finite(self, self.mu, self.sigma, 1.0 / self.sigma)
+        if self.mu + self.sigma == self.mu:
+            raise ValueError(f"sigma {self.sigma} is below the float "
+                             f"resolution of mu {self.mu}")
 
     def support(self):
         return SupportInfo.build(NEG_INF, POS_INF)
@@ -203,15 +236,9 @@ class Gaussian(ActuationDistribution):
         return cond.cell_probability, cond
 
     def _density_pieces(self):
-        mu, sig = self.mu, self.sigma
-        norm = 1.0 / (sig * math.sqrt(2.0 * math.pi))
-
-        def pdf(b):
-            z = (b - mu) / sig
-            return norm * math.exp(-0.5 * z * z)
-
-        half = _GAUSS_TAIL_SIGMAS * sig
-        return ((mu - half, mu + half, pdf),)
+        half = _GAUSS_TAIL_SIGMAS * self.sigma
+        return (_gauss_piece(self.mu, self.sigma, self.mu - half,
+                             self.mu + half, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -232,6 +259,7 @@ class TruncatedGaussian(ActuationDistribution):
             raise EmptyCell(
                 f"Gaussian({self.mu}, {self.sigma}) has no mass in [{self.lo}, {self.hi})"
             )
+        _require_finite(self, self.mu, self.sigma, 1.0 / self.sigma)
 
     @property
     def _alpha(self):
@@ -253,7 +281,8 @@ class TruncatedGaussian(ActuationDistribution):
         z = self.cell_probability
         pa, pb = _std_normal_pdf(a), _std_normal_pdf(b)
         mean = self.mu + self.sigma * (pa - pb) / z
-        var = self.sigma**2 * (1.0 + (a * pa - b * pb) / z - ((pa - pb) / z) ** 2)
+        var = self.sigma**2 * (1.0 + (_times_pdf(a) - _times_pdf(b)) / z
+                               - ((pa - pb) / z) ** 2)
         return mean, var, var + mean * mean
 
     def sample(self, rng, size=None):
@@ -271,14 +300,13 @@ class TruncatedGaussian(ActuationDistribution):
         return cond.cell_probability / self.cell_probability, cond
 
     def _density_pieces(self):
-        mu, sig = self.mu, self.sigma
-        norm = 1.0 / (sig * math.sqrt(2.0 * math.pi) * self.cell_probability)
-
-        def pdf(b):
-            z = (b - mu) / sig
-            return norm * math.exp(-0.5 * z * z)
-
-        return ((self.lo, self.hi, pdf),)
+        # cut the window, infinite ends included, 10 sigma beyond the nearer
+        # of mu and the opposite end, where the density is below e^-50 of
+        # its maximum on the window
+        reach = _GAUSS_TAIL_SIGMAS * self.sigma
+        lo = max(self.lo, min(self.mu, self.hi) - reach)
+        hi = min(self.hi, max(self.mu, self.lo) + reach)
+        return (_gauss_piece(self.mu, self.sigma, lo, hi, self.cell_probability),)
 
 
 @dataclass(frozen=True)
@@ -293,10 +321,10 @@ class ScaledBernoulli(ActuationDistribution):
             raise ValueError("beta must be nonzero")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be a probability, got {self.p}")
+        _require_finite(self, self.beta)
 
     def support(self):
-        atoms = ((0.0, 1.0 - self.p), (self.beta, self.p))
-        atoms = tuple(a for a in atoms if a[1] > 0.0)
+        atoms = self._atoms()
         lo = min(loc for loc, _ in atoms)
         hi = max(loc for loc, _ in atoms)
         return SupportInfo.build(lo, hi, atoms)
@@ -327,7 +355,8 @@ class ScaledBernoulli(ActuationDistribution):
         return prob, Empirical((loc,))
 
     def _atoms(self):
-        return self.support().atoms
+        atoms = ((0.0, 1.0 - self.p), (self.beta, self.p))
+        return tuple(a for a in atoms if a[1] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -344,6 +373,7 @@ class FiniteMixture(ActuationDistribution):
         total = sum(w for w, _ in comps)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
+        _require_finite(self, *(w for w, _ in comps))
 
     def support(self):
         infos = [d.support() for _, d in self.components]
@@ -395,19 +425,12 @@ class FiniteMixture(ActuationDistribution):
             return total, kept[0][1]
         return total, FiniteMixture(tuple((w / total, d) for w, d in kept))
 
-    def _atoms(self):
-        return tuple(
-            (loc, w * mass)
-            for w, d in self.components
-            for loc, mass in d._atoms()
-        )
-
-    def _density_pieces(self):
-        pieces = []
-        for w, d in self.components:
-            for lo, hi, pdf in d._density_pieces():
-                pieces.append((lo, hi, _scaled_pdf(w, pdf)))
-        return tuple(pieces)
+    def quadrature_nodes(self, singularities=()):
+        nodes, weights, inner = zip(*(d.quadrature_nodes(singularities)
+                                      for _, d in self.components))
+        return (np.concatenate(nodes),
+                np.concatenate([w * x for (w, _), x in zip(self.components, weights)]),
+                np.concatenate(inner))
 
 
 @dataclass(frozen=True)
@@ -421,6 +444,7 @@ class Empirical(ActuationDistribution):
         if not vals:
             raise ValueError("empirical law needs at least one sample")
         object.__setattr__(self, "samples", vals)
+        _require_finite(self, *vals)
 
     def support(self):
         counts = Counter(self.samples)
@@ -453,12 +477,33 @@ def _in_cell(x, lo, hi, include_upper):
     return lo <= x < hi or (include_upper and x == hi)
 
 
-def _scaled_pdf(w, pdf):
-    return lambda b: w * pdf(b)
+def _require_finite(law, *params):
+    """Reject non-finite parameters or densities, and overflowing moments."""
+    name = type(law).__name__
+    if not all(math.isfinite(p) for p in params):
+        raise ValueError(f"{name} parameters must be finite, got {params}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = law.moments()
+    except OverflowError:
+        moments = (POS_INF,)
+    if not all(math.isfinite(m) for m in moments):
+        raise ValueError(f"{name} moments overflow: {moments}")
+
+
+def _gauss_piece(mu, sigma, lo, hi, mass):
+    """Density piece of N(mu, sigma^2) / mass on [lo, hi]."""
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * mass)
+    return lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)
 
 
 def _std_normal_pdf(z):
     return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _times_pdf(z):
+    """z * phi(z), which vanishes at an infinite truncation end."""
+    return z * _std_normal_pdf(z) if math.isfinite(z) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +544,7 @@ def parse_spec(text) -> ActuationDistribution:
             return FiniteMixture(tuple(comps))
     except DistSpecError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise DistSpecError(f"invalid distribution spec {text!r}: {exc}") from exc
     raise DistSpecError(f"unknown distribution kind {kind!r} in {text!r}")
 

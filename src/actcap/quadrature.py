@@ -1,141 +1,66 @@
-"""Quadrature against one-dimensional densities with declared singular points.
+"""One fixed Gauss-Legendre node pattern for densities with break points.
 
-All integrands in this package are piecewise smooth apart from isolated,
-caller-declared logarithmic or power-law (exponent > -1) singularities at
-known locations (in practice b = -1/d).  Every declared singularity becomes
-a panel edge, and the panel sides touching it are integrated on a substitute
-grid graded geometrically toward the singular point, so each sub-panel is
-smooth; the graded tails also expose genuinely divergent integrands, whose
-contributions fail to decay.
+Every expectation in this package is a weighted sum over one node set.  The
+break points of a density piece are its two ends plus the integrand's
+declared singular points (in practice b = -1/d) clipped into the piece.
+Each half of every gap between consecutive break points is covered by
+``ORDER``-point Gauss-Legendre panels that shrink by ``GRADE_RATIO`` over
+``GRADE_LEVELS`` levels toward its break point, then by ``OUTER_PANELS``
+equal panels.  Logarithmic and integrable power-law (exponent > -1)
+blow-ups at a break point are thereby resolved without adaptivity, and so
+are the sharp edge layers of high moments; a divergent integrand shows
+itself as a non-negligible share of the total carried by the innermost
+panels.
 """
 
 from __future__ import annotations
 
-import warnings
+import numpy as np
 
-from scipy import integrate
-
-_EPSREL = 1e-11
-_EPSABS = 1e-14
-_FAIL_REL = 1e-6
-_LIMIT = 200
-_GRADE_RATIO = 0.5
-_GRADE_MAX = 90
-_TAIL_REL = 1e-13
+ORDER = 16
+GRADE_RATIO = 0.15
+GRADE_LEVELS = 18
+OUTER_PANELS = 3
+# share of the total the innermost panels may carry before the integral is
+# declared divergent
+FAIL_REL = 1e-6
 
 
 class NonIntegrable(ArithmeticError):
-    """Quadrature failed to converge.
+    """The integrand diverges at a break point, or its expectation is NaN."""
 
-    Signals a misdeclared singularity or a genuinely divergent integrand.
+
+def _half_pattern():
+    """Nodes, weights and innermost-panel mask on [0, 1], graded toward 0."""
+    x, w = np.polynomial.legendre.leggauss(ORDER)
+    edges = np.concatenate([
+        [0.0],
+        GRADE_RATIO ** np.arange(GRADE_LEVELS, 1, -1.0),
+        np.linspace(GRADE_RATIO, 1.0, OUTER_PANELS + 1),
+    ])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = lo + 0.5 * (hi - lo) * (x + 1.0)
+    inner = np.zeros(nodes.shape, dtype=bool)
+    inner[0] = True
+    return nodes.ravel(), (0.5 * (hi - lo) * w).ravel(), inner.ravel()
+
+
+_U, _W, _INNER = _half_pattern()
+
+
+def panel_nodes(breaks):
+    """``(nodes, weights, inner)`` covering [breaks[0], breaks[-1]].
+
+    ``breaks`` is strictly increasing.  Each half of every gap carries the
+    graded pattern, mapped by one affine broadcast toward its own break
+    point; ``inner`` marks the innermost panels.  Nodes that round onto a
+    break point are dropped, so no integrand is evaluated at one.
     """
-
-
-def integrate_panels(f, lo, hi, singularities=(), full_output=False):
-    """Integrate ``f`` over [lo, hi], splitting at singular points.
-
-    Returns the integral value; raises :class:`NonIntegrable` when the
-    estimated error exceeds 1e-6 relative to max(1, |value|) or a singular
-    neighborhood fails to converge.  With ``full_output`` returns
-    ``(value, error_estimate)``.
-    """
-    if hi <= lo:
-        return (0.0, 0.0) if full_output else 0.0
-    sing = sorted({float(s) for s in singularities if lo <= s <= hi})
-    edges = sorted({lo, hi, *(s for s in sing if lo < s < hi)})
-    total = 0.0
-    err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        left = a in sing
-        right = b in sing
-        if left or right:
-            val, est = _singular_panel(f, a, b, left, right)
-        else:
-            val, est = _plain(f, a, b)
-        total += val
-        err += est
-    if not err <= _FAIL_REL * max(1.0, abs(total)):
-        raise NonIntegrable(
-            f"integral over [{lo}, {hi}] did not converge: "
-            f"value {total!r}, estimated error {err!r}"
-        )
-    return (total, err) if full_output else total
-
-
-def _plain(f, a, b):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = integrate.quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL,
-                             limit=_LIMIT, full_output=1)
-    if len(out) > 3 and "divergent" in out[3]:
-        raise NonIntegrable(f"integral over [{a}, {b}] flagged as divergent")
-    return out[0], out[1]
-
-
-def _singular_panel(f, a, b, left, right):
-    """Panel with a declared singularity on an edge.
-
-    Endpoint extrapolation usually resolves it directly; the geometrically
-    graded scheme is the arbiter whenever the direct attempt fails or is
-    flagged, and it is what distinguishes a slowly-converging integrable
-    blow-up from a genuinely divergent one.
-    """
-    try:
-        val, est = _plain(f, a, b)
-        if est <= _FAIL_REL * max(1.0, abs(val)):
-            return val, est
-    except NonIntegrable:
-        pass
-    if left and right:
-        mid = 0.5 * (a + b)
-        lv, le = _graded(f, a, mid)
-        rv, re_ = _graded(f, b, mid)
-        return lv + rv, le + re_
-    if left:
-        return _graded(f, a, b)
-    return _graded(f, b, a)
-
-
-def _graded(f, s, far):
-    """Integrate from the singular point ``s`` out to ``far``.
-
-    Panels [s + w r^(k+1), s + w r^k] shrink geometrically toward s; for any
-    integrable log or power blow-up their contributions decay geometrically,
-    so the truncated tail is bounded by the last term.  Contributions that
-    stop decaying reveal a divergent integrand.
-    """
-    w = far - s  # signed
-    total = 0.0
-    err = 0.0
-    prev = None
-    growth_streak = 0
-    mag = 0.0
-    for k in range(_GRADE_MAX):
-        outer = s + w * _GRADE_RATIO**k
-        inner = s + w * _GRADE_RATIO ** (k + 1)
-        a, b = (inner, outer) if w > 0 else (outer, inner)
-        if a == b:
-            return total, err  # sub-panel width fell below float resolution
-        val, est = _plain(f, a, b)
-        total += val
-        err += est
-        mag = abs(val)
-        # an integrable blow-up decays geometrically once the panels are
-        # fine; sustained growth at fine scales means a divergent integrand
-        if prev is not None and mag >= prev and mag > _TAIL_REL * max(1.0, abs(total)):
-            growth_streak += 1
-            if growth_streak >= 6 and k >= 8:
-                raise NonIntegrable(
-                    f"contributions near {s} do not decay; "
-                    "divergent or misdeclared singularity"
-                )
-        else:
-            growth_streak = 0
-        if k >= 4 and mag <= _TAIL_REL * max(1.0, abs(total)):
-            err += mag  # geometric decay: the tail is below the last panel
-            return total, err
-        prev = mag
-    # slow but decaying: extrapolate the geometric tail into the estimate
-    total += mag
-    err += 2.0 * mag
-    return total, err
+    gaps = list(zip(breaks[:-1], breaks[1:]))
+    rows = [(a, b, 0.5 * (b - a)) for a, b in gaps]
+    rows += [(b, a, 0.5 * (a - b)) for a, b in gaps]
+    near, far, step = np.array(rows, dtype=float).T[:, :, None]
+    nodes = near + step * _U
+    keep = (nodes != near) & (nodes != far)
+    weights = np.abs(step) * _W
+    return nodes[keep], weights[keep], (keep & _INNER)[keep]

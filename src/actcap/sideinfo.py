@@ -139,8 +139,8 @@ def eta_capacity_with_si(model: SideInformationModel, eta: float,
     sum goes through one log, so this generally exceeds the weighted average
     of per-cell capacities only through Jensen's inequality, not equality.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if eta is None or not eta > 0:
+        raise ValueError(f"the eta sense needs a positive eta, got {eta}")
     per_cell = tuple(
         eta_capacity(c.conditional, eta, query) for c in model.cells
     )

@@ -53,6 +53,9 @@ class SystemSpec:
     obs_noise_std: float = 0.0
 
     def __post_init__(self):
+        values = (self.a, self.x0, self.process_noise_std, self.obs_noise_std)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"a, x0 and the noise stds must be finite, got {values}")
         if abs(self.a) < 1.0:
             raise ValueError("open-loop gain must satisfy |a| >= 1")
         if self.x0 == 0.0:
@@ -170,6 +173,8 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
         raise ValueError("horizon and paths must be >= 1")
     thresholds = tuple(float(m) for m in np.atleast_1d(threshold))
     eta_list = tuple(float(e) for e in eta_list)
+    if not all(math.isfinite(v) for v in thresholds + eta_list):
+        raise ValueError("thresholds and eta values must be finite")
     return _run(spec, strategy, horizon, paths, eta_list, thresholds,
                 seed, workers)
 
@@ -386,8 +391,7 @@ def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
     density (atomic laws fall outside the bounded-density hypothesis) and a
     margin of at least 0.1 bits above capacity.
     """
-    info = dist.support()
-    if info.has_nonzero_atom or not dist._density_pieces():
+    if dist.support().atoms:
         raise ValueError("experiment requires an atomless law with a density")
     cap = shannon_capacity(dist, query)
     log2_a = math.log2(abs(a))

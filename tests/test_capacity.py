@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from actcap.capacity import (
     CapacityQuery,
@@ -54,6 +55,44 @@ def uniform_eta_objective(b1, b2, d, eta):
         return math.copysign(abs(x) ** (eta + 1), x) / (eta + 1)
 
     return -math.log2((anti(t2) - anti(t1)) / (t2 - t1)) / eta
+
+
+def uniform_eta_objective_log(b1, b2, d, eta):
+    """uniform_eta_objective in log space: no under- or overflow at any eta."""
+    t1, t2 = sorted((1 + b1 * d, 1 + b2 * d))
+    logs = [(eta + 1) * math.log(abs(t)) if t else -math.inf for t in (t1, t2)]
+    hi, lo = max(logs), min(logs)
+    if t1 * t2 <= 0:  # the antiderivative values add
+        log_num = hi + math.log1p(math.exp(lo - hi))
+    else:
+        log_num = hi + math.log(-math.expm1(lo - hi))
+    return -(log_num - math.log((eta + 1) * (t2 - t1))) / (eta * LOG2)
+
+
+def gaussian_log_objective(mu, sigma, d):
+    """Closed-form E[-log2 |1 + B d|] for B ~ N(mu, sigma^2).
+
+    1 + B d ~ N(m, s^2), and (1 + B d)^2 / s^2 is noncentral chi^2 with one
+    degree of freedom, a Poisson mixture of central ones:
+    E ln (1 + B d)^2 = ln 2 s^2 + sum_j Pois(j; m^2 / 2 s^2) digamma(1/2 + j).
+    """
+    m, s = 1 + mu * d, sigma * abs(d)
+    lam = m * m / (2 * s * s)
+    reach = 40 * math.sqrt(lam) + 40
+    j = np.arange(max(0, int(lam - reach)), int(lam + reach) + 1)
+    mixture = float(np.sum(stats.poisson.pmf(j, lam) * special.digamma(0.5 + j)))
+    return -(math.log(2 * s * s) + mixture) / (2 * LOG2)
+
+
+def gain_hitting(target):
+    """A gain d with -1/d == target exactly, searched over nearby floats."""
+    d = -1.0 / target
+    up = down = d
+    near = [d]
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    return next(float(c) for c in near if -1.0 / c == target)
 
 
 def brute_force_max(objective, lo, hi, n=1_000_000):
@@ -112,12 +151,52 @@ def test_eta_objective_gaussian_second_moment_optimum():
 
 
 def test_eta_objective_log_space_matches_direct():
-    # the eta >= 8 log-space path must agree with the plain path
+    # the log-sum-exp objective must agree with a direct expectation of
+    # |1 + B d|^eta over the same node set
     dist = Uniform(1, 3)
     for d in (-0.497, -0.3):
         direct = -math.log2(dist.expect(lambda b: abs(1 + b * d) ** 8.0,
                                         (-1 / d,))) / 8.0
         assert eta_objective(dist, d, 8.0) == pytest.approx(direct, abs=1e-9)
+
+
+# --- the node set against exact closed forms --------------------------------
+
+SCALES = np.geomspace(1e-3, 1e2, 25)
+GAINS = [*(-SCALES), *SCALES]
+
+
+@pytest.mark.parametrize("b1, b2, hits", [
+    # -1/d at each edge, inside, 1 ulp outside the lower edge and 1 ulp
+    # inside the upper one
+    (1.5, 3.5, [1.5, 3.5, 2.5, 1.5 + 1e-9, np.nextafter(1.5, -np.inf),
+                np.nextafter(3.5, -np.inf)]),
+    (-1.0, 3.0, [-1.0, 3.0, 0.5, np.nextafter(-1.0, -np.inf),
+                 np.nextafter(3.0, -np.inf)]),
+])
+def test_node_set_matches_uniform_closed_forms(b1, b2, hits):
+    dist = Uniform(b1, b2)
+    for d in GAINS + [gain_hitting(t) for t in hits]:
+        assert shannon_objective(dist, d) == pytest.approx(
+            uniform_log_objective(b1, b2, d), abs=1e-10)
+        for eta in (0.01, 0.5, 2.0, 64.0, 1024.0):
+            assert eta_objective(dist, d, eta) == pytest.approx(
+                uniform_eta_objective_log(b1, b2, d, eta), abs=1e-10)
+
+
+def test_node_set_matches_gaussian_closed_forms():
+    # the law is cut at mu +- 10 sigma: -1/d at mu, at a cut, 1 ulp outside
+    # a cut, and between; below |d| = 1e-2 the Poisson sum itself loses digits
+    mu, sigma = 3.5, 1.0
+    dist = Gaussian(mu, sigma)
+    hits = [mu, 4.0, -6.5, 13.5, np.nextafter(-6.5, -np.inf)]
+    scales = np.geomspace(1e-2, 1e2, 25)
+    for d in [*(-scales), *scales] + [gain_hitting(t) for t in hits]:
+        second = (1 + mu * d) ** 2 + (sigma * d) ** 2
+        assert eta_objective(dist, d, 2.0) == pytest.approx(
+            -0.5 * math.log2(second), abs=1e-10)
+        assert shannon_objective(dist, d) == pytest.approx(
+            gaussian_log_objective(mu, sigma, d), abs=1e-9)
 
 
 # --- maximizer ----------------------------------------------------------------

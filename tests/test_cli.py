@@ -148,6 +148,31 @@ def test_config_error_exit_code(capsys):
     assert main(["sideinfo", "--dist", "gaussian:0,1", "--si-bits", "2"]) == 2
 
 
+_SIM = ["simulate", "--dist", "uniform:1,3", "--d", "-0.4", "--horizon", "5",
+        "--paths", "10"]
+
+
+@pytest.mark.parametrize("args", [
+    _SIM + ["--a", "nan"],
+    _SIM + ["--a", "inf"],
+    _SIM + ["--a", "2", "--x0", "nan"],
+    _SIM + ["--a", "2", "--noise-w", "inf"],
+    _SIM + ["--a", "2", "--noise-v", "nan"],
+    _SIM + ["--a", "2", "--threshold-M", "nan"],
+    _SIM + ["--a", "2", "--etas", "2,inf"],
+    ["capacity", "--dist", "uniform:1,inf"],
+    ["capacity", "--dist", "mixture:nan*uniform:1,3|1*uniform:1,2"],
+    ["capacity", "--dist", "empirical:@/nonexistent/samples.csv"],
+    ["sideinfo", "--dist", "uniform:1,3", "--sense", "eta", "--si-bits", "1"],
+])
+def test_malformed_input_exits_2_with_one_line(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     import actcap.cli as cli_mod
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actcap.distributions import (
     DistSpecError,
@@ -128,7 +130,7 @@ def test_mixture_sampling_is_seed_stable():
 def test_expect_log_singularity_closed_form():
     # integral of -ln|b| against Uniform(-c, c) is 1 - ln c
     for c in (1.0, 0.5, 2.0):
-        val = Uniform(-c, c).expect(lambda b: -math.log(abs(b)), (0.0,))
+        val = Uniform(-c, c).expect(lambda b: -np.log(abs(b)), (0.0,))
         assert val == pytest.approx(1 - math.log(c), rel=1e-9)
 
 
@@ -137,7 +139,7 @@ def test_expect_polynomial():
 
 
 def test_expect_gaussian_log_moment():
-    val = Gaussian(0, 1).expect(lambda b: math.log(abs(b)), (0.0,))
+    val = Gaussian(0, 1).expect(lambda b: np.log(abs(b)), (0.0,))
     assert val == pytest.approx(-(EULER_GAMMA + math.log(2)) / 2, abs=1e-7)
 
 
@@ -155,6 +157,13 @@ def test_expect_normalization_all_kinds():
         mean, _, second = dist.moments()
         assert dist.expect(lambda b: b) == pytest.approx(mean, abs=1e-8)
         assert dist.expect(lambda b: b * b) == pytest.approx(second, abs=1e-8)
+
+
+def test_expect_power_singularity_never_evaluated_at_break_point():
+    # the innermost nodes round onto the singular point; evaluating there
+    # would give |0|^-0.5 = inf
+    got = Uniform(1, 3).expect(lambda b: np.abs(b - 2.0) ** -0.5, (2.0,))
+    assert got == pytest.approx(2.0, abs=1e-7)
 
 
 def test_expect_divergent_integrand_raises():
@@ -197,7 +206,7 @@ def test_law_of_total_expectation():
     integrands = [
         (lambda b: b, ()),
         (lambda b: b * b, ()),
-        (lambda b: -math.log(abs(1 + 0.5 * b)), (-2.0,)),
+        (lambda b: -np.log(abs(1 + 0.5 * b)), (-2.0,)),
     ]
     for dist, edges in cases:
         for f, sing in integrands:
@@ -230,7 +239,49 @@ def test_parse_spec_empirical(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["nope", "uniform:1", "uniform:3,1",
-                                 "mixture:0.5*uniform:0,1", "erasure:0,0.5"])
+                                 "mixture:0.5*uniform:0,1", "erasure:0,0.5",
+                                 "uniform:1,inf", "uniform:nan,1", "uniform:-inf,1",
+                                 "uniform:-1e300,1e300", "uniform:0,5e-324",
+                                 "gaussian:nan,1", "gaussian:inf,1", "gaussian:0,inf",
+                                 "gaussian:0,nan", "gaussian:0,5e-324",
+                                 "gaussian:1e300,1", "gaussian:1e20,1e-10",
+                                 "erasure:inf,0.5", "erasure:nan,0.5", "erasure:1,nan",
+                                 "mixture:nan*uniform:1,3|1*uniform:1,2",
+                                 "mixture:inf*uniform:1,3|-inf*uniform:1,2"])
 def test_parse_spec_rejects(bad):
     with pytest.raises((DistSpecError, ValueError)):
         parse_spec(bad)
+
+
+def test_parse_spec_empirical_unreadable_or_not_finite(tmp_path):
+    with pytest.raises(DistSpecError):
+        parse_spec(f"empirical:@{tmp_path / 'missing.csv'}")
+    with pytest.raises(DistSpecError):
+        parse_spec(f"empirical:@{tmp_path}")  # a directory
+    path = tmp_path / "samples.csv"
+    path.write_text("1.5\nnan\n")
+    with pytest.raises(DistSpecError):
+        parse_spec(f"empirical:@{path}")
+
+
+# any float text, including nan, +-inf, huge and subnormal values
+_NUMBER = st.one_of(st.floats(), st.floats(-10, 10), st.floats(0, 1),
+                    st.sampled_from([5e-324, 1e-310, 1e-300, 1e150, 1e300]))
+_LEAF = st.builds("{}:{!r},{!r}".format,
+                  st.sampled_from(["uniform", "gaussian", "erasure"]),
+                  _NUMBER, _NUMBER)
+_SPEC = st.one_of(_LEAF, st.builds(
+    lambda w, a, b: f"mixture:{w!r}*{a}|{1 - w!r}*{b}", _NUMBER, _LEAF, _LEAF))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SPEC, st.floats(-1e3, 1e3))
+def test_parse_spec_yields_finite_law_or_rejects(spec, singular):
+    try:
+        dist = parse_spec(spec)
+    except (DistSpecError, ValueError):
+        return
+    assert all(math.isfinite(m) for m in dist.moments())
+    for singularities in ((), (singular,)):
+        nodes, weights, _ = dist.quadrature_nodes(singularities)
+        assert np.isfinite(nodes).all() and np.isfinite(weights).all()

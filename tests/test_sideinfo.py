@@ -87,6 +87,13 @@ def test_revealed_atoms_make_shannon_infinite():
     assert by_label["[0,1)"].value_bits == 0.0
 
 
+def test_eta_aggregate_requires_eta():
+    model = uniform_bit_partition(Uniform(1, 3), 1)
+    for eta in (None, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            eta_capacity_with_si(model, eta)
+
+
 def test_erasure_side_information_does_not_change_eta():
     # revealing whether the gain erased leaves -(1/eta) log2(1-p) unchanged:
     # the erased cell's conditional minimum is 1 at any d, the hit cell's is 0

@@ -75,7 +75,7 @@ def test_per_step_mean_within_standard_errors():
     step_mean = 1.0 - shannon_objective(dist, d)
     # per-step increment variance of log2|a(1+Bd)|, by quadrature
     second = dist.expect(
-        lambda b: (math.log2(abs(1 + b * d))) ** 2, (-1.0 / d,)
+        lambda b: (np.log2(abs(1 + b * d))) ** 2, (-1.0 / d,)
     )
     var = second - (shannon_objective(dist, d)) ** 2
     increments = np.diff(rep.mean_log2_ratio)
