@@ -299,13 +299,18 @@ def zero_error_capacity(dist: ActuationDistribution) -> CapacityResult:
 
 
 def second_moment_closed_form(dist: ActuationDistribution) -> CapacityResult:
-    """Exact second-moment capacity (1/2) log2(1 + mean^2/var), no quadrature."""
-    mean, var, _ = dist.moments()
-    if var <= 0.0:
+    """Exact second-moment capacity (1/2) log2(1 + mean^2/var), no quadrature.
+
+    The ratio is formed as (mean/sigma)^2, which stays finite where
+    var = sigma^2 underflows.
+    """
+    sigma = dist.std()
+    if sigma <= 0.0:
         return CapacityResult(INF, None, "eta", 2.0,
                               diagnostics={"degenerate": True})
-    value = 0.5 * math.log2(1.0 + mean * mean / var)
-    d_star = -mean / (mean * mean + var)
+    snr = dist.moments()[0] / sigma
+    value = 0.5 * math.log2(1.0 + snr * snr)
+    d_star = -snr / (sigma * (1.0 + snr * snr))
     return CapacityResult(value, d_star, "eta", 2.0,
                           diagnostics={"closed_form": True})
 

@@ -312,67 +312,154 @@ class DegreeReport:
 
 
 def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
-                     seed=0, start_degree=32, width=DEFAULT_WIDTH):
+                     seed=0, start_degree=32):
     """Evolve x <- z^g_a x + b u + w and track the state degree.
 
     The gain's hidden bits are redrawn each step; revealed levels are drawn
     too and handed to the controller before it solves for u.  The noise
-    series w carries ``width`` fresh random bits at levels -1..-width.
+    series w carries 64 fresh random bits at levels -1..-64.
+
+    All paths step at once on uint64 lanes: a degree, a 64-level window and
+    window 0 for the zero series.  Path p reads the byte stream of
+    ``make_rng(seed, p)`` exactly as the scalar ops on :class:`BitSeries`
+    would (9 bytes for the initial window, then per step the gain bits, the
+    noise window and the revealed levels), so traces match them bit for
+    bit.  The draws are made and decoded a chunk of steps at a time; only
+    the state-dependent work runs step by step.
     """
     if horizon < 1 or paths < 1:
         raise ValueError("horizon and paths must be >= 1")
-    max_deg = np.full(horizon + 1, -np.inf)
-    mean_acc = np.zeros(horizon + 1)
-    decay_sum = 0.0
-    decay_n = 0
+    width = DEFAULT_WIDTH
+    reach = abs(start_degree) + horizon * abs(g_a) + width
+    if reach >= _DEGREE_LIMIT:
+        raise ValueError(
+            f"degrees up to {reach} (start {start_degree}, {horizon} steps of "
+            f"g_a={g_a}) leave the int64 range")
+    if paths * reach >= _EXACT_SUM_LIMIT:
+        raise ValueError(
+            f"{paths} paths of degrees up to {reach} overflow the exact "
+            "float64 sum behind mean_degree")
     floor = -width  # stand-in degree for an exactly-zero state
-    plan = gain.window_plan(width)
+    fixed, revealed, unknown_mask = gain.window_plan(width)
     known = sorted(gain.known_levels, reverse=True)
     # fresh fair bits per step: gain unknowns, noise window, revealed levels
     step_bytes = (2 * width + len(known) + 7) // 8
-    window_mask = (1 << width) - 1
-    top = 1 << (width - 1)
-    for p in range(paths):
-        rng = make_rng(seed, p)
-        fill = int.from_bytes(rng.bytes(width // 8 + 1), "big") & (top - 1)
-        state = BitSeries(start_degree, top | fill, width)
-        _record(max_deg, mean_acc, 0, state, floor)
-        for n in range(horizon):
-            shifted = state.shift(g_a)
-            raw = int.from_bytes(rng.bytes(step_bytes), "big")
-            gain_bits = raw & window_mask
-            noise_bits = (raw >> width) & window_mask
-            realized = {
-                lv: (raw >> (2 * width + i)) & 1 for i, lv in enumerate(known)
-            }
-            if shifted.is_zero:
-                applied = shifted
-            else:
-                u, _ = one_step_control(shifted, gain, realized)
-                b = gain.realize(realized, gain_bits, width, plan)
-                applied = cf_add(shifted, cf_mul(b, u))
-            state = cf_add(applied, _normalize(-1, noise_bits, width))
-            _record(max_deg, mean_acc, n + 1, state, floor)
-            if not shifted.is_zero and state.degree is not None and state.degree >= 0:
-                decay_sum += shifted.degree - state.degree
-                decay_n += 1
+    cancel = max(min(gain.cancel_depth(), width), 1)
+
+    streams = [make_rng(seed, p).bit_generator for p in range(paths)]
+    fill, pending = _draw_bytes(streams, np.empty((paths, 0), np.uint8), 1,
+                                width // 8 + 1)
+    win = _be64(fill[0, :, 1:]) | _TOP
+    deg = np.full(paths, start_degree, dtype=np.int64)
+    max_deg = np.empty(horizon + 1, dtype=np.int64)
+    total = np.empty(horizon + 1, dtype=np.int64)
+    max_deg[0], total[0] = start_degree, start_degree * paths
+    decay_sum = decay_n = 0
+    chunk = max(_MIN_CHUNK_STEPS, _CHUNK_CELLS // paths)
+    for n0 in range(0, horizon, chunk):
+        steps = min(chunk, horizon - n0)
+        raw, pending = _draw_bytes(streams, pending, steps, step_bytes)
+        b = _be64(raw[..., -8:]) & np.uint64(unknown_mask) | np.uint64(fixed)
+        for level, pos in revealed:
+            i = known.index(level)
+            bit = (raw[..., step_bytes - 17 - i // 8] >> (i % 8)) & 1
+            b |= bit.astype(np.uint64) << np.uint64(pos)
+        noise_deg, noise_win = _lane_normalize(_MINUS_ONE,
+                                               _be64(raw[..., -16:-8]))
+        degs, wins = [deg], [win]
+        for n in range(steps):
+            bn = b[n]
+            # top window of b * u: XOR over the control's K known-top
+            # coefficients of b >> t, each solved from the bits above it;
+            # deg(b * u) <= deg(z^g_a x), so the add needs no swap
+            acc = win ^ bn * (win >> _SHIFTS[63])
+            for t in range(1, cancel):
+                acc ^= (bn >> _SHIFTS[t]) * ((acc >> _SHIFTS[63 - t]) & _ONE)
+            deg, win = _lane_add(*_lane_normalize(deg + g_a, acc),
+                                 noise_deg[n], noise_win[n])
+            degs.append(deg)
+            wins.append(win)
+        degs, live = np.stack(degs), np.stack(wins) != 0
+        seen = np.where(live[1:], degs[1:], floor)
+        max_deg[n0 + 1:n0 + steps + 1] = seen.max(axis=1)
+        total[n0 + 1:n0 + steps + 1] = seen.sum(axis=1)
+        decayed = live[:-1] & live[1:] & (degs[1:] >= 0)
+        decay_sum += int((degs[:-1] + g_a - degs[1:])[decayed].sum())
+        decay_n += int(decayed.sum())
     return DegreeReport(
         horizon=horizon,
         paths=paths,
         g_a=g_a,
         start_degree=start_degree,
-        max_degree=max_deg,
-        mean_degree=mean_acc / paths,
-        decay_mean=decay_sum / decay_n if decay_n else math.nan,
+        max_degree=max_deg.astype(np.float64),
+        mean_degree=total / paths,
+        decay_mean=float(decay_sum) / decay_n if decay_n else math.nan,
         decay_count=decay_n,
     )
 
 
-def _record(max_deg, mean_acc, n, state, floor):
-    d = state.degree if state.degree is not None else floor
-    if d > max_deg[n]:
-        max_deg[n] = d
-    mean_acc[n] += d
+# Lane kernels.  Degrees stay inside +-2**62, so lane differences never
+# overflow int64, and sums over paths stay below 2**53, so the float64
+# statistics are exact whatever the summation order.
+_DEGREE_LIMIT = 2**62
+_EXACT_SUM_LIMIT = 2**53
+# Steps drawn and decoded at once: about _CHUNK_CELLS path-steps, but at
+# least _MIN_CHUNK_STEPS, since each chunk costs one draw call per path.
+_CHUNK_CELLS = 1 << 12
+_MIN_CHUNK_STEPS = 16
+# 0-d arrays: the cheapest operands for ufuncs on short lanes
+_SHIFTS = [np.array(k, dtype=np.uint64) for k in range(DEFAULT_WIDTH)]
+_ONE = _SHIFTS[1]
+_TOP = np.array(1 << (DEFAULT_WIDTH - 1), dtype=np.uint64)
+_MINUS_ONE = np.array(-1, dtype=np.int64)
+_ZERO_DROP = np.array(1086, dtype=np.uint64)  # float64 exponent bias 1023 + 63
+
+
+def _draw_bytes(bit_generators, pending, steps, step_bytes):
+    """Octets of ``steps`` successive ``rng.bytes(step_bytes)`` calls per path.
+
+    ``Generator.bytes(n)`` serialises ``ceil(n / 4)`` full-range uint32
+    draws little-endian and drops the spare bytes; for Philox those words
+    are the low then the high half of each raw 64-bit output, carried
+    across calls.  So the byte stream is the little-endian raw stream, and
+    ``pending`` holds each path's drawn but unread half word.  Returns
+    ``(steps, paths, step_bytes)`` octets and the new ``pending``.
+    """
+    used = steps * 4 * -(-step_bytes // 4)
+    fresh = -(-(used - pending.shape[1]) // 8)
+    raw = np.stack([bg.random_raw(fresh) for bg in bit_generators])
+    octets = np.concatenate(
+        [pending, raw.astype("<u8", copy=False).view(np.uint8)], axis=1)
+    calls = octets[:, :used].reshape(len(bit_generators), steps, -1)
+    return calls.transpose(1, 0, 2)[..., :step_bytes], octets[:, used:]
+
+
+def _be64(octets):
+    """Big-endian uint64 lanes from the last axis of 8 octets."""
+    return np.ascontiguousarray(octets).view(">u8")[..., 0].astype(np.uint64)
+
+
+def _lane_normalize(degree_of_msb, raw):
+    """:func:`_normalize` on uint64 lanes: ``(degree, window)``.
+
+    Clearing every bit whose upper neighbour is set keeps the leading bit
+    and leaves no run of ones, so the float64 conversion cannot round up to
+    the next power of two and its exponent field is the exact bit length.
+    A zero lane gets window 0 and a degree that no result depends on.
+    """
+    exponent = (raw & ~(raw >> _ONE)).astype(np.float64).view(np.uint64) \
+        >> _SHIFTS[52]
+    drop = _ZERO_DROP - exponent
+    return degree_of_msb - drop.view(np.int64), raw << drop
+
+
+def _lane_add(dx, wx, dy, wy):
+    """:func:`cf_add` on lanes of normalised ``(degree, window)`` pairs."""
+    swap = (wx == 0) | ((dx < dy) & (wy != 0))
+    gap = np.minimum(np.abs(dx - dy), DEFAULT_WIDTH).view(np.uint64)
+    top = np.where(swap, wy, wx)
+    low = np.where(swap, wx, wy)
+    return _lane_normalize(np.where(swap, dy, dx), top ^ (low >> gap))
 
 
 def parse_gain_spec(text) -> CarryFreeGain:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -115,6 +116,11 @@ class ActuationDistribution:
         """(mean, variance, second moment), exact."""
         raise NotImplementedError
 
+    def std(self) -> float:
+        """Standard deviation.  Laws with a scale parameter form it without
+        squaring, so it stays positive where the variance underflows."""
+        return math.sqrt(self.moments()[1])
+
     def sample(self, rng, size=None):
         """Draw i.i.d. values with the supplied generator."""
         raise NotImplementedError
@@ -143,10 +149,7 @@ class ActuationDistribution:
         ends and the ``singularities`` clipped into it; ``inner`` marks the
         innermost graded panels.
         """
-        parts = []
-        if atoms := self._atoms():
-            locs, masses = np.array(atoms, dtype=float).T
-            parts.append((locs, masses, np.zeros(len(atoms), dtype=bool)))
+        parts = [self._atom_nodes] if self._atom_nodes else []
         for lo, hi, pdf in self._density_pieces():
             breaks = sorted({lo, hi, *(min(max(s, lo), hi) for s in singularities)})
             nodes, weights, inner = panel_nodes(breaks)
@@ -154,6 +157,18 @@ class ActuationDistribution:
         if len(parts) == 1:
             return parts[0]
         return tuple(np.concatenate(p) for p in zip(*parts))
+
+    @cached_property
+    def _atom_nodes(self):
+        """Atom part of the node set, built once: a large empirical law
+        would otherwise rebuild it on every objective evaluation."""
+        atoms = self._atoms()
+        if not atoms:
+            return ()
+        table = np.array(atoms, dtype=float)
+        table.flags.writeable = False
+        locs, masses = table.T
+        return locs, masses, np.zeros(len(atoms), dtype=bool)
 
     def expect(self, integrand, singularities=()):
         """E[integrand(B)] as one weighted sum over the node set.
@@ -194,6 +209,9 @@ class Uniform(ActuationDistribution):
         var = (self.b2 - self.b1) ** 2 / 12.0
         return mean, var, var + mean * mean
 
+    def std(self):
+        return (self.b2 - self.b1) / math.sqrt(12.0)
+
     def sample(self, rng, size=None):
         return rng.uniform(self.b1, self.b2, size)
 
@@ -227,6 +245,9 @@ class Gaussian(ActuationDistribution):
 
     def moments(self):
         return self.mu, self.sigma**2, self.sigma**2 + self.mu**2
+
+    def std(self):
+        return self.sigma
 
     def sample(self, rng, size=None):
         return rng.normal(self.mu, self.sigma, size)
@@ -333,6 +354,9 @@ class ScaledBernoulli(ActuationDistribution):
         mean = self.beta * self.p
         second = self.beta**2 * self.p
         return mean, second - mean * mean, second
+
+    def std(self):
+        return abs(self.beta) * math.sqrt(self.p * (1.0 - self.p))
 
     def sample(self, rng, size=None):
         hit = rng.random(size) < self.p
@@ -447,6 +471,10 @@ class Empirical(ActuationDistribution):
         _require_finite(self, *vals)
 
     def support(self):
+        return self._support
+
+    @cached_property
+    def _support(self):
         counts = Counter(self.samples)
         n = len(self.samples)
         atoms = tuple(sorted((v, c / n) for v, c in counts.items()))

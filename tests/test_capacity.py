@@ -21,6 +21,7 @@ from actcap.distributions import (
     Gaussian,
     ScaledBernoulli,
     Uniform,
+    make_rng,
 )
 
 LOG2 = math.log(2.0)
@@ -334,6 +335,28 @@ def test_second_moment_closed_form():
     assert snr1.value_bits == pytest.approx(0.5, rel=1e-12)
     degenerate = second_moment_closed_form(Empirical((2.0,)))
     assert degenerate.value_bits == math.inf and degenerate.optimal_d is None
+
+
+@pytest.mark.parametrize("dist,want", [
+    (Gaussian(0.0, 1e-300), 0.0),
+    (Gaussian(1e-300, 1e-300), 0.5),
+    (Uniform(0.0, 1e-200), 1.0),
+    (ScaledBernoulli(1e-200, 0.5), 0.5),
+])
+def test_second_moment_closed_form_survives_variance_underflow(dist, want):
+    # var = sigma^2 underflows to 0 here; the law is still not degenerate
+    res = second_moment_closed_form(dist)
+    assert res.value_bits == pytest.approx(want, abs=1e-15)
+    assert math.isfinite(res.optimal_d)
+
+
+def test_empirical_capacity_values_pinned():
+    law = Empirical(tuple(Uniform(1, 3).sample(make_rng(3), 30)))
+    for eta, value, d_star in ((2.0, 1.8962735718009844, -0.4310410721831485),
+                               (0.5, 2.4346426879259773, -0.3727610685521455)):
+        res = eta_capacity(law, eta)
+        assert res.value_bits == pytest.approx(value, rel=1e-13)
+        assert res.optimal_d == pytest.approx(d_star, rel=1e-9)
 
 
 def test_second_moment_cross_check_families():

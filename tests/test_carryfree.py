@@ -1,8 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import actcap.carryfree as carryfree
 from actcap.carryfree import (
     BitSeries,
     CarryFreeGain,
@@ -14,6 +18,9 @@ from actcap.carryfree import (
     one_step_control,
     parse_gain_spec,
     simulate_degrees,
+    _lane_add,
+    _lane_normalize,
+    _normalize,
 )
 from actcap.distributions import make_rng
 
@@ -195,7 +202,6 @@ def test_one_step_cancellation_exhaustive(gain, realized):
                 else None
             if b is None:
                 # leading bit random and zero: realize as a lower-degree series
-                from actcap.carryfree import _normalize
                 b = _normalize(gain.g_det, window, width)
             nxt = cf_add(state, cf_mul(b, u)) if not b.is_zero else state
             for t in range(k):
@@ -247,6 +253,181 @@ def test_counterexample_dynamics():
     assert ok.max_degree.max() <= 10
     too_fast = simulate_degrees(revealed, 4, 300, 200, seed=10, start_degree=10)
     assert too_fast.max_degree[-1] > 40
+
+
+# --- lane kernel against the scalar ops ---------------------------------------
+
+def reference_degrees(gain, g_a, horizon, paths, seed=0, start_degree=32,
+                      streams=make_rng):
+    """The scalar loop: every path and step on BitSeries, one bytes call
+    per draw.  Returns (max_degree, mean_degree, decay_mean, decay_count)."""
+    max_deg = np.full(horizon + 1, -np.inf)
+    mean_acc = np.zeros(horizon + 1)
+    decay_sum, decay_n = 0.0, 0
+    plan = gain.window_plan(W)
+    known = sorted(gain.known_levels, reverse=True)
+    step_bytes = (2 * W + len(known) + 7) // 8
+    mask = (1 << W) - 1
+    top = 1 << (W - 1)
+
+    def record(n, state):
+        d = state.degree if not state.is_zero else -W
+        max_deg[n] = max(max_deg[n], d)
+        mean_acc[n] += d
+
+    for p in range(paths):
+        rng = streams(seed, p)
+        fill = int.from_bytes(rng.bytes(W // 8 + 1), "big") & (top - 1)
+        state = BitSeries(start_degree, top | fill, W)
+        record(0, state)
+        for n in range(horizon):
+            shifted = state.shift(g_a)
+            raw = int.from_bytes(rng.bytes(step_bytes), "big")
+            realized = {lv: (raw >> (2 * W + i)) & 1
+                        for i, lv in enumerate(known)}
+            applied = shifted
+            if not shifted.is_zero:
+                u, _ = one_step_control(shifted, gain, realized)
+                b = gain.realize(realized, raw & mask, W, plan)
+                applied = cf_add(shifted, cf_mul(b, u))
+            state = cf_add(applied, _normalize(-1, (raw >> W) & mask, W))
+            record(n + 1, state)
+            if not shifted.is_zero and not state.is_zero and state.degree >= 0:
+                decay_sum += shifted.degree - state.degree
+                decay_n += 1
+    return (max_deg, mean_acc / paths,
+            decay_sum / decay_n if decay_n else math.nan, decay_n)
+
+
+def assert_same_report(rep, want):
+    max_deg, mean_deg, decay_mean, decay_n = want
+    assert rep.max_degree.tobytes() == max_deg.tobytes()
+    assert rep.mean_degree.tobytes() == mean_deg.tobytes()
+    assert repr(rep.decay_mean) == repr(decay_mean)
+    assert rep.decay_count == decay_n
+
+
+@pytest.mark.parametrize("spec", ["cf:0,0", "cf:1,0", "cf:2,0", "cf:3,1",
+                                  "cf:1,0,known=0/-1", "cf:2,2,known=2/1/-3"])
+@pytest.mark.parametrize("g_a", [-1, 0, 1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_lanes_match_scalar_reference(spec, g_a, seed):
+    gain = parse_gain_spec(spec)
+    args = (gain, g_a, 24, 4)
+    assert_same_report(simulate_degrees(*args, seed=seed, start_degree=6),
+                       reference_degrees(*args, seed=seed, start_degree=6))
+
+
+@pytest.mark.parametrize("spec", ["cf:1,0", "cf:1,0,known=0/-1", "cf:70,0",
+                                  "cf:0,0,known=" + "/".join(map(str, range(0, -12, -1)))])
+def test_lanes_match_scalar_reference_across_chunks(spec, monkeypatch):
+    # chunks of 3 steps: odd word counts leave half a raw draw pending;
+    # cf:70,0 cancels the whole window, so the applied state is zero
+    monkeypatch.setattr(carryfree, "_CHUNK_CELLS", 10)
+    monkeypatch.setattr(carryfree, "_MIN_CHUNK_STEPS", 1)
+    gain = parse_gain_spec(spec)
+    args = (gain, 2, 20, 3)
+    assert_same_report(simulate_degrees(*args, seed=4, start_degree=5),
+                       reference_degrees(*args, seed=4, start_degree=5))
+
+
+class ZeroStream:
+    """Stands in for a generator whose every draw is zero."""
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, n):
+        return np.zeros(n, dtype=np.uint64)
+
+    def bytes(self, n):
+        return bytes(n)
+
+
+@pytest.mark.parametrize("spec", ["cf:1,0", "cf:70,0"])
+def test_lanes_match_scalar_reference_on_zero_states(spec, monkeypatch):
+    # all-zero noise windows on odd paths: the state becomes exactly zero,
+    # records the floor and stays zero, next to live paths in the same lanes
+    def streams(seed, p):
+        return ZeroStream() if p % 2 else make_rng(seed, p)
+
+    monkeypatch.setattr(carryfree, "make_rng", streams)
+    gain = parse_gain_spec(spec)
+    rep = simulate_degrees(gain, 1, 12, 4, seed=2, start_degree=3)
+    assert rep.max_degree.min() > -W and rep.mean_degree.min() < 0
+    assert_same_report(rep, reference_degrees(gain, 1, 12, 4, seed=2,
+                                              start_degree=3, streams=streams))
+
+
+def test_degree_range_is_bounded():
+    gain = CarryFreeGain(1, 0)
+    with pytest.raises(ValueError, match="int64"):
+        simulate_degrees(gain, 1, 10, 1, start_degree=9223372036854775000)
+    with pytest.raises(ValueError, match="int64"):
+        simulate_degrees(gain, 99999999999999999999, 10, 1)
+    with pytest.raises(ValueError, match="exact"):
+        simulate_degrees(gain, 1, 10, 1 << 20, start_degree=1 << 33)
+
+
+@st.composite
+def raw_windows(draw):
+    """A uint64 window with its leading one at any of the 65 positions."""
+    length = draw(st.integers(0, W))
+    if length == 0:
+        return 0
+    return (1 << (length - 1)) | draw(st.integers(0, (1 << (length - 1)) - 1))
+
+
+@st.composite
+def lane_series(draw):
+    raw = draw(raw_windows())
+    if raw == 0:
+        return BitSeries.zero(W)
+    return _normalize(draw(st.integers(-300, 300)), raw, W)
+
+
+def lanes(items):
+    degrees = [s.degree if not s.is_zero else 0 for s in items]
+    return (np.array(degrees, dtype=np.int64),
+            np.array([s.window for s in items], dtype=np.uint64))
+
+
+def assert_lanes_equal(degrees, windows, items):
+    for d, w, s in zip(degrees.tolist(), windows.tolist(), items):
+        if s.is_zero:
+            assert w == 0
+        else:
+            assert (d, w) == (s.degree, s.window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-300, 300), raw_windows()),
+                min_size=1, max_size=8))
+def test_lane_normalize_matches_bit_length(cases):
+    msb, raw = (np.array(c, dtype=dt) for c, dt in
+                zip(zip(*cases), (np.int64, np.uint64)))
+    degrees, windows = _lane_normalize(msb, raw)
+    assert_lanes_equal(degrees, windows, [_normalize(d, r, W) for d, r in cases])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(lane_series(), lane_series(),
+                          st.integers(0, 80), st.booleans()),
+                min_size=1, max_size=8))
+def test_lane_add_matches_cf_add(cases):
+    xs, ys = [], []
+    for x, y, gap, same in cases:
+        if not x.is_zero and not y.is_zero:
+            # gaps of 0 to 80 levels, either way round, sometimes with the
+            # same window so the leading bits cancel
+            y = BitSeries(x.degree - gap if gap % 2 else x.degree + gap,
+                          x.window if same else y.window, W)
+        xs.append(x)
+        ys.append(y)
+    degrees, windows = _lane_add(*lanes(xs), *lanes(ys))
+    assert_lanes_equal(degrees, windows,
+                       [cf_add(x, y) for x, y in zip(xs, ys)])
 
 
 def test_parse_gain_spec():

@@ -142,6 +142,12 @@ def test_carryfree_command(capsys):
     assert max(max_degrees) <= 16
 
 
+def test_second_moment_with_underflowing_variance(capsys):
+    code, out = run_cli(["capacity", "--dist", "gaussian:0,1e-300"], capsys)
+    assert code == 0
+    assert "c_2,0.0,-0.0" in out.splitlines()
+
+
 def test_config_error_exit_code(capsys):
     assert main(["capacity", "--dist", "bogus:1,2"]) == 2
     assert main(["capacity", "--dist", "uniform:3,1"]) == 2
@@ -164,6 +170,8 @@ _SIM = ["simulate", "--dist", "uniform:1,3", "--d", "-0.4", "--horizon", "5",
     ["capacity", "--dist", "mixture:nan*uniform:1,3|1*uniform:1,2"],
     ["capacity", "--dist", "empirical:@/nonexistent/samples.csv"],
     ["sideinfo", "--dist", "uniform:1,3", "--sense", "eta", "--si-bits", "1"],
+    ["carryfree", "--gain", "cf:1,0", "--start-degree", "9223372036854775000"],
+    ["carryfree", "--gain", "cf:1,0", "--g-a", "99999999999999999999"],
 ])
 def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert main(args) == 2

@@ -52,6 +52,15 @@ def test_empirical_support_counts_duplicates():
     assert info.atoms == ((1.0, 0.25), (2.0, 0.5), (5.0, 0.25))
 
 
+def test_empirical_support_and_atom_nodes_built_once():
+    law = Empirical(tuple(Uniform(1, 3).sample(make_rng(0), 200)))
+    assert law.support() is law.support()
+    first = law.quadrature_nodes()
+    again = law.quadrature_nodes((-2.0,))
+    assert all(a is b for a, b in zip(first, again))
+    assert not first[1].flags.writeable
+
+
 def test_invalid_constructions():
     with pytest.raises(ValueError):
         Uniform(3, 1)
