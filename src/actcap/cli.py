@@ -134,8 +134,7 @@ def _cmd_simulate(args):
                 else StrategySpec("linear", d=_pick_d(args, dist)))
     report = run_simulation(spec, strategy, args.horizon, args.paths,
                           eta_list=_float_list(args.etas),
-                          threshold=args.threshold_m, seed=args.seed,
-                          workers=args.workers)
+                          threshold=args.threshold_m, seed=args.seed)
     rows = [list(row) for row in report.csv_rows()]
     diag = {
         "strategy": report.strategy,
@@ -158,8 +157,7 @@ def _cmd_scan(args):
     dist = parse_spec(args.dist)
     points, capres = threshold_scan(
         dist, args.sense, _float_list(args.a_grid), eta=args.eta,
-        horizon=args.horizon, paths=args.paths, seed=args.seed,
-        workers=args.workers)
+        horizon=args.horizon, paths=args.paths, seed=args.seed)
     rows = [[p.a, math.log2(p.a), p.verdict, p.slope_bits] for p in points]
     diag = {"capacity_bits": capres.value_bits, "optimal_d": capres.optimal_d,
             "sense": args.sense}
@@ -171,7 +169,7 @@ def _cmd_converse(args):
     m_list = _float_list(args.m_list)
     rep = strong_converse_experiment(
         dist, args.a, m_list, horizon=args.horizon, paths=args.paths,
-        seed=args.seed, workers=args.workers)
+        seed=args.seed)
     header = ["strategy", "step"] + [f"fraction_ge_{m:g}" for m in m_list]
     rows = []
     for name in sorted(rep.reports):
@@ -266,7 +264,6 @@ def _build_parser():
     p.add_argument("--threshold-M", dest="threshold_m", type=float, default=1e6)
     p.add_argument("--noise-w", type=float, default=0.0)
     p.add_argument("--noise-v", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("scan", help="stability verdict per open-loop gain")
     common(p)
@@ -275,7 +272,6 @@ def _build_parser():
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("converse", help="blow-up fractions above capacity")
     common(p)
@@ -283,7 +279,6 @@ def _build_parser():
     p.add_argument("--m-list", default="1e6")
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("carryfree", help="carry-free degree-dynamics trace")
     common(p, dist=False)

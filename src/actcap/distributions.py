@@ -36,6 +36,8 @@ __all__ = [
     "Uniform",
     "make_rng",
     "parse_spec",
+    "path_streams",
+    "stream_keys",
 ]
 
 NEG_INF = float("-inf")
@@ -66,6 +68,100 @@ def make_rng(seed, *stream):
     """
     key = np.random.SeedSequence([int(seed), *map(int, stream)])
     return np.random.Generator(np.random.Philox(key))
+
+
+# numpy's SeedSequence hash-and-mix constants, for a 4-word pool
+_M32 = np.uint64(0xFFFFFFFF)
+_SHIFT = np.uint64(16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_POOL = 4
+
+
+def stream_keys(seed, paths):
+    """Philox keys of ``make_rng(seed, p)`` for every p in ``paths``, shape (n, 2).
+
+    Runs SeedSequence's uint32 hash-and-mix over all paths at once, one
+    uint64 lane per path.  Seeds of any size are exact; paths must be below
+    2^64.
+    """
+    seed_words = _uint32_words(int(seed))
+    paths = np.asarray(paths, dtype=np.uint64)
+    keys = np.empty((len(paths), 2), dtype=np.uint64)
+    # SeedSequence splits a path of 2^32 or more into two words
+    for wide in (False, True):
+        sel = (paths > _M32) == wide
+        if sel.any():
+            p = paths[sel]
+            words = [p & _M32] + ([p >> np.uint64(32)] if wide else [])
+            keys[sel] = _seed_sequence_keys(seed_words, words)
+    return keys
+
+
+def path_streams(seed, lo, hi):
+    """Yield a generator for each path in [lo, hi), reading ``make_rng(seed, p)``.
+
+    One generator is re-keyed in place for each path, so finish drawing for
+    a path before advancing.
+    """
+    keys = stream_keys(seed, np.arange(lo, hi, dtype=np.uint64))
+    bit_gen = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state  # counter 0, empty buffer, no pending uint32
+    for key in keys:
+        state["state"]["key"] = key
+        bit_gen.state = state
+        yield rng
+
+
+def _uint32_words(n):
+    """Little-endian uint32 words of n >= 0, as SeedSequence splits it."""
+    if n < 0:
+        raise ValueError(f"seed and stream entries must be >= 0, got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_keys(seed_words, path_words):
+    """SeedSequence([seed, p]).generate_state(2, uint64) for arrays of p."""
+    n = len(path_words[0])
+    entropy = [np.full(n, w, dtype=np.uint64) for w in seed_words] + path_words
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint64(hash_const)
+        hash_const = (hash_const * _MULT_A) & 0xFFFFFFFF
+        value = (value * np.uint64(hash_const)) & _M32
+        return value ^ (value >> _SHIFT)
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _M32
+        return value ^ (value >> _SHIFT)
+
+    zero = np.zeros(n, dtype=np.uint64)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_const = [], _INIT_B
+    for word in pool:
+        word = word ^ np.uint64(hash_const)
+        hash_const = (hash_const * _MULT_B) & 0xFFFFFFFF
+        word = (word * np.uint64(hash_const)) & _M32
+        out.append(word ^ (word >> _SHIFT))
+    return np.stack([out[0] | (out[1] << np.uint64(32)),
+                     out[2] | (out[3] << np.uint64(32))], axis=1)
 
 
 @dataclass(frozen=True)
@@ -302,9 +398,18 @@ class TruncatedGaussian(ActuationDistribution):
         z = self.cell_probability
         pa, pb = _std_normal_pdf(a), _std_normal_pdf(b)
         mean = self.mu + self.sigma * (pa - pb) / z
-        var = self.sigma**2 * (1.0 + (_times_pdf(a) - _times_pdf(b)) / z
-                               - ((pa - pb) / z) ** 2)
+        var = self.sigma**2 * self._variance_factor()
         return mean, var, var + mean * mean
+
+    def std(self):
+        return self.sigma * math.sqrt(max(self._variance_factor(), 0.0))
+
+    def _variance_factor(self):
+        """Variance in units of sigma^2."""
+        a, b = self._alpha, self._beta
+        z = self.cell_probability
+        shift = (_std_normal_pdf(a) - _std_normal_pdf(b)) / z
+        return 1.0 + (_times_pdf(a) - _times_pdf(b)) / z - shift**2
 
     def sample(self, rng, size=None):
         # Inverse-CDF so the per-draw count is fixed (no rejection).
@@ -416,6 +521,13 @@ class FiniteMixture(ActuationDistribution):
         second = sum(w * d.moments()[2] for w, d in self.components)
         return mean, second - mean * mean, second
 
+    def std(self):
+        parts = [(w, d.moments()[0], d.std()) for w, d in self.components]
+        scale = _pow2_scale(max(max(abs(m), s) for _, m, s in parts))
+        mean = sum(w * (m / scale) for w, m, _ in parts)
+        second = sum(w * ((m / scale) ** 2 + (s / scale) ** 2) for w, m, s in parts)
+        return scale * math.sqrt(max(second - mean * mean, 0.0))
+
     def sample(self, rng, size=None):
         weights = np.array([w for w, _ in self.components])
         edges = np.cumsum(weights)
@@ -481,10 +593,12 @@ class Empirical(ActuationDistribution):
         return SupportInfo.build(min(self.samples), max(self.samples), atoms)
 
     def moments(self):
+        return _sample_moments(np.asarray(self.samples))
+
+    def std(self):
         arr = np.asarray(self.samples)
-        mean = float(arr.mean())
-        second = float((arr * arr).mean())
-        return mean, second - mean * mean, second
+        scale = _pow2_scale(float(np.max(np.abs(arr))))
+        return scale * math.sqrt(max(_sample_moments(arr / scale)[1], 0.0))
 
     def sample(self, rng, size=None):
         arr = np.asarray(self.samples)
@@ -499,6 +613,19 @@ class Empirical(ActuationDistribution):
 
     def _atoms(self):
         return self.support().atoms
+
+
+def _sample_moments(arr):
+    mean = float(arr.mean())
+    second = float((arr * arr).mean())
+    return mean, second - mean * mean, second
+
+
+def _pow2_scale(x):
+    """Power of two within a factor 2 below x >= 0, so x / scale lies in
+    [1, 2): dividing by it is exact and squares neither underflow nor
+    overflow."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
 def _in_cell(x, lo, hi, include_upper):

@@ -5,22 +5,22 @@ driven by linear memoryless controls U[n] = d Y[n].  Noise-free runs track
 (sign, log2|X|) so horizons of 1e4 steps at growth rates of many bits/step
 never overflow; additive-noise runs use raw doubles clamped at 1e300.
 
-Paths use independent counter-based substreams keyed by (seed, path index),
-and block results are folded in fixed index order, so reports are bitwise
-reproducible for any worker count.
+Path p reads the counter-based stream of ``make_rng(seed, p)``; the keys of
+a block of paths are derived at once and one generator is re-keyed per path.
+Block results are folded in fixed index order, so reports are bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from .capacity import CapacityQuery, eta_capacity, eta_objective, shannon_capacity
-from .distributions import ActuationDistribution, make_rng
+from .distributions import ActuationDistribution, make_rng, path_streams
 
 __all__ = [
     "AdditiveNoiseVerdict",
@@ -166,8 +166,8 @@ def _jsonable_list(arr):
 
 
 def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
-             paths: int, eta_list=(2.0,), threshold=1e6, seed=0,
-             workers=1) -> SimulationReport:
+             paths: int, eta_list=(2.0,), threshold=1e6,
+             seed=0) -> SimulationReport:
     """Evolve ``paths`` independent trajectories and report per-step stats."""
     if horizon < 1 or paths < 1:
         raise ValueError("horizon and paths must be >= 1")
@@ -175,38 +175,25 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     eta_list = tuple(float(e) for e in eta_list)
     if not all(math.isfinite(v) for v in thresholds + eta_list):
         raise ValueError("thresholds and eta values must be finite")
-    return _run(spec, strategy, horizon, paths, eta_list, thresholds,
-                seed, workers)
-
-
-def _run(spec, strategy, horizon, paths, eta_list, thresholds, seed, workers):
-    n_blocks = (paths + _BLOCK - 1) // _BLOCK
     log2_x0 = math.log2(abs(spec.x0))
+    cutoffs = {m: math.log2(m) - log2_x0 for m in thresholds}
 
-    def run_block(bi):
-        lo = bi * _BLOCK
-        hi = min(lo + _BLOCK, paths)
-        dl, overflowed = _evolve_block(spec, strategy, horizon, lo, hi, seed)
-        return _block_stats(dl, eta_list, thresholds, log2_x0) + (overflowed,)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            block_results = list(ex.map(run_block, range(n_blocks)))
-    else:
-        block_results = [run_block(bi) for bi in range(n_blocks)]
-
-    # fold in fixed block order so the result is scheduling-independent
+    # fold blocks in index order so the result is bitwise reproducible
     total_sum = np.zeros(horizon + 1)
     total_counts = {m: np.zeros(horizon + 1, dtype=np.int64) for m in thresholds}
     total_lse = {e: np.full(horizon + 1, -INF) for e in eta_list}
     overflow = 0
-    for sums, counts, lses, over in block_results:
-        total_sum += sums
+    block = _Block(spec, strategy, horizon, min(paths, _BLOCK))
+    for lo in range(0, paths, _BLOCK):
+        hi = min(lo + _BLOCK, paths)
+        block.draw(seed, lo, hi)
+        dl, overflowed = block.evolve(hi - lo)
+        total_sum += dl.sum(axis=0)
         for m in thresholds:
-            total_counts[m] += counts[m]
+            total_counts[m] += block.count_at_least(dl, cutoffs[m])
         for e in eta_list:
-            total_lse[e] = np.logaddexp2(total_lse[e], lses[e])
-        overflow += over
+            total_lse[e] = np.logaddexp2(total_lse[e], block.log2_sum_exp2(dl, e))
+        overflow += overflowed
 
     mean_log = total_sum / paths
     log2_moments = {e: total_lse[e] - math.log2(paths) for e in eta_list}
@@ -233,82 +220,95 @@ def _run(spec, strategy, horizon, paths, eta_list, thresholds, seed, workers):
     )
 
 
-def _path_draws(spec, strategy, horizon, path_index, seed):
-    """Per-path draws in a fixed order: gains, strategy gains, V, W."""
-    rng = make_rng(seed, path_index)
-    b = np.asarray(spec.dist.sample(rng, horizon), dtype=float)
-    if strategy.kind == "random_linear":
-        d = rng.uniform(strategy.d_low, strategy.d_high, horizon)
-    elif strategy.kind == "zero":
-        d = 0.0
-    else:
-        d = strategy.d
-    v = rng.normal(0.0, spec.obs_noise_std, horizon) if spec.obs_noise_std > 0 else None
-    w = rng.normal(0.0, spec.process_noise_std, horizon) if spec.process_noise_std > 0 else None
-    return b, d, v, w
+class _Block:
+    """Work arrays for one block of paths, allocated once per run.
 
+    Each block overwrites them in place, so a run's memory is fixed by the
+    block size and the horizon however many blocks it folds.
+    """
 
-def _evolve_block(spec, strategy, horizon, lo, hi, seed):
-    """Returns (log2|X[n]/x0| matrix of shape (paths, horizon+1), n overflows)."""
-    bs = hi - lo
-    b_rows = np.empty((bs, horizon))
-    d_rows = np.empty((bs, horizon)) if strategy.kind == "random_linear" else None
-    v_rows = np.empty((bs, horizon)) if spec.obs_noise_std > 0 else None
-    w_rows = np.empty((bs, horizon)) if spec.process_noise_std > 0 else None
-    for i, p in enumerate(range(lo, hi)):
-        b, d, v, w = _path_draws(spec, strategy, horizon, p, seed)
-        b_rows[i] = b
-        if d_rows is not None:
-            d_rows[i] = d
-        if v_rows is not None:
-            v_rows[i] = v
-        if w_rows is not None:
-            w_rows[i] = w
-    d_eff = d_rows if d_rows is not None else (
-        0.0 if strategy.kind == "zero" else strategy.d
-    )
+    def __init__(self, spec, strategy, horizon, rows):
+        def matrix(wanted, cols=horizon, dtype=float):
+            return np.empty((rows, cols), dtype=dtype) if wanted else None
 
-    if spec.noise_free:
-        with np.errstate(divide="ignore"):
-            factors = math.log2(abs(spec.a)) + np.log2(np.abs(1.0 + d_eff * b_rows))
-        dl = np.concatenate(
-            [np.zeros((bs, 1)), np.cumsum(factors, axis=1)], axis=1
-        )
-        return dl, 0
+        self.spec, self.strategy, self.horizon = spec, strategy, horizon
+        self.b = matrix(True)
+        self.d = matrix(strategy.kind == "random_linear")
+        self.v = matrix(spec.obs_noise_std > 0)
+        self.w = matrix(spec.process_noise_std > 0)
+        self.dl = matrix(True, horizon + 1)  # log2|X[n]/x0|
+        self.dl[:, 0] = 0.0
+        self.scratch = matrix(True, horizon + 1)  # step factors, then LSE terms
+        self.mask = matrix(True, horizon + 1, bool)
 
-    x = np.full(bs, float(spec.x0))
-    log2_x0 = math.log2(abs(spec.x0))
-    dl = np.empty((bs, horizon + 1))
-    dl[:, 0] = 0.0
-    overflowed = np.zeros(bs, dtype=bool)
-    for n in range(horizon):
-        y = x + v_rows[:, n] if v_rows is not None else x
-        d_n = d_eff[:, n] if isinstance(d_eff, np.ndarray) else d_eff
-        x = spec.a * (x + b_rows[:, n] * d_n * y)
-        if w_rows is not None:
-            x = x + w_rows[:, n]
-        hit = np.abs(x) >= _CLAMP
-        if hit.any():
-            x = np.clip(x, -_CLAMP, _CLAMP)
-            overflowed |= hit
-        with np.errstate(divide="ignore"):
-            dl[:, n + 1] = np.log2(np.abs(x)) - log2_x0
-    return dl, int(overflowed.sum())
+    def draw(self, seed, lo, hi):
+        """Per-path draws in a fixed order: gains, strategy gains, V, W."""
+        spec, strategy, horizon = self.spec, self.strategy, self.horizon
+        for i, rng in enumerate(path_streams(seed, lo, hi)):
+            self.b[i] = spec.dist.sample(rng, horizon)
+            if self.d is not None:
+                self.d[i] = rng.uniform(strategy.d_low, strategy.d_high, horizon)
+            if self.v is not None:
+                self.v[i] = rng.normal(0.0, spec.obs_noise_std, horizon)
+            if self.w is not None:
+                self.w[i] = rng.normal(0.0, spec.process_noise_std, horizon)
 
+    def evolve(self, bs):
+        """(log2|X[n]/x0| for the first ``bs`` paths, shape (bs, horizon+1),
+        number of those paths that hit the clamp)."""
+        spec, strategy = self.spec, self.strategy
+        b, dl = self.b[:bs], self.dl[:bs]
+        if self.d is not None:
+            d_eff = self.d[:bs]
+        else:
+            d_eff = 0.0 if strategy.kind == "zero" else strategy.d
 
-def _block_stats(dl, eta_list, thresholds, log2_x0):
-    sums = dl.sum(axis=0)
-    counts = {
-        m: (dl >= math.log2(m) - log2_x0).sum(axis=0) for m in thresholds
-    }
-    lses = {}
-    for eta in eta_list:
-        z = eta * dl
+        if spec.noise_free:
+            factors = self.scratch[:bs, 1:]
+            np.multiply(d_eff, b, out=factors)
+            np.add(1.0, factors, out=factors)
+            np.abs(factors, out=factors)
+            with np.errstate(divide="ignore"):
+                np.log2(factors, out=factors)
+            np.add(math.log2(abs(spec.a)), factors, out=factors)
+            np.cumsum(factors, axis=1, out=dl[:, 1:])
+            return dl, 0
+
+        v = self.v[:bs] if self.v is not None else None
+        w = self.w[:bs] if self.w is not None else None
+        x = np.full(bs, float(spec.x0))
+        log2_x0 = math.log2(abs(spec.x0))
+        overflowed = np.zeros(bs, dtype=bool)
+        for n in range(self.horizon):
+            y = x + v[:, n] if v is not None else x
+            d_n = d_eff[:, n] if isinstance(d_eff, np.ndarray) else d_eff
+            x = spec.a * (x + b[:, n] * d_n * y)
+            if w is not None:
+                x = x + w[:, n]
+            hit = np.abs(x) >= _CLAMP
+            if hit.any():
+                x = np.clip(x, -_CLAMP, _CLAMP)
+                overflowed |= hit
+            with np.errstate(divide="ignore"):
+                dl[:, n + 1] = np.log2(np.abs(x)) - log2_x0
+        return dl, int(overflowed.sum())
+
+    def count_at_least(self, dl, cutoff):
+        """Per-step number of paths with dl >= cutoff."""
+        mask = self.mask[:len(dl)]
+        np.greater_equal(dl, cutoff, out=mask)
+        return mask.sum(axis=0)
+
+    def log2_sum_exp2(self, dl, eta):
+        """Per-step log2 sum_paths 2^(eta dl)."""
+        z = self.scratch[:len(dl)]
+        np.multiply(eta, dl, out=z)
         m = z.max(axis=0)
         with np.errstate(invalid="ignore"):
-            lse = m + np.log2(np.exp2(z - m).sum(axis=0))
-        lses[eta] = np.where(np.isfinite(m), lse, m)
-    return sums, counts, lses
+            np.subtract(z, m, out=z)
+            np.exp2(z, out=z)
+            lse = m + np.log2(z.sum(axis=0))
+        return np.where(np.isfinite(m), lse, m)
 
 
 def _fit_slope(y, start, stop):
@@ -335,13 +335,17 @@ class ScanPoint:
 
 def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
                    eta: float = 2.0, horizon=2000, paths=10_000, seed=0,
-                   x0=1.0, dead_band=_DEAD_BAND, workers=1,
+                   x0=1.0, dead_band=_DEAD_BAND,
                    query: CapacityQuery = CapacityQuery()):
     """Classify each open-loop gain as stable/unstable under the optimal d.
 
     The statistic is the growth slope of the mean log state for the
     expected-log sense, or of (1/eta) log2 of the empirical eta-moment for
     the moment sense; verdicts inside +-dead_band are "marginal".
+
+    One unit-gain run serves the whole grid: along the same draws the
+    noise-free plant at gain a is a^n times the unit plant, so both slopes
+    at a are the unit slope plus log2 a.
     """
     if sense == "shannon":
         cap = shannon_capacity(dist, query)
@@ -351,25 +355,30 @@ def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
         raise ValueError(f"unknown sense {sense!r}")
     if cap.optimal_d is None:
         raise ValueError("capacity has no finite optimizer for this law")
-    strategy = StrategySpec("linear", d=cap.optimal_d)
-    points = []
+    gains = []
     for a in a_grid:
         if a <= 1.0:
             raise ValueError("scan gains must exceed 1")
-        spec = SystemSpec(a=float(a), dist=dist, x0=x0)
-        rep = simulate(spec, strategy, horizon, paths, eta_list=(eta,),
-                       seed=seed, workers=workers)
-        if sense == "shannon":
-            slope = rep.growth_slope_bits
-        else:
-            slope = rep.moment_slope_bits(eta)
+        gains.append(SystemSpec(a=float(a), dist=dist, x0=x0).a)
+    if not gains:
+        return [], cap
+    unit = simulate(SystemSpec(a=1.0, dist=dist, x0=x0),
+                    StrategySpec("linear", d=cap.optimal_d), horizon, paths,
+                    eta_list=(eta,), seed=seed)
+    if sense == "shannon":
+        unit_slope = unit.growth_slope_bits
+    else:
+        unit_slope = unit.moment_slope_bits(eta)
+    points = []
+    for a in gains:
+        slope = unit_slope + math.log2(a)
         if slope < -dead_band:
             verdict = "stable"
         elif slope > dead_band:
             verdict = "unstable"
         else:
             verdict = "marginal"
-        points.append(ScanPoint(float(a), verdict, slope))
+        points.append(ScanPoint(a, verdict, slope))
     return points, cap
 
 
@@ -382,7 +391,6 @@ class ConverseReport:
 
 def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
                                *, horizon=2000, paths=10_000, seed=0, x0=1.0,
-                               workers=1,
                                query: CapacityQuery = CapacityQuery()):
     """Above capacity, every strategy must push P(|X| >= M) to one.
 
@@ -415,7 +423,7 @@ def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
         spec = SystemSpec(a=float(a), dist=dist, x0=x0)
         reports[name] = simulate(spec, strat, horizon, paths,
                                  eta_list=(2.0,), threshold=tuple(m_list),
-                                 seed=seed, workers=workers)
+                                 seed=seed)
     return ConverseReport(cap.value_bits, log2_a, reports)
 
 
@@ -430,7 +438,7 @@ class AdditiveNoiseVerdict:
 
 def additive_noise_check(dist: ActuationDistribution, a: float, eta: float,
                          d: float | None = None, *, w_std=1.0, v_std=1.0,
-                         x0=1.0, horizon=5000, paths=2000, seed=0, workers=1,
+                         x0=1.0, horizon=5000, paths=2000, seed=0,
                          dead_band=_DEAD_BAND,
                          query: CapacityQuery = CapacityQuery()):
     """Drive the plant with additive noise and judge eta-moment boundedness.
@@ -447,7 +455,7 @@ def additive_noise_check(dist: ActuationDistribution, a: float, eta: float,
     spec = SystemSpec(a=float(a), dist=dist, x0=x0,
                       process_noise_std=w_std, obs_noise_std=v_std)
     rep = simulate(spec, StrategySpec("linear", d=d), horizon, paths,
-                   eta_list=(eta,), seed=seed, workers=workers)
+                   eta_list=(eta,), seed=seed)
     slope = rep.moment_slope_bits(
         eta, start=3 * horizon // 4, stop=horizon + 1
     )

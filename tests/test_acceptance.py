@@ -34,11 +34,14 @@ from actcap.sideinfo import (
     uniform_bit_partition,
 )
 from actcap.simulate import (
+    StrategySpec,
+    SystemSpec,
     additive_noise_check,
     scaling_equivalence_check,
     strong_converse_experiment,
     threshold_scan,
 )
+from test_simulate import reference_simulate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -332,18 +335,24 @@ def test_criterion_11_carry_free():
 def test_criterion_12_cli_determinism(tmp_path):
     args = ["simulate", "--dist", "uniform:1,3", "--a", "4", "--d", "-0.4",
             "--horizon", "300", "--paths", "4096", "--seed", "31",
-            "--etas", "1,2", "--workers", "8"]
+            "--etas", "1,2"]
     blobs = []
     for name in ("r1.csv", "r2.csv"):
         out = tmp_path / name
         assert cli_main(args + ["--out", str(out)]) == 0
         blobs.append(out.read_bytes())
-    serial = tmp_path / "serial.csv"
-    serial_args = [a for a in args]
-    serial_args[serial_args.index("8")] = "1"
-    assert cli_main(serial_args + ["--out", str(serial)]) == 0
     same_rerun = blobs[0] == blobs[1]
-    same_workers = blobs[0] == serial.read_bytes()
-    ok = same_rerun and same_workers
+    # the per-path make_rng oracle at the same seed, computed independently
+    mean_log, moments, fractions, _ = reference_simulate(
+        SystemSpec(4.0, Uniform(1, 3)), StrategySpec("linear", d=-0.4),
+        300, 4096, eta_list=(1.0, 2.0), threshold=1e6, seed=31)
+    want = np.column_stack([np.arange(301), mean_log, moments[1.0],
+                            moments[2.0], fractions[1e6]])
+    lines = blobs[0].decode().splitlines()
+    got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    same_oracle = (lines[0] == "step,mean_log2_ratio,log2_moment_eta_1,"
+                   "log2_moment_eta_2,fraction_ge_1e+06"
+                   and np.array_equal(got, want))
+    ok = same_rerun and same_oracle
     report(12, ok, f"rerun identical={same_rerun}, "
-                   f"8-way == serial bytes={same_workers}")
+                   f"equal to per-path make_rng oracle={same_oracle}")

@@ -20,6 +20,7 @@ from actcap.distributions import (
     FiniteMixture,
     Gaussian,
     ScaledBernoulli,
+    TruncatedGaussian,
     Uniform,
     make_rng,
 )
@@ -348,6 +349,30 @@ def test_second_moment_closed_form_survives_variance_underflow(dist, want):
     res = second_moment_closed_form(dist)
     assert res.value_bits == pytest.approx(want, abs=1e-15)
     assert math.isfinite(res.optimal_d)
+
+
+def _tiny_scale_twins(s):
+    """Each gain law scaled by s."""
+    return [
+        Uniform(1 * s, 3 * s),
+        Gaussian(4 * s, 1 * s),
+        ScaledBernoulli(2 * s, 0.3),
+        TruncatedGaussian(1 * s, 1 * s, 0.0, 3 * s),
+        Empirical((1 * s, 3 * s)),
+        Empirical(tuple(v * s for v in (0.5, 1.25, 1.25, 4.0, 7.5))),
+        FiniteMixture(((0.5, Gaussian(0.0, 1 * s)), (0.5, Gaussian(1 * s, 1 * s)))),
+        FiniteMixture(((0.3, Uniform(1 * s, 3 * s)),
+                       (0.7, ScaledBernoulli(2 * s, 0.4)))),
+    ]
+
+
+def test_second_moment_is_scale_free_down_to_tiny_scales():
+    # var underflows at scale 1e-300, so sigma must be formed in scaled units
+    for tiny, unit in zip(_tiny_scale_twins(1e-300), _tiny_scale_twins(1.0)):
+        got = second_moment_closed_form(tiny).value_bits
+        want = second_moment_closed_form(unit).value_bits
+        assert math.isfinite(got), tiny
+        assert got == pytest.approx(want, abs=1e-12), tiny
 
 
 def test_empirical_capacity_values_pinned():

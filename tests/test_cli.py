@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -80,21 +81,6 @@ def test_output_file_and_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_workers_do_not_change_bytes(tmp_path):
-    base = ["simulate", "--dist", "gaussian:4,1", "--a", "3", "--d", "-0.2",
-            "--horizon", "60", "--paths", "1200", "--seed", "9"]
-    files = []
-    for i, workers in enumerate(("1", "8")):
-        path = tmp_path / f"w{i}.json"
-        assert main(base + ["--workers", workers, "--format", "json",
-                            "--out", str(path)]) == 0
-        files.append(path.read_bytes())
-    # workers only appears in the echoed config; results must match
-    a, b = (json.loads(f) for f in files)
-    assert a["results"] == b["results"]
-    assert a["diagnostics"] == b["diagnostics"]
-
-
 def test_sideinfo_command(capsys):
     code, out = run_cli(
         ["sideinfo", "--dist", "uniform:0,4", "--si-bits", "2"], capsys)
@@ -148,6 +134,20 @@ def test_second_moment_with_underflowing_variance(capsys):
     assert "c_2,0.0,-0.0" in out.splitlines()
 
 
+@pytest.mark.parametrize("dist,want", [
+    ("empirical:@{tmp}", 0.5 * math.log2(5.0)),
+    ("mixture:0.5*gaussian:0,1e-300|0.5*gaussian:1e-300,1e-300",
+     0.5 * math.log2(1.2)),
+])
+def test_second_moment_of_tiny_scale_laws(dist, want, tmp_path, capsys):
+    samples = tmp_path / "tiny.csv"
+    samples.write_text("1e-300\n3e-300\n")
+    code, out = run_cli(["capacity", "--dist", dist.format(tmp=samples)], capsys)
+    assert code == 0
+    table = {r.split(",")[0]: r.split(",")[1:] for r in out.strip().splitlines()[1:]}
+    assert float(table["c_2"][0]) == pytest.approx(want, abs=1e-12)
+
+
 def test_config_error_exit_code(capsys):
     assert main(["capacity", "--dist", "bogus:1,2"]) == 2
     assert main(["capacity", "--dist", "uniform:3,1"]) == 2
@@ -172,6 +172,7 @@ _SIM = ["simulate", "--dist", "uniform:1,3", "--d", "-0.4", "--horizon", "5",
     ["sideinfo", "--dist", "uniform:1,3", "--sense", "eta", "--si-bits", "1"],
     ["carryfree", "--gain", "cf:1,0", "--start-degree", "9223372036854775000"],
     ["carryfree", "--gain", "cf:1,0", "--g-a", "99999999999999999999"],
+    _SIM + ["--a", "2", "--seed", "-1"],
 ])
 def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert main(args) == 2

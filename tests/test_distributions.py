@@ -17,9 +17,68 @@ from actcap.distributions import (
     Uniform,
     make_rng,
     parse_spec,
+    path_streams,
+    stream_keys,
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+
+# --- random streams --------------------------------------------------------
+
+def _seed_sequence_key(seed, path):
+    return np.random.Philox(np.random.SeedSequence([seed, path])).state["state"]["key"]
+
+
+# SeedSequence splits an integer into uint32 words: cover 1 to 13 words
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                   st.integers(2**64, 2**128), st.integers(2**128, 2**400))
+_PATHS = st.one_of(st.sampled_from([0, 1, 511, 512, 2**31, 2**32 - 1, 2**32,
+                                    2**64 - 1]),
+                   st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS, st.lists(_PATHS, min_size=1, max_size=6))
+def test_stream_keys_match_seed_sequence(seed, paths):
+    want = np.array([_seed_sequence_key(seed, p) for p in paths])
+    assert np.array_equal(stream_keys(seed, paths), want)
+
+
+def test_stream_keys_block_crossing_word_boundary():
+    paths = np.arange(2**32 - 300, 2**32 + 300, dtype=np.uint64)
+    want = np.array([_seed_sequence_key(7, int(p)) for p in paths])
+    assert np.array_equal(stream_keys(7, paths), want)
+
+
+def test_negative_seed_rejected_like_make_rng():
+    with pytest.raises(ValueError):
+        make_rng(-1, 0)
+    with pytest.raises(ValueError):
+        stream_keys(-1, [0])
+    with pytest.raises(ValueError):
+        next(path_streams(-1, 0, 4))
+
+
+_LAWS = [
+    Uniform(1, 3),
+    Gaussian(4, 1),
+    TruncatedGaussian(0.0, 1.0, -0.5, 2.0),
+    ScaledBernoulli(2, 0.3),
+    FiniteMixture(((0.4, Uniform(1, 3)), (0.6, Gaussian(4, 1)))),
+    Empirical((0.5, 1.25, 1.25, 4.0)),
+]
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=lambda law: type(law).__name__)
+def test_path_streams_draw_what_make_rng_draws(law):
+    lo, hi = 509, 516  # crosses a 512-path block edge
+    for p, rng in zip(range(lo, hi), path_streams(31, lo, hi)):
+        ref = make_rng(31, p)
+        # a law's gains, then a random_linear strategy row, then noise
+        assert np.array_equal(law.sample(rng, 9), law.sample(ref, 9))
+        assert np.array_equal(rng.uniform(-0.8, 0.0, 9), ref.uniform(-0.8, 0.0, 9))
+        assert np.array_equal(rng.normal(0.0, 2.0, 9), ref.normal(0.0, 2.0, 9))
 
 
 # --- support ---------------------------------------------------------------

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from actcap.capacity import eta_objective, shannon_capacity, shannon_objective
-from actcap.distributions import Gaussian, ScaledBernoulli, Uniform, make_rng
+from actcap.distributions import (
+    Empirical,
+    FiniteMixture,
+    Gaussian,
+    ScaledBernoulli,
+    TruncatedGaussian,
+    Uniform,
+    make_rng,
+)
 from actcap.simulate import (
     ScanPoint,
     StrategySpec,
@@ -15,6 +23,90 @@ from actcap.simulate import (
     strong_converse_experiment,
     threshold_scan,
 )
+
+
+# --- oracle: one make_rng generator per path, blocks folded in order --------
+
+_BLOCK, _CLAMP = 512, 1e300
+
+
+def reference_simulate(spec, strategy, horizon, paths, eta_list=(2.0,),
+                       threshold=1e6, seed=0):
+    """(mean log2 ratio, log2 moments, fractions, overflow paths) from a
+    per-path loop that builds each path's generator with ``make_rng``."""
+    thresholds = tuple(float(m) for m in np.atleast_1d(threshold))
+    log2_x0 = math.log2(abs(spec.x0))
+    total_sum = np.zeros(horizon + 1)
+    counts = {m: np.zeros(horizon + 1, dtype=np.int64) for m in thresholds}
+    lse = {e: np.full(horizon + 1, -math.inf) for e in eta_list}
+    overflow = 0
+    for lo in range(0, paths, _BLOCK):
+        dl, over = _reference_block(spec, strategy, horizon,
+                                    range(lo, min(lo + _BLOCK, paths)), seed)
+        total_sum += dl.sum(axis=0)
+        for m in thresholds:
+            counts[m] += (dl >= math.log2(m) - log2_x0).sum(axis=0)
+        for eta in eta_list:
+            z = eta * dl
+            top = z.max(axis=0)
+            with np.errstate(invalid="ignore"):
+                block = top + np.log2(np.exp2(z - top).sum(axis=0))
+            lse[eta] = np.logaddexp2(lse[eta],
+                                     np.where(np.isfinite(top), block, top))
+        overflow += over
+    return (total_sum / paths,
+            {e: lse[e] - math.log2(paths) for e in eta_list},
+            {m: counts[m] / paths for m in thresholds},
+            overflow)
+
+
+def _reference_block(spec, strategy, horizon, block, seed):
+    rows = {"b": [], "d": [], "v": [], "w": []}
+    for p in block:
+        rng = make_rng(seed, p)
+        rows["b"].append(np.asarray(spec.dist.sample(rng, horizon), dtype=float))
+        if strategy.kind == "random_linear":
+            rows["d"].append(rng.uniform(strategy.d_low, strategy.d_high, horizon))
+        if spec.obs_noise_std > 0:
+            rows["v"].append(rng.normal(0.0, spec.obs_noise_std, horizon))
+        if spec.process_noise_std > 0:
+            rows["w"].append(rng.normal(0.0, spec.process_noise_std, horizon))
+    b, d, v, w = (np.array(rows[k]) if rows[k] else None for k in "bdvw")
+    if d is None:
+        d = 0.0 if strategy.kind == "zero" else strategy.d
+    if spec.noise_free:
+        with np.errstate(divide="ignore"):
+            factors = math.log2(abs(spec.a)) + np.log2(np.abs(1.0 + d * b))
+        return np.concatenate([np.zeros((len(b), 1)),
+                               np.cumsum(factors, axis=1)], axis=1), 0
+    x = np.full(len(b), float(spec.x0))
+    dl = np.zeros((len(b), horizon + 1))
+    overflowed = np.zeros(len(b), dtype=bool)
+    for n in range(horizon):
+        y = x + v[:, n] if v is not None else x
+        d_n = d[:, n] if isinstance(d, np.ndarray) else d
+        x = spec.a * (x + b[:, n] * d_n * y)
+        if w is not None:
+            x = x + w[:, n]
+        hit = np.abs(x) >= _CLAMP
+        if hit.any():
+            x = np.clip(x, -_CLAMP, _CLAMP)
+            overflowed |= hit
+        with np.errstate(divide="ignore"):
+            dl[:, n + 1] = np.log2(np.abs(x)) - math.log2(abs(spec.x0))
+    return dl, int(overflowed.sum())
+
+
+def assert_matches_reference(rep, ref):
+    mean_log, log2_moments, fractions, overflow = ref
+    assert np.array_equal(rep.mean_log2_ratio, mean_log)
+    assert rep.log2_moments.keys() == log2_moments.keys()
+    for eta, arr in log2_moments.items():
+        assert np.array_equal(rep.log2_moments[eta], arr)
+    assert rep.fractions.keys() == fractions.keys()
+    for m, arr in fractions.items():
+        assert np.array_equal(rep.fractions[m], arr)
+    assert rep.overflow_paths == overflow
 
 
 def test_spec_validation():
@@ -42,20 +134,74 @@ def test_zero_control_pure_powers():
     assert rep.fractions[2.0**100][50] == 0.0
 
 
-def test_seed_determinism_and_worker_invariance():
+def test_seed_determinism_on_rerun():
     spec = SystemSpec(2.0, Uniform(1, 3))
     strat = StrategySpec("linear", d=-0.4)
-    reps = [simulate(spec, strat, 150, 1500, eta_list=(1.0, 2.0),
-                     seed=11, workers=w) for w in (1, 8)]
-    again = simulate(spec, strat, 150, 1500, eta_list=(1.0, 2.0),
-                     seed=11, workers=1)
-    for other in (reps[1], again):
-        assert np.array_equal(reps[0].mean_log2_ratio, other.mean_log2_ratio)
-        for eta in (1.0, 2.0):
-            assert np.array_equal(reps[0].log2_moments[eta],
-                                  other.log2_moments[eta])
-        for m in reps[0].thresholds:
-            assert np.array_equal(reps[0].fractions[m], other.fractions[m])
+    first = simulate(spec, strat, 150, 1500, eta_list=(1.0, 2.0), seed=11)
+    again = simulate(spec, strat, 150, 1500, eta_list=(1.0, 2.0), seed=11)
+    assert np.array_equal(first.mean_log2_ratio, again.mean_log2_ratio)
+    for eta in (1.0, 2.0):
+        assert np.array_equal(first.log2_moments[eta], again.log2_moments[eta])
+    for m in first.thresholds:
+        assert np.array_equal(first.fractions[m], again.fractions[m])
+
+
+_LAWS = [
+    Uniform(1, 3),
+    Gaussian(4, 1),
+    TruncatedGaussian(3.0, 1.0, 2.0, 5.0),
+    ScaledBernoulli(1, 0.5),
+    FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1)))),
+    Empirical((0.5, 1.5, 2.5, 2.5, 4.0)),
+]
+_STRATEGIES = [
+    StrategySpec("linear", d=-0.4),
+    StrategySpec("zero"),
+    StrategySpec("random_linear", d_low=-0.8, d_high=0.0),
+]
+
+
+@pytest.mark.parametrize("paths", [513, 1100])
+@pytest.mark.parametrize("law", _LAWS, ids=lambda law: type(law).__name__)
+def test_simulate_equals_per_path_make_rng_oracle(law, paths):
+    for strategy in _STRATEGIES:
+        for noise in (0.0, 0.5):
+            spec = SystemSpec(1.5, law, x0=2.0, process_noise_std=noise,
+                              obs_noise_std=noise)
+            args = (spec, strategy, 12, paths)
+            kwargs = dict(eta_list=(1.0, 4.0), threshold=(3.0, 1e3), seed=5)
+            rep = simulate(*args, **kwargs)
+            assert_matches_reference(rep, reference_simulate(*args, **kwargs))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_clamped_paths_match_oracle():
+    spec = SystemSpec(1e40, Gaussian(4, 1), process_noise_std=1.0)
+    args = (spec, StrategySpec("zero"), 12, 513)
+    rep = simulate(*args, seed=2)
+    assert rep.overflow_paths == 513
+    assert_matches_reference(rep, reference_simulate(*args, seed=2))
+
+
+@pytest.mark.parametrize("dist,sense,grid,horizon,paths", [
+    (Uniform(1, 3), "shannon", [4.0, 5.8, 6.2, 8.0], 300, 800),
+    (ScaledBernoulli(1, 0.5), "eta", [1.2, 1.35, 1.45, 1.7], 8, 3000),
+    (Gaussian(4, 1), "eta", [3.0, 4.0, 4.3, 6.0], 40, 1000),
+])
+def test_threshold_scan_matches_per_gain_runs(dist, sense, grid, horizon, paths):
+    points, cap = threshold_scan(dist, sense, grid, eta=2.0, horizon=horizon,
+                                 paths=paths, seed=3)
+    strategy = StrategySpec("linear", d=cap.optimal_d)
+    for a, point in zip(grid, points):
+        rep = simulate(SystemSpec(a, dist), strategy, horizon, paths,
+                       eta_list=(2.0,), seed=3)
+        slope = (rep.growth_slope_bits if sense == "shannon"
+                 else rep.moment_slope_bits(2.0))
+        verdict = ("stable" if slope < -0.02 else
+                   "unstable" if slope > 0.02 else "marginal")
+        assert point.a == a
+        assert point.verdict == verdict
+        assert point.slope_bits == pytest.approx(slope, abs=1e-12)
 
 
 def test_growth_slope_matches_one_step_objective():
