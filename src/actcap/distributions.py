@@ -622,9 +622,8 @@ def _sample_moments(arr):
 
 
 def _pow2_scale(x):
-    """Power of two within a factor 2 below x >= 0, so x / scale lies in
-    [1, 2): dividing by it is exact and squares neither underflow nor
-    overflow."""
+    """Power of two with x / scale in [1, 2) for x > 0: dividing by it is
+    exact, and the square of x / scale neither underflows nor overflows."""
     return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
