@@ -238,7 +238,7 @@ class _Block:
         self.w = matrix(spec.process_noise_std > 0)
         self.dl = matrix(True, horizon + 1)  # log2|X[n]/x0|
         self.dl[:, 0] = 0.0
-        self.scratch = matrix(True, horizon + 1)  # step factors, then LSE terms
+        self.work = matrix(True, horizon + 1)  # step factors, then LSE terms
         self.mask = matrix(True, horizon + 1, bool)
 
     def draw(self, seed, lo, hi):
@@ -264,7 +264,7 @@ class _Block:
             d_eff = 0.0 if strategy.kind == "zero" else strategy.d
 
         if spec.noise_free:
-            factors = self.scratch[:bs, 1:]
+            factors = self.work[:bs, 1:]
             np.multiply(d_eff, b, out=factors)
             np.add(1.0, factors, out=factors)
             np.abs(factors, out=factors)
@@ -301,7 +301,7 @@ class _Block:
 
     def log2_sum_exp2(self, dl, eta):
         """Per-step log2 sum_paths 2^(eta dl)."""
-        z = self.scratch[:len(dl)]
+        z = self.work[:len(dl)]
         np.multiply(eta, dl, out=z)
         m = z.max(axis=0)
         with np.errstate(invalid="ignore"):
