@@ -6,7 +6,6 @@ carry-free companion models.
 """
 
 from .capacity import (
-    CapacityQuery,
     CapacityResult,
     capacity_curve,
     eta_capacity,

@@ -6,8 +6,10 @@ point: the Shannon objective sums -log|1 + b d|, the eta-th-moment
 objective takes one weighted log-sum-exp of eta log|1 + b d|, which stays
 free of overflow for every eta.  The capacities come from a coarse grid scan
 (log-densified near d = 0 and near -1/mean, where the closed-form optimizers
-live) followed by golden-section refinement; the zero-error capacity has an
-exact minimax closed form over the support interval.
+live) followed by golden-section refinement.  The window, the densification
+floor and the refinement stop are all set in a power-of-two unit of the law,
+so rescaling the law by 2^k moves no bit count.  The zero-error capacity has
+an exact minimax closed form over the support interval.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ActuationDistribution
+from .distributions import ActuationDistribution, FiniteMixture, _pow2_scale
 
 __all__ = [
-    "CapacityQuery",
     "CapacityResult",
     "capacity_curve",
-    "default_halfwidth",
     "eta_capacity",
     "eta_objective",
     "maximize_over_d",
@@ -36,30 +36,9 @@ __all__ = [
 INF = float("inf")
 _LOG2 = math.log(2.0)
 _TIE_TOL = 1e-12
-_MAX_DOUBLINGS = 3
-
-
-@dataclass(frozen=True)
-class CapacityQuery:
-    """Search parameters for the outer maximization over d."""
-
-    sense: str = "shannon"  # "shannon" | "zero_error" | "eta"
-    eta: float | None = None
-    d_search_halfwidth: float | None = None  # None: derived from the law
-    coarse_grid_points: int = 2001
-    refine_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.sense not in ("shannon", "zero_error", "eta"):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        if self.sense == "eta" and not (self.eta is not None and self.eta > 0):
-            raise ValueError("eta sense requires eta > 0")
-        if self.coarse_grid_points < 101:
-            raise ValueError("coarse grid needs at least 101 points")
-        if self.coarse_grid_points % 2 == 0:
-            raise ValueError("coarse grid point count must be odd so d = 0 is evaluated")
-        if self.d_search_halfwidth is not None and not self.d_search_halfwidth > 0:
-            raise ValueError("d_search_halfwidth must be positive")
+_GRID_POINTS = 2001
+_WINDOW = 100.0  # search half-width, in inverse units of the law
+_REFINE_REL = 1e-12  # golden-section stop, relative to the scale of d
 
 
 @dataclass(frozen=True)
@@ -112,52 +91,43 @@ def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
     return -(top + math.log(total)) / (eta * _LOG2)
 
 
-def default_halfwidth(dist: ActuationDistribution) -> float:
-    """Search half-width: generous multiple of the inverse scales of the law."""
-    mean, var, _ = dist.moments()
-    info = dist.support()
-    scale = max(
-        [abs(b) for b in (info.lower, info.upper) if math.isfinite(b)]
-        + [math.sqrt(var)]
-    )
-    inv_mean = 1.0 / abs(mean) if mean != 0.0 else INF
-    inv_scale = 1.0 / scale if scale > 0.0 else INF
-    return min(1e6, 100.0 * max(min(inv_mean, 1e6), min(inv_scale, 1e6), 1.0))
-
-
-def _build_grid(halfwidth, n_points, centers):
-    h = halfwidth
-    per_center = max(8, n_points // 8)
-    backbone = max(101, n_points - 2 * per_center * len(centers))
+def _build_grid(halfwidth, centers):
+    h = max([halfwidth] + [2.0 * abs(c) for c in centers])
+    per_center = _GRID_POINTS // 8
+    backbone = max(101, _GRID_POINTS - 2 * per_center * len(centers))
     pts = [np.linspace(-h, h, backbone), np.array([0.0])]
     for c in centers:
-        tiny = max(abs(c), 1.0) * 1e-12
-        offs = np.geomspace(tiny, h, per_center)
+        offs = np.geomspace(max(abs(c), halfwidth / _WINDOW) * 1e-12, h,
+                            per_center)
         pts.append(np.clip(c + offs, -h, h))
         pts.append(np.clip(c - offs, -h, h))
-        if -h <= c <= h:
-            pts.append(np.array([c]))  # exact cusp optima must be evaluable
+        pts.append(np.array([c]))  # exact cusp optima must be evaluable
     grid = np.unique(np.concatenate(pts))
     return grid[(grid >= -h) & (grid <= h)]
 
 
-def maximize_over_d(objective, query: CapacityQuery, centers=(0.0,)):
-    """Coarse grid scan then golden-section refinement of the best bracket.
+def maximize_over_d(objective, halfwidth, centers=(0.0,)):
+    """Grid scan then golden-section refinement of the best bracket.
 
-    Returns ``(d_star, value, diagnostics)``.  An infinite objective value on
-    the grid wins immediately.  ``diagnostics['bound_hit']`` flags an argmax
-    on the search boundary, telling the caller to enlarge the half-width.
+    ``halfwidth`` sets the scale of the search.  The grid spans
+    [-halfwidth, halfwidth], widened to twice the farthest center, and is
+    densified geometrically around each center c from 1e-12 of
+    max(|c|, halfwidth / 100) outward.  Refinement stops at 1e-12 of
+    max(halfwidth, |d|), so no step depends on the units of d.
+
+    Returns ``(d_star, value, diagnostics)``.  A +inf objective value on the
+    grid wins immediately; -inf (|b d| past the float range) loses like any
+    other value.  ``diagnostics['bound_hit']`` flags an argmax on the search
+    boundary.
     """
-    if query.d_search_halfwidth is None:
-        raise ValueError("query must carry a concrete d_search_halfwidth")
-    grid = _build_grid(
-        query.d_search_halfwidth, query.coarse_grid_points, centers
-    )
+    if not halfwidth > 0:
+        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    grid = _build_grid(halfwidth, centers)
     vals = np.array([objective(d) for d in grid])
     evals = len(grid)
 
-    if np.isinf(vals).any():
-        winners = grid[np.isinf(vals) & (vals > 0)]
+    if np.isposinf(vals).any():
+        winners = grid[np.isposinf(vals)]
         d_star = float(winners[np.argmin(np.abs(winners))])
         return d_star, INF, {
             "grid_evaluations": evals,
@@ -165,6 +135,7 @@ def maximize_over_d(objective, query: CapacityQuery, centers=(0.0,)):
             "objective_at_d": INF,
             "flat": False,
             "bound_hit": False,
+            "halfwidth": float(grid[-1]),
         }
 
     best = float(np.max(vals))
@@ -174,7 +145,8 @@ def maximize_over_d(objective, query: CapacityQuery, centers=(0.0,)):
 
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    d_star, val, iters = _golden_max(objective, lo, hi, query.refine_tolerance)
+    tol = _REFINE_REL * max(halfwidth, abs(grid[i]))
+    d_star, val, iters = _golden_max(objective, lo, hi, tol)
     evals += 2 * iters
     if vals[i] >= val:  # exact ties keep the canonical grid point
         d_star, val = float(grid[i]), float(vals[i])
@@ -185,6 +157,7 @@ def maximize_over_d(objective, query: CapacityQuery, centers=(0.0,)):
         "objective_at_d": val,
         "flat": flat,
         "bound_hit": i in (0, len(grid) - 1),
+        "halfwidth": float(grid[-1]),
     }
 
 
@@ -213,42 +186,38 @@ def _golden_max(f, lo, hi, tol):
 
 def _grid_centers(dist):
     """Grid densification targets: the closed-form optimizers live at 0,
-    -1/mean, and the exact atom-cancelling gains -1/location."""
-    centers = [0.0]
-    mean = dist.moments()[0]
-    if mean != 0.0:
-        centers.append(-1.0 / mean)
+    -1/mean of the law and of each mixture component, and the exact
+    atom-cancelling gains -1/location."""
+    means = [dist.moments()[0]]
+    if isinstance(dist, FiniteMixture):
+        means += [comp.moments()[0] for _, comp in dist.components]
+    centers = [0.0] + [-1.0 / m for m in means if m != 0.0]
     for loc, _ in dist.support().atoms:
         if loc != 0.0:
             centers.append(-1.0 / loc)
     return tuple(centers)
 
 
-def _search(objective, dist, query, sense, eta=None):
-    """Run the outer maximization, doubling the half-width on a boundary hit."""
-    halfwidth = query.d_search_halfwidth or default_halfwidth(dist)
-    centers = _grid_centers(dist)
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        q = CapacityQuery(
-            sense=sense,
-            eta=eta,
-            d_search_halfwidth=halfwidth,
-            coarse_grid_points=query.coarse_grid_points,
-            refine_tolerance=query.refine_tolerance,
-        )
-        d_star, val, diag = maximize_over_d(objective, q, centers)
-        if not diag["bound_hit"] or attempt == _MAX_DOUBLINGS:
-            diag["halfwidth"] = halfwidth
-            diag["doublings"] = attempt
-            return d_star, val, diag
-        halfwidth *= 2.0
+def _unit(dist):
+    """Power-of-two extent of the law: its largest finite support end or
+    sigma.  Rescaling the law by 2^k rescales the unit by 2^k, and with it
+    the window, the densification floor and the refinement stop."""
+    info = dist.support()
+    extent = max([abs(b) for b in (info.lower, info.upper) if math.isfinite(b)]
+                 + [dist.std()])
+    return _pow2_scale(extent) if extent > 0.0 else 1.0
 
 
-_DEFAULT_QUERY = CapacityQuery()
+def _search(objective, dist):
+    """Maximize over a window set by the law alone: _WINDOW inverse units,
+    widened by maximize_over_d to hold -1/mean and every other center.
+    Far out, |b d| may pass the float range; the objective then reads -inf."""
+    with np.errstate(over="ignore"):
+        return maximize_over_d(objective, _WINDOW / _unit(dist),
+                               _grid_centers(dist))
 
 
-def shannon_capacity(dist: ActuationDistribution,
-                     query: CapacityQuery = _DEFAULT_QUERY) -> CapacityResult:
+def shannon_capacity(dist: ActuationDistribution) -> CapacityResult:
     """Capacity under the logarithmic (expected-log) stability sense.
 
     Infinite whenever the gain law has an atom away from zero: pinning the
@@ -258,21 +227,16 @@ def shannon_capacity(dist: ActuationDistribution,
     if dist.support().has_nonzero_atom:
         return CapacityResult(INF, None, "shannon",
                               diagnostics={"atom_rule": True})
-    d_star, val, diag = _search(
-        lambda d: shannon_objective(dist, d), dist, query, "shannon"
-    )
+    d_star, val, diag = _search(lambda d: shannon_objective(dist, d), dist)
     if math.isinf(val):
         return CapacityResult(INF, None, "shannon", diagnostics=diag)
     return CapacityResult(max(val, 0.0), d_star, "shannon", diagnostics=diag)
 
 
-def eta_capacity(dist: ActuationDistribution, eta: float,
-                 query: CapacityQuery = _DEFAULT_QUERY) -> CapacityResult:
+def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
     if not eta > 0:
         raise ValueError("eta must be positive")
-    d_star, val, diag = _search(
-        lambda d: eta_objective(dist, d, eta), dist, query, "eta", eta
-    )
+    d_star, val, diag = _search(lambda d: eta_objective(dist, d, eta), dist)
     if math.isinf(val):
         return CapacityResult(INF, None, "eta", eta, diagnostics=diag)
     return CapacityResult(max(val, 0.0), d_star, "eta", eta, diagnostics=diag)
@@ -315,13 +279,12 @@ def second_moment_closed_form(dist: ActuationDistribution) -> CapacityResult:
                           diagnostics={"closed_form": True})
 
 
-def capacity_curve(dist: ActuationDistribution, eta_grid,
-                   query: CapacityQuery = _DEFAULT_QUERY):
+def capacity_curve(dist: ActuationDistribution, eta_grid):
     """(eta, capacity) along an increasing eta grid; checked nonincreasing."""
     etas = [float(e) for e in eta_grid]
     if any(e <= 0 for e in etas) or any(a >= b for a, b in zip(etas, etas[1:])):
         raise ValueError("eta grid must be strictly increasing and positive")
-    points = [(e, eta_capacity(dist, e, query).value_bits) for e in etas]
+    points = [(e, eta_capacity(dist, e).value_bits) for e in etas]
     for (_, c0), (e1, c1) in zip(points, points[1:]):
         if c1 > c0 + 1e-7:
             raise RuntimeError(

@@ -217,8 +217,8 @@ class ActuationDistribution:
         squaring, so it stays positive where the variance underflows."""
         return math.sqrt(self.moments()[1])
 
-    def sample(self, rng, size=None):
-        """Draw i.i.d. values with the supplied generator."""
+    def sample(self, rng, size):
+        """Draw an array of ``size`` i.i.d. values with the supplied generator."""
         raise NotImplementedError
 
     def restrict(self, lo, hi, *, include_upper=False):
@@ -308,7 +308,7 @@ class Uniform(ActuationDistribution):
     def std(self):
         return (self.b2 - self.b1) / math.sqrt(12.0)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(self.b1, self.b2, size)
 
     def restrict(self, lo, hi, *, include_upper=False):
@@ -345,7 +345,7 @@ class Gaussian(ActuationDistribution):
     def std(self):
         return self.sigma
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.normal(self.mu, self.sigma, size)
 
     def restrict(self, lo, hi, *, include_upper=False):
@@ -411,7 +411,7 @@ class TruncatedGaussian(ActuationDistribution):
         shift = (_std_normal_pdf(a) - _std_normal_pdf(b)) / z
         return 1.0 + (_times_pdf(a) - _times_pdf(b)) / z - shift**2
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # Inverse-CDF so the per-draw count is fixed (no rejection).
         u = rng.random(size)
         base = special.ndtr(self._alpha)
@@ -463,11 +463,8 @@ class ScaledBernoulli(ActuationDistribution):
     def std(self):
         return abs(self.beta) * math.sqrt(self.p * (1.0 - self.p))
 
-    def sample(self, rng, size=None):
-        hit = rng.random(size) < self.p
-        return self.beta * np.asarray(hit, dtype=float) if size is not None else (
-            self.beta if hit else 0.0
-        )
+    def sample(self, rng, size):
+        return self.beta * np.asarray(rng.random(size) < self.p, dtype=float)
 
     def restrict(self, lo, hi, *, include_upper=False):
         kept = [
@@ -528,16 +525,9 @@ class FiniteMixture(ActuationDistribution):
         second = sum(w * ((m / scale) ** 2 + (s / scale) ** 2) for w, m, s in parts)
         return scale * math.sqrt(max(second - mean * mean, 0.0))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         weights = np.array([w for w, _ in self.components])
         edges = np.cumsum(weights)
-        if size is None:
-            u = rng.random()
-            idx = int(np.searchsorted(edges, u, side="right"))
-            idx = min(idx, len(self.components) - 1)
-            # keep the per-call draw count fixed across realized choices
-            draws = [d.sample(rng) for _, d in self.components]
-            return draws[idx]
         u = rng.random(size)
         idx = np.minimum(
             np.searchsorted(edges, u, side="right"), len(self.components) - 1
@@ -600,7 +590,7 @@ class Empirical(ActuationDistribution):
         scale = _pow2_scale(float(np.max(np.abs(arr))))
         return scale * math.sqrt(max(_sample_moments(arr / scale)[1], 0.0))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         arr = np.asarray(self.samples)
         idx = rng.integers(0, len(arr), size)
         return arr[idx]

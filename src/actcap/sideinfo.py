@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .capacity import CapacityQuery, CapacityResult, eta_capacity, shannon_capacity
+from .capacity import CapacityResult, eta_capacity, shannon_capacity
 from .distributions import ActuationDistribution, EmptyCell
 
 __all__ = [
@@ -113,15 +113,9 @@ def model_from_boundaries(dist: ActuationDistribution, edges) -> SideInformation
     return model
 
 
-_DEFAULT_QUERY = CapacityQuery()
-
-
-def shannon_capacity_with_si(model: SideInformationModel,
-                             query: CapacityQuery = _DEFAULT_QUERY):
+def shannon_capacity_with_si(model: SideInformationModel):
     """Probability-weighted expected-log capacity with cell-dependent d."""
-    per_cell = tuple(
-        shannon_capacity(c.conditional, query) for c in model.cells
-    )
+    per_cell = tuple(shannon_capacity(c.conditional) for c in model.cells)
     if any(math.isinf(r.value_bits) for r in per_cell):
         value = INF
     else:
@@ -131,8 +125,7 @@ def shannon_capacity_with_si(model: SideInformationModel,
     return SideInfoCapacityResult(value, "shannon", None, per_cell)
 
 
-def eta_capacity_with_si(model: SideInformationModel, eta: float,
-                         query: CapacityQuery = _DEFAULT_QUERY):
+def eta_capacity_with_si(model: SideInformationModel, eta: float):
     """-(1/eta) log2 E[min_d E[|1+B d(T)|^eta | T]].
 
     The cell-conditional minima are 2^(-eta * C_eta(cell)); their weighted
@@ -141,9 +134,7 @@ def eta_capacity_with_si(model: SideInformationModel, eta: float,
     """
     if eta is None or not eta > 0:
         raise ValueError(f"the eta sense needs a positive eta, got {eta}")
-    per_cell = tuple(
-        eta_capacity(c.conditional, eta, query) for c in model.cells
-    )
+    per_cell = tuple(eta_capacity(c.conditional, eta) for c in model.cells)
     acc = 0.0
     for c, r in zip(model.cells, per_cell):
         if math.isinf(r.value_bits):
@@ -154,16 +145,15 @@ def eta_capacity_with_si(model: SideInformationModel, eta: float,
 
 
 def si_value_curve(dist: ActuationDistribution, k_max: int, sense="shannon",
-                   eta: float | None = None,
-                   query: CapacityQuery = _DEFAULT_QUERY):
+                   eta: float | None = None):
     """Capacity at k = 0..k_max partition bits; checked nondecreasing in k."""
     points = []
     for k in range(k_max + 1):
         model = uniform_bit_partition(dist, k)
         if sense == "shannon":
-            value = shannon_capacity_with_si(model, query).value_bits
+            value = shannon_capacity_with_si(model).value_bits
         elif sense == "eta":
-            value = eta_capacity_with_si(model, eta, query).value_bits
+            value = eta_capacity_with_si(model, eta).value_bits
         else:
             raise ValueError(f"unknown sense {sense!r}")
         points.append((k, value))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .capacity import CapacityQuery, eta_capacity, eta_objective, shannon_capacity
+from .capacity import eta_capacity, eta_objective, shannon_capacity
 from .distributions import ActuationDistribution, make_rng, path_streams
 
 __all__ = [
@@ -113,32 +113,6 @@ class SimulationReport:
         stop = self.horizon + 1 if stop is None else stop
         return _fit_slope(y, start, stop)
 
-    def to_json_dict(self):
-        return {
-            "metadata": {
-                "horizon": self.horizon,
-                "paths": self.paths,
-                "seed": self.seed,
-                "strategy": self.strategy,
-                "eta_list": list(self.eta_list),
-                "thresholds": list(self.thresholds),
-                "growth_slope_bits": _jsonable(self.growth_slope_bits),
-                "overflow_paths": self.overflow_paths,
-                **{k: _jsonable(v) for k, v in self.metadata.items()},
-            },
-            "per_step": {
-                "mean_log2_ratio": _jsonable_list(self.mean_log2_ratio),
-                **{
-                    f"log2_moment_eta_{eta:g}": _jsonable_list(arr)
-                    for eta, arr in self.log2_moments.items()
-                },
-                **{
-                    f"fraction_ge_{m:g}": _jsonable_list(arr)
-                    for m, arr in self.fractions.items()
-                },
-            },
-        }
-
     def csv_header(self):
         return (
             ["step", "mean_log2_ratio"]
@@ -153,16 +127,6 @@ class SimulationReport:
                 + [self.log2_moments[eta][n] for eta in self.eta_list]
                 + [self.fractions[m][n] for m in self.thresholds]
             )
-
-
-def _jsonable(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)  # 'inf', '-inf', 'nan'
-    return x
-
-
-def _jsonable_list(arr):
-    return [_jsonable(float(v)) for v in arr]
 
 
 def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
@@ -335,8 +299,7 @@ class ScanPoint:
 
 def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
                    eta: float = 2.0, horizon=2000, paths=10_000, seed=0,
-                   x0=1.0, dead_band=_DEAD_BAND,
-                   query: CapacityQuery = CapacityQuery()):
+                   x0=1.0, dead_band=_DEAD_BAND):
     """Classify each open-loop gain as stable/unstable under the optimal d.
 
     The statistic is the growth slope of the mean log state for the
@@ -348,9 +311,9 @@ def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
     at a are the unit slope plus log2 a.
     """
     if sense == "shannon":
-        cap = shannon_capacity(dist, query)
+        cap = shannon_capacity(dist)
     elif sense == "eta":
-        cap = eta_capacity(dist, eta, query)
+        cap = eta_capacity(dist, eta)
     else:
         raise ValueError(f"unknown sense {sense!r}")
     if cap.optimal_d is None:
@@ -390,8 +353,7 @@ class ConverseReport:
 
 
 def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
-                               *, horizon=2000, paths=10_000, seed=0, x0=1.0,
-                               query: CapacityQuery = CapacityQuery()):
+                               *, horizon=2000, paths=10_000, seed=0, x0=1.0):
     """Above capacity, every strategy must push P(|X| >= M) to one.
 
     Runs the capacity-achieving gain, the do-nothing gain, and a per-step
@@ -401,7 +363,7 @@ def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
     """
     if dist.support().atoms:
         raise ValueError("experiment requires an atomless law with a density")
-    cap = shannon_capacity(dist, query)
+    cap = shannon_capacity(dist)
     log2_a = math.log2(abs(a))
     if not log2_a > cap.value_bits + 0.1:
         raise ValueError(
@@ -439,8 +401,7 @@ class AdditiveNoiseVerdict:
 def additive_noise_check(dist: ActuationDistribution, a: float, eta: float,
                          d: float | None = None, *, w_std=1.0, v_std=1.0,
                          x0=1.0, horizon=5000, paths=2000, seed=0,
-                         dead_band=_DEAD_BAND,
-                         query: CapacityQuery = CapacityQuery()):
+                         dead_band=_DEAD_BAND):
     """Drive the plant with additive noise and judge eta-moment boundedness.
 
     "Bounded" requires a non-trending empirical moment over the final
@@ -448,7 +409,7 @@ def additive_noise_check(dist: ActuationDistribution, a: float, eta: float,
     implied by the per-step contraction and the noise moments.
     """
     if d is None:
-        cap = eta_capacity(dist, eta, query)
+        cap = eta_capacity(dist, eta)
         if cap.optimal_d is None:
             raise ValueError("no finite optimizer for this law")
         d = cap.optimal_d

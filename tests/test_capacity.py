@@ -5,7 +5,6 @@ import pytest
 from scipy import special, stats
 
 from actcap.capacity import (
-    CapacityQuery,
     capacity_curve,
     eta_capacity,
     eta_objective,
@@ -206,9 +205,8 @@ def test_node_set_matches_gaussian_closed_forms():
 def test_maximize_matches_brute_force_uniform_2_6():
     # frozen from a 1e6-point closed-form grid scan plus local refinement:
     # d* = -0.20877943..., value = 2.58704615... bits
-    query = CapacityQuery(d_search_halfwidth=2.0, coarse_grid_points=1001)
     d_star, val, diag = maximize_over_d(
-        lambda d: uniform_log_objective(2, 6, d), query, centers=(0.0, -0.25)
+        lambda d: uniform_log_objective(2, 6, d), 2.0, centers=(0.0, -0.25)
     )
     assert val == pytest.approx(2.5870461584325, abs=1e-9)
     assert d_star == pytest.approx(-0.2087794, abs=1e-5)
@@ -217,39 +215,17 @@ def test_maximize_matches_brute_force_uniform_2_6():
 
 
 def test_maximize_flags_boundary():
-    query = CapacityQuery(d_search_halfwidth=0.05, coarse_grid_points=101)
     _, _, diag = maximize_over_d(
-        lambda d: uniform_log_objective(2, 6, d), query
+        lambda d: uniform_log_objective(2, 6, d), 0.05
     )
     assert diag["bound_hit"]
 
 
 def test_maximize_tie_breaks_toward_small_d():
-    query = CapacityQuery(d_search_halfwidth=1.0, coarse_grid_points=101,
-                          refine_tolerance=1e-12)
-    d_star, val, diag = maximize_over_d(lambda d: 0.0, query)
+    d_star, val, diag = maximize_over_d(lambda d: 0.0, 1.0)
     assert val == 0.0
     assert d_star == 0.0
     assert diag["flat"]
-
-
-def test_boundary_hit_triggers_doubling_retry():
-    query = CapacityQuery(d_search_halfwidth=0.1, coarse_grid_points=201)
-    res = shannon_capacity(Uniform(1, 3), query)
-    # the optimum near -0.4176 is outside the initial window but reachable
-    # after doubling the half-width
-    assert res.diagnostics["doublings"] >= 2
-    assert not res.diagnostics["bound_hit"]
-    assert res.optimal_d == pytest.approx(-0.4176, abs=1e-3)
-
-
-def test_query_validation():
-    with pytest.raises(ValueError):
-        CapacityQuery(coarse_grid_points=100)  # even
-    with pytest.raises(ValueError):
-        CapacityQuery(coarse_grid_points=51)  # too few
-    with pytest.raises(ValueError):
-        CapacityQuery(sense="eta")  # missing eta
 
 
 # --- capacities ----------------------------------------------------------------
@@ -429,3 +405,67 @@ def test_nonnegativity_including_mixtures():
     for res in (shannon_capacity(mix), eta_capacity(mix, 1.5),
                 zero_error_capacity(mix)):
         assert res.value_bits >= 0.0
+
+
+# --- scale freedom of the search --------------------------------------------
+
+def _scaled_laws():
+    """Each law family as a function of its scale s: B -> s B."""
+    return {
+        "uniform": lambda s: Uniform(s, 3 * s),
+        "gaussian": lambda s: Gaussian(4 * s, s),
+        "uniform_straddling_0": lambda s: Uniform(-s, 3 * s),
+        "mixture": lambda s: FiniteMixture(
+            ((0.5, Uniform(s, 3 * s)), (0.5, Gaussian(4 * s, s)))),
+        "erasure": lambda s: ScaledBernoulli(2 * s, 0.7),
+    }
+
+
+def _capacities(dist):
+    return [shannon_capacity(dist).value_bits] + [
+        eta_capacity(dist, eta).value_bits for eta in (0.5, 2.0, 16.0)]
+
+
+@pytest.mark.parametrize("family", sorted(_scaled_laws()))
+def test_capacities_are_scale_free(family):
+    # B -> 2^k B is absorbed by d -> d / 2^k, so no bit count may move
+    law = _scaled_laws()[family]
+    want = _capacities(law(1.0))
+    for k in (-200, -40, -8, 8, 40, 200):
+        got = _capacities(law(2.0 ** k))
+        assert got == pytest.approx(want, abs=1e-12), k
+
+
+def test_near_zero_mean_searches_at_the_scale_of_the_spread():
+    # -1/mean sits far out, but the optimum stays near -1/sigma; out there
+    # |b d| overflows for the wide Gaussian, which must lose, not crash
+    for near, exact in ((Gaussian(1e-300, 1), Gaussian(0, 1)),
+                        (Gaussian(-7e-249, 2.0 ** 336), Gaussian(0, 1)),
+                        (Uniform(-1, 1 + 2.0 ** -40), Uniform(-1, 1))):
+        assert shannon_capacity(near).value_bits == pytest.approx(
+            shannon_capacity(exact).value_bits, abs=1e-9)
+
+
+def test_search_reaches_optimum_of_far_scale_component():
+    # the optimum cancels the small component, at d near -1/mean of that
+    # component, 1e4 times farther out than the law's own -1/mean
+    mix = FiniteMixture(((0.9, Uniform(1e-4, 2e-4)), (0.1, Uniform(1, 3))))
+    res = shannon_capacity(mix)
+    assert res.value_bits >= shannon_objective(mix, -6019.0) - 1e-9
+    assert res.value_bits == pytest.approx(1.4397176, abs=1e-6)
+    assert res.optimal_d == pytest.approx(-6019.6, abs=1.0)
+
+
+@pytest.mark.parametrize("w_small, k_small, k_large", [
+    (0.9, -30, -16), (0.9, -4, 10), (0.7, 0, 6), (0.5, -12, -8),
+    (0.95, 12, 30), (0.5, -30, 30), (0.1, -20, 0), (0.8, 20, 24),
+])
+def test_search_covers_dense_scan_of_two_scale_mixtures(w_small, k_small,
+                                                        k_large):
+    mix = FiniteMixture(((w_small, Uniform(2.0 ** k_small, 3 * 2.0 ** k_small)),
+                         (1 - w_small, Gaussian(4 * 2.0 ** k_large,
+                                                2.0 ** k_large))))
+    # the best of a dense log scan of d is a lower bound on the capacity
+    mags = np.geomspace(2.0 ** -36, 2.0 ** 36, 700)
+    brute = max(shannon_objective(mix, d) for d in (*-mags, *mags))
+    assert shannon_capacity(mix).value_bits >= brute - 1e-9

@@ -1,9 +1,13 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actcap.capacity import shannon_capacity, zero_error_capacity
 from actcap.cli import main
@@ -180,6 +184,32 @@ def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+_EXPONENTS = st.integers(-300, 300)
+_SHAPES = st.integers(-8000, 8000).map(lambda x: x / 1000)
+_ANY_MAGNITUDE = st.builds(lambda m, e: m * 10.0 ** e,
+                           st.integers(-9, 9), _EXPONENTS)
+_PARAM_PAIRS = st.one_of(
+    # a law of ordinary shape at any magnitude
+    st.builds(lambda a, b, e: (a * 10.0 ** e, b * 10.0 ** e),
+              _SHAPES, _SHAPES, _EXPONENTS),
+    # two parameters of unrelated magnitudes
+    st.tuples(_ANY_MAGNITUDE, _ANY_MAGNITUDE),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["uniform", "gaussian"]), _PARAM_PAIRS)
+def test_capacity_at_any_magnitude_exits_cleanly(family, pair):
+    p, q = sorted(pair) if family == "uniform" else (pair[0], abs(pair[1]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["capacity", "--dist", f"{family}:{p!r},{q!r}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue().lower()
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

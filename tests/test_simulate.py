@@ -342,9 +342,6 @@ def test_scaling_equivalence_random_cases():
 def test_report_serialization_round_trip():
     rep = simulate(SystemSpec(2.0, Uniform(1, 3)), StrategySpec("linear", d=-0.4),
                    horizon=5, paths=10, eta_list=(2.0,), seed=0)
-    payload = rep.to_json_dict()
-    assert payload["metadata"]["horizon"] == 5
-    assert len(payload["per_step"]["mean_log2_ratio"]) == 6
     rows = list(rep.csv_rows())
     assert len(rows) == 6
     assert rows[0][0] == 0 and rows[0][1] == 0.0
