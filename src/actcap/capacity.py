@@ -107,7 +107,8 @@ def _build_grid(halfwidth, centers):
 
 
 def maximize_over_d(objective, halfwidth, centers=(0.0,)):
-    """Grid scan then golden-section refinement of the best bracket.
+    """Grid scan then golden-section refinement around the best grid value,
+    the smallest |d| among exact ties.
 
     ``halfwidth`` sets the scale of the search.  The grid spans
     [-halfwidth, halfwidth], widened to twice the farthest center, and is
@@ -139,9 +140,9 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
         }
 
     best = float(np.max(vals))
-    tied = np.flatnonzero(vals >= best - _TIE_TOL)
-    i = int(tied[np.argmin(np.abs(grid[tied]))])
-    flat = len(tied) > 1
+    flat = int(np.count_nonzero(vals >= best - _TIE_TOL)) > 1
+    top = np.flatnonzero(vals == best)
+    i = int(top[np.argmin(np.abs(grid[top]))])
 
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])

@@ -13,12 +13,12 @@ sampling always goes through an explicit generator.
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .quadrature import FAIL_REL, NonIntegrable, panel_nodes
 
@@ -378,45 +378,45 @@ class TruncatedGaussian(ActuationDistribution):
             )
         _require_finite(self, self.mu, self.sigma, 1.0 / self.sigma)
 
-    @property
-    def _alpha(self):
-        return (self.lo - self.mu) / self.sigma
-
-    @property
-    def _beta(self):
-        return (self.hi - self.mu) / self.sigma
+    def _lower_side(self):
+        """(alpha, beta, sign): the standardised cell, mirrored through mu
+        when it lies above mu, so its mass is read from a lower tail and
+        1 - Phi never cancels."""
+        a, b = (self.lo - self.mu) / self.sigma, (self.hi - self.mu) / self.sigma
+        return (-b, -a, -1.0) if a > 0.0 else (a, b, 1.0)
 
     @property
     def cell_probability(self):
-        return float(special.ndtr(self._beta) - special.ndtr(self._alpha))
+        a, b, _ = self._lower_side()
+        if b <= 0.0:
+            return _ndtr(b) - _ndtr(a)
+        return 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
 
     def support(self):
         return SupportInfo.build(self.lo, self.hi)
 
     def moments(self):
-        a, b = self._alpha, self._beta
-        z = self.cell_probability
-        pa, pb = _std_normal_pdf(a), _std_normal_pdf(b)
-        mean = self.mu + self.sigma * (pa - pb) / z
-        var = self.sigma**2 * self._variance_factor()
+        shift, factor = self._standard_moments()
+        mean = self.mu + self.sigma * shift
+        var = self.sigma**2 * factor
         return mean, var, var + mean * mean
 
     def std(self):
-        return self.sigma * math.sqrt(max(self._variance_factor(), 0.0))
+        return self.sigma * math.sqrt(max(self._standard_moments()[1], 0.0))
 
-    def _variance_factor(self):
-        """Variance in units of sigma^2."""
-        a, b = self._alpha, self._beta
+    def _standard_moments(self):
+        """Mean and variance of the cell in units of sigma about mu."""
+        a, b, sign = self._lower_side()
         z = self.cell_probability
         shift = (_std_normal_pdf(a) - _std_normal_pdf(b)) / z
-        return 1.0 + (_times_pdf(a) - _times_pdf(b)) / z - shift**2
+        return sign * shift, 1.0 + (_times_pdf(a) - _times_pdf(b)) / z - shift**2
 
     def sample(self, rng, size):
         # Inverse-CDF so the per-draw count is fixed (no rejection).
         u = rng.random(size)
-        base = special.ndtr(self._alpha)
-        x = self.mu + self.sigma * special.ndtri(base + u * self.cell_probability)
-        return np.clip(x, self.lo, self.hi)
+        a, _, sign = self._lower_side()
+        z = _ndtri(_ndtr(a) + u * self.cell_probability).astype(float)
+        return np.clip(self.mu + sign * self.sigma * z, self.lo, self.hi)
 
     def restrict(self, lo, hi, *, include_upper=False):
         nlo, nhi = max(self.lo, lo), min(self.hi, hi)
@@ -639,6 +639,21 @@ def _gauss_piece(mu, sigma, lo, hi, mass):
     """Density piece of N(mu, sigma^2) / mass on [lo, hi]."""
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * mass)
     return lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)
+
+
+def _ndtr(z):
+    """Standard normal CDF, accurate in the lower tail."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _ndtri_scalar(p):
+    """Standard normal quantile; p = 0 and p = 1 read -inf and inf."""
+    return _STD_NORMAL.inv_cdf(p) if 0.0 < p < 1.0 else math.copysign(POS_INF, p - 0.5)
+
+
+_SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = statistics.NormalDist()
+_ndtri = np.frompyfunc(_ndtri_scalar, 1, 1)
 
 
 def _std_normal_pdf(z):

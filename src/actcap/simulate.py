@@ -14,10 +14,10 @@ reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .capacity import eta_capacity, eta_objective, shannon_capacity
 from .distributions import ActuationDistribution, make_rng, path_streams
@@ -38,6 +38,7 @@ __all__ = [
 
 INF = float("inf")
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 _BLOCK = 512
 _CLAMP = 1e300
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
@@ -462,10 +463,12 @@ def _moment_ceiling_log2(dist, a, eta, d, w_std, v_std, x0):
 
 
 def _abs_gauss_moment(std, eta):
-    """E|N(0, std^2)|^eta."""
+    """E|N(0, std^2)|^eta, summed in log space; inf past the float range."""
     if std == 0.0:
         return 0.0
-    return std**eta * 2.0 ** (eta / 2.0) * special.gamma((eta + 1) / 2) / math.sqrt(math.pi)
+    log_m = (eta * (math.log(std) + 0.5 * _LN2) + math.lgamma((eta + 1) / 2)
+             - 0.5 * math.log(math.pi))
+    return math.exp(log_m) if log_m <= _LOG_MAX else INF
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,17 @@ def test_capacity_curve_erasure_analytic():
         assert value == pytest.approx(-math.log2(0.7) / eta, abs=1e-8)
 
 
+def test_flat_optima_read_their_closed_forms():
+    # the atom-cancelling gain -1/beta reaches E|1 + B d|^eta = 1 - p, and
+    # nearby grid points tie within 1e-12: the search must report the best
+    for eta, value in capacity_curve(ScaledBernoulli(2, 0.7), [2.0, 8.0, 64.0]):
+        want = -math.log2(0.3) / eta
+        assert abs(value - want) <= math.ulp(want)
+    res = eta_capacity(ScaledBernoulli(1, 0.5), 2.0)
+    assert res.value_bits == 0.5
+    assert res.diagnostics["flat"]
+
+
 def test_eta_ordering_property():
     dist = Gaussian(2, 1)
     values = [eta_capacity(dist, e).value_bits for e in (0.5, 1.0, 3.0, 9.0)]

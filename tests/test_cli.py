@@ -229,3 +229,30 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("quantity,")
+
+
+def test_commands_load_no_scipy():
+    # the runtime is numpy-only: scipy serves the tests as an oracle
+    script = """
+import contextlib, io, sys
+from actcap.cli import main
+runs = [
+    "capacity --dist uniform:1,3",
+    "curve --dist erasure:2,0.7 --etas 2,8",
+    "sweep --ratios 4 --families uniform,gaussian,erasure",
+    "sideinfo --dist gaussian:4,1 --si-cells=-10,4,9,14",
+    "simulate --dist uniform:2,6 --a 2 --d -0.2 --noise-w 1 --noise-v 1 "
+    "--horizon 20 --paths 50",
+    "scan --dist erasure:1,0.5 --a-grid 1.3,1.5 --sense eta --horizon 8 --paths 100",
+    "converse --dist uniform:1,3 --a 9 --horizon 20 --paths 50",
+    "carryfree --gain cf:1,0 --g-a 1 --horizon 20 --paths 5 --start-degree 4",
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+print(sorted(k for k in sys.modules if k.startswith("scipy")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
+from actcap import distributions
 from actcap.distributions import (
     DistSpecError,
     Empirical,
@@ -286,6 +288,105 @@ def test_law_of_total_expectation():
                 total_e += prob * cond.expect(f, sing)
             assert total_p == pytest.approx(1.0, abs=1e-10)
             assert total_e == pytest.approx(dist.expect(f, sing), abs=1e-7)
+
+
+# --- truncated Gaussian against scipy -----------------------------------------
+
+# standardised cells below, across and above the mean, out to the far tails
+_CELLS = [(-math.inf, -9.0), (-9.0, -8.0), (-3.0, -1.0), (-math.inf, 0.5),
+          (-1.0, 2.0), (-0.5, math.inf), (0.0, 1.0), (1.0, 3.0), (8.0, 9.0),
+          (9.0, 10.0), (10.0, math.inf)]
+
+
+def _cell(a, b, mu=1.5, sigma=2.0):
+    return TruncatedGaussian(mu, sigma, mu + sigma * a, mu + sigma * b)
+
+
+@pytest.mark.parametrize("a, b", _CELLS)
+def test_truncated_gaussian_matches_truncnorm(a, b):
+    cell = _cell(a, b)
+    oracle = stats.truncnorm(a, b, loc=cell.mu, scale=cell.sigma)
+    # the truncnorm density is phi / mass at any interior point
+    z = min(max(0.0, a), b) if math.isinf(a) or math.isinf(b) else 0.5 * (a + b)
+    mass = float(stats.norm.pdf(z) / (cell.sigma * oracle.pdf(cell.mu + cell.sigma * z)))
+    assert cell.cell_probability == pytest.approx(mass, rel=1e-12)
+    mean, var, second = cell.moments()
+    want_mean, want_var = (float(v) for v in oracle.stats(moments="mv"))
+    assert mean == pytest.approx(want_mean, rel=1e-12)
+    assert var == pytest.approx(want_var, rel=1e-9)
+    assert second == pytest.approx(want_var + want_mean**2, rel=1e-12)
+
+
+def test_upper_tail_cell_mirrors_lower_tail_cell():
+    p_hi, hi = Gaussian(0, 1).restrict(8, 9)
+    p_lo, lo = Gaussian(0, 1).restrict(-9, -8)
+    assert p_hi == pytest.approx(p_lo, rel=1e-14)
+    assert hi.moments()[0] == pytest.approx(-lo.moments()[0], rel=1e-14)
+    assert hi.moments()[1] == pytest.approx(lo.moments()[1], rel=1e-14)
+    assert 8.0 < hi.moments()[0] < 9.0
+
+
+def test_far_upper_tail_cell_keeps_its_mass():
+    prob, cell = Gaussian(0, 1).restrict(9, 10)
+    assert prob == pytest.approx(float(stats.norm.sf(9) - stats.norm.sf(10)),
+                                 rel=1e-12)
+    assert 9.0 < cell.moments()[0] < 10.0
+
+
+def test_upper_tail_draws_stay_in_cell_around_the_mean():
+    _, cell = Gaussian(0, 1).restrict(8, 9)
+    draws = cell.sample(make_rng(3), 200_000)
+    assert draws.min() > 8.0 and draws.max() < 9.0
+    assert len(np.unique(draws)) == len(draws)  # not quantised to the ends
+    err = float(np.std(draws)) / math.sqrt(len(draws))
+    assert abs(float(np.mean(draws)) - cell.moments()[0]) < 5 * err
+
+
+def test_inverse_cdf_matches_scipy_ndtri():
+    # p = 0 and p = 1 read as the infinite quantiles, where inv_cdf raises
+    p = np.concatenate([[0.0, 1.0], np.geomspace(1e-300, 0.5, 400),
+                        np.linspace(0.01, 0.99, 99), 1.0 - np.geomspace(1e-16, 0.5, 200)])
+    ours = distributions._ndtri(p).astype(float)
+    np.testing.assert_allclose(ours, special.ndtri(p), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("a, b", _CELLS)
+def test_truncated_gaussian_draws_match_scipy_transform(a, b):
+    # one uniform per draw: below-mean cells invert Phi from lo up, cells
+    # above the mean invert the mirrored cell from hi down; mu = 0 keeps the
+    # comparison relative to the standardised quantile
+    cell = _cell(a, b, mu=0.0)
+    u = make_rng(11).random(1000)
+    z = cell.cell_probability
+    if a > 0.0:
+        want = cell.mu - cell.sigma * special.ndtri(special.ndtr(-b) + u * z)
+    else:
+        want = cell.mu + cell.sigma * special.ndtri(special.ndtr(a) + u * z)
+    got = cell.sample(make_rng(11), 1000)
+    np.testing.assert_allclose(got, np.clip(want, cell.lo, cell.hi), rtol=1e-13)
+
+
+class _StubRng:
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u[:size]
+
+
+@pytest.mark.parametrize("a, b", [(-math.inf, 0.5), (-1.0, math.inf),
+                                  (-math.inf, math.inf), (-1.0, 2.0)])
+def test_truncated_gaussian_draw_ends_clip_like_ndtri(a, b):
+    # u = 0 with lo = -inf asks for the quantile at p = 0, and u just below 1
+    # may round p up to 1: both read the infinite quantile, then clip
+    cell = _cell(a, b, mu=0.0)
+    u = np.array([0.0, 1.0 - 2.0**-53])
+    got = cell.sample(_StubRng(u), 2)
+    base = special.ndtr(a)
+    want = np.clip(cell.mu + cell.sigma * special.ndtri(base + u * cell.cell_probability),
+                   cell.lo, cell.hi)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert np.all((cell.lo <= got) & (got <= cell.hi))
 
 
 # --- spec grammar ----------------------------------------------------------

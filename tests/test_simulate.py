@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from actcap.capacity import eta_objective, shannon_capacity, shannon_objective
 from actcap.distributions import (
@@ -17,6 +18,8 @@ from actcap.simulate import (
     ScanPoint,
     StrategySpec,
     SystemSpec,
+    _abs_gauss_moment,
+    _moment_ceiling_log2,
     additive_noise_check,
     scaling_equivalence_check,
     simulate,
@@ -319,6 +322,26 @@ def test_additive_noise_bounded_and_divergent():
     bad = additive_noise_check(Uniform(2, 6), 4.0, 2.0, horizon=16,
                                paths=200_000, seed=0)
     assert bad.verdict == "unbounded"
+
+
+@pytest.mark.parametrize("std", [0.01, 0.3, 1.0, 2.5, 10.0])
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0, 3.0, 8.0, 64.0, 120.0])
+def test_abs_gauss_moment_matches_gamma_form(std, eta):
+    want = std**eta * 2.0 ** (eta / 2.0) * special.gamma((eta + 1) / 2) / math.sqrt(math.pi)
+    assert _abs_gauss_moment(std, eta) == pytest.approx(want, rel=1e-12)
+
+
+def test_abs_gauss_moment_near_the_top_of_the_float_range():
+    want = 2.0**150 * special.gamma(150.5) / math.sqrt(math.pi)  # about 1e306
+    assert _abs_gauss_moment(1.0, 300.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_moment_ceiling_is_infinite_past_the_float_range():
+    # at eta = 400 the noise moment 2^200 Gamma(200.5)/sqrt(pi) overflows
+    # (math.gamma itself overflows past 171.6); the ceiling stays inf
+    assert _abs_gauss_moment(1.0, 400.0) == math.inf
+    assert _abs_gauss_moment(0.0, 400.0) == 0.0
+    assert _moment_ceiling_log2(Uniform(1, 3), 1.0, 400.0, -0.5, 1.0, 1.0, 1.0) == math.inf
 
 
 def test_scaling_equivalence_trivial_cases():
