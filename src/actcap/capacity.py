@@ -79,7 +79,7 @@ def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
         raise ValueError("eta must be positive")
     if d == 0.0:
         return 0.0
-    nodes, weights, _ = dist.quadrature_nodes((-1.0 / d,))
+    nodes, weights, _ = dist.quadrature_nodes((-1.0 / d,), eta)
     with np.errstate(divide="ignore"):
         logs = eta * np.log(np.abs(1.0 + nodes * d))
     top = logs.max()
@@ -102,7 +102,9 @@ def _build_grid(halfwidth, centers):
         pts.append(np.clip(c + offs, -h, h))
         pts.append(np.clip(c - offs, -h, h))
         pts.append(np.array([c]))  # exact cusp optima must be evaluable
-    grid = np.unique(np.concatenate(pts))
+    # sorted distinct values, as np.unique finds them without its numpy.ma import
+    grid = np.sort(np.concatenate(pts))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     return grid[(grid >= -h) & (grid <= h)]
 
 
@@ -267,10 +269,14 @@ def second_moment_closed_form(dist: ActuationDistribution) -> CapacityResult:
     """Exact second-moment capacity (1/2) log2(1 + mean^2/var), no quadrature.
 
     The ratio is formed as (mean/sigma)^2, which stays finite where
-    var = sigma^2 underflows.
+    var = sigma^2 underflows.  A point mass at b != 0 is cancelled exactly
+    by d = -1/b (infinite capacity); a point mass at 0 reads 0 at d = 0.
     """
     sigma = dist.std()
     if sigma <= 0.0:
+        if dist.moments()[0] == 0.0:
+            return CapacityResult(0.0, 0.0, "eta", 2.0,
+                                  diagnostics={"degenerate": True})
         return CapacityResult(INF, None, "eta", 2.0,
                               diagnostics={"degenerate": True})
     snr = dist.moments()[0] / sigma

@@ -110,16 +110,6 @@ class BitSeries:
                 window |= 1 << (width - 1 - offset)
         return BitSeries(top, window, width)
 
-    def levels(self):
-        """Set of levels with coefficient 1 (within the window)."""
-        if self.degree is None:
-            return set()
-        return {
-            self.degree - i
-            for i in range(self.width)
-            if (self.window >> (self.width - 1 - i)) & 1
-        }
-
 
 def _normalize(degree_of_msb, raw, width):
     """Strip leading zeros of a raw window anchored at ``degree_of_msb``."""

@@ -70,7 +70,7 @@ def _cmd_capacity(args):
 
 def _cmd_curve(args):
     dist = parse_spec(args.dist)
-    etas = _float_list(args.etas)
+    etas = _float_list(args.etas, "--etas")
     points = cap.capacity_curve(dist, etas)
     rows = [[eta, value] for eta, value in points]
     return ["eta", "capacity_bits"], rows, {"dist": args.dist}
@@ -78,7 +78,7 @@ def _cmd_curve(args):
 
 def _cmd_sweep(args):
     """Capacities versus mean/sigma for the three standard families."""
-    ratios = _float_list(args.ratios)
+    ratios = _float_list(args.ratios, "--ratios")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     rows = []
     for family in families:
@@ -113,7 +113,7 @@ def _cmd_sideinfo(args):
     dist = parse_spec(args.dist)
     sense = "eta" if args.eta is not None else args.sense
     if args.si_cells:
-        model = si.model_from_boundaries(dist, _float_list(args.si_cells))
+        model = si.model_from_boundaries(dist, _float_list(args.si_cells, "--si-cells"))
         if sense == "eta":
             value = si.eta_capacity_with_si(model, args.eta).value_bits
         else:
@@ -133,7 +133,7 @@ def _cmd_simulate(args):
     strategy = (StrategySpec("zero") if args.zero_control
                 else StrategySpec("linear", d=_pick_d(args, dist)))
     report = run_simulation(spec, strategy, args.horizon, args.paths,
-                          eta_list=_float_list(args.etas),
+                          eta_list=_float_list(args.etas, "--etas"),
                           threshold=args.threshold_m, seed=args.seed)
     rows = [list(row) for row in report.csv_rows()]
     diag = {
@@ -156,7 +156,7 @@ def _pick_d(args, dist):
 def _cmd_scan(args):
     dist = parse_spec(args.dist)
     points, capres = threshold_scan(
-        dist, args.sense, _float_list(args.a_grid), eta=args.eta,
+        dist, args.sense, _float_list(args.a_grid, "--a-grid"), eta=args.eta,
         horizon=args.horizon, paths=args.paths, seed=args.seed)
     rows = [[p.a, math.log2(p.a), p.verdict, p.slope_bits] for p in points]
     diag = {"capacity_bits": capres.value_bits, "optimal_d": capres.optimal_d,
@@ -166,7 +166,7 @@ def _cmd_scan(args):
 
 def _cmd_converse(args):
     dist = parse_spec(args.dist)
-    m_list = _float_list(args.m_list)
+    m_list = _float_list(args.m_list, "--m-list")
     rep = strong_converse_experiment(
         dist, args.a, m_list, horizon=args.horizon, paths=args.paths,
         seed=args.seed)
@@ -290,8 +290,11 @@ def _build_parser():
     return parser
 
 
-def _float_list(text):
-    return [float(x) for x in str(text).split(",") if x.strip()]
+def _float_list(text, flag):
+    values = [float(x) for x in str(text).split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one number, got {text!r}")
+    return values
 
 
 def _fmt(value):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,9 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 # Beyond 10 sigma the Gaussian density is below e^-50 of its peak, far below
-# the 1e-9 quadrature target.
+# the 1e-9 quadrature target.  An integrand growing like |b|^eta moves the
+# peak of its product with the density out by about sqrt(eta) sigma, so the
+# window reaches 10 + sqrt(eta) sigma.
 _GAUSS_TAIL_SIGMAS = 10.0
 
 _ATOM_MASS_TOL = 1e-12
@@ -197,13 +199,10 @@ class SupportInfo:
     def is_bounded(self):
         return self.lower > NEG_INF and self.upper < POS_INF
 
-    @property
-    def atom_mass(self):
-        return sum(m for _, m in self.atoms)
-
 
 class ActuationDistribution:
-    """Base class for gain laws; subclasses provide atoms and density pieces."""
+    """Base class for gain laws; subclasses provide a support (with its
+    atoms) and density pieces."""
 
     def support(self) -> SupportInfo:
         raise NotImplementedError
@@ -229,24 +228,24 @@ class ActuationDistribution:
         """
         raise NotImplementedError
 
-    # hooks used by the shared node set
-    def _atoms(self) -> tuple[tuple[float, float], ...]:
+    # hook used by the shared node set
+    def _density_pieces(self, eta=0.0):
+        """Density pieces as (lo, hi, pdf): pdf array-valued, absolutely
+        scaled, covering the mass of f times the density for any f that
+        grows no faster than |b|^eta."""
         return ()
 
-    def _density_pieces(self):
-        """Density pieces as (lo, hi, pdf): pdf array-valued, absolutely scaled."""
-        return ()
-
-    def quadrature_nodes(self, singularities=()):
+    def quadrature_nodes(self, singularities=(), eta=0.0):
         """``(nodes, weights, inner)`` with E[f(B)] = sum(weights * f(nodes)).
 
         Atoms are nodes weighted by their mass.  Each density piece is
         covered by the graded pattern of :func:`panel_nodes` between its
         ends and the ``singularities`` clipped into it; ``inner`` marks the
-        innermost graded panels.
+        innermost graded panels.  ``eta`` is the growth exponent of f,
+        which sets how far an unbounded piece reaches.
         """
         parts = [self._atom_nodes] if self._atom_nodes else []
-        for lo, hi, pdf in self._density_pieces():
+        for lo, hi, pdf in self._density_pieces(eta):
             breaks = sorted({lo, hi, *(min(max(s, lo), hi) for s in singularities)})
             nodes, weights, inner = panel_nodes(breaks)
             parts.append((nodes, weights * pdf(nodes), inner))
@@ -258,7 +257,7 @@ class ActuationDistribution:
     def _atom_nodes(self):
         """Atom part of the node set, built once: a large empirical law
         would otherwise rebuild it on every objective evaluation."""
-        atoms = self._atoms()
+        atoms = self.support().atoms
         if not atoms:
             return ()
         table = np.array(atoms, dtype=float)
@@ -266,16 +265,17 @@ class ActuationDistribution:
         locs, masses = table.T
         return locs, masses, np.zeros(len(atoms), dtype=bool)
 
-    def expect(self, integrand, singularities=()):
+    def expect(self, integrand, singularities=(), eta=0.0):
         """E[integrand(B)] as one weighted sum over the node set.
 
         ``integrand`` maps an array of gains to an array (or a constant).
         ``singularities`` lists the locations of any integrable blow-ups of
-        the integrand (logarithmic, or power law with exponent > -1).
+        the integrand (logarithmic, or power law with exponent > -1), and
+        ``eta`` its growth exponent at large |b|.
         Raises :class:`NonIntegrable` when the innermost graded panels
         carry more than ``FAIL_REL * max(1, |total|)``, or the sum is NaN.
         """
-        nodes, weights, inner = self.quadrature_nodes(singularities)
+        nodes, weights, inner = self.quadrature_nodes(singularities, eta)
         terms = weights * integrand(nodes)
         total = float(terms.sum())
         tail = float(np.abs(terms[inner]).sum())
@@ -318,44 +318,9 @@ class Uniform(ActuationDistribution):
         prob = (nhi - nlo) / (self.b2 - self.b1)
         return prob, Uniform(nlo, nhi)
 
-    def _density_pieces(self):
+    def _density_pieces(self, eta=0.0):
         dens = 1.0 / (self.b2 - self.b1)
         return ((self.b1, self.b2, lambda b: dens),)
-
-
-@dataclass(frozen=True)
-class Gaussian(ActuationDistribution):
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"gaussian requires sigma > 0, got {self.sigma}")
-        _require_finite(self, self.mu, self.sigma, 1.0 / self.sigma)
-        if self.mu + self.sigma == self.mu:
-            raise ValueError(f"sigma {self.sigma} is below the float "
-                             f"resolution of mu {self.mu}")
-
-    def support(self):
-        return SupportInfo.build(NEG_INF, POS_INF)
-
-    def moments(self):
-        return self.mu, self.sigma**2, self.sigma**2 + self.mu**2
-
-    def std(self):
-        return self.sigma
-
-    def sample(self, rng, size):
-        return rng.normal(self.mu, self.sigma, size)
-
-    def restrict(self, lo, hi, *, include_upper=False):
-        cond = TruncatedGaussian(self.mu, self.sigma, lo, hi)
-        return cond.cell_probability, cond
-
-    def _density_pieces(self):
-        half = _GAUSS_TAIL_SIGMAS * self.sigma
-        return (_gauss_piece(self.mu, self.sigma, self.mu - half,
-                             self.mu + half, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -377,6 +342,9 @@ class TruncatedGaussian(ActuationDistribution):
                 f"Gaussian({self.mu}, {self.sigma}) has no mass in [{self.lo}, {self.hi})"
             )
         _require_finite(self, self.mu, self.sigma, 1.0 / self.sigma)
+        if self.mu + self.sigma == self.mu:
+            raise ValueError(f"sigma {self.sigma} is below the float "
+                             f"resolution of mu {self.mu}")
 
     def _lower_side(self):
         """(alpha, beta, sign): the standardised cell, mirrored through mu
@@ -425,14 +393,26 @@ class TruncatedGaussian(ActuationDistribution):
         cond = TruncatedGaussian(self.mu, self.sigma, nlo, nhi)
         return cond.cell_probability / self.cell_probability, cond
 
-    def _density_pieces(self):
-        # cut the window, infinite ends included, 10 sigma beyond the nearer
-        # of mu and the opposite end, where the density is below e^-50 of
-        # its maximum on the window
-        reach = _GAUSS_TAIL_SIGMAS * self.sigma
+    def _density_pieces(self, eta=0.0):
+        # cut the window, infinite ends included, 10 + sqrt(eta) sigma beyond
+        # the nearer of mu and the opposite end
+        reach = (_GAUSS_TAIL_SIGMAS + math.sqrt(eta)) * self.sigma
         lo = max(self.lo, min(self.mu, self.hi) - reach)
         hi = min(self.hi, max(self.mu, self.lo) + reach)
-        return (_gauss_piece(self.mu, self.sigma, lo, hi, self.cell_probability),)
+        mu, sigma = self.mu, self.sigma
+        norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * self.cell_probability)
+        return ((lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)),)
+
+
+@dataclass(frozen=True)
+class Gaussian(TruncatedGaussian):
+    """N(mu, sigma^2): the Gaussian truncated to the whole line."""
+
+    lo: float = field(default=NEG_INF, init=False, repr=False)
+    hi: float = field(default=POS_INF, init=False, repr=False)
+
+    def sample(self, rng, size):
+        return rng.normal(self.mu, self.sigma, size)
 
 
 @dataclass(frozen=True)
@@ -450,10 +430,9 @@ class ScaledBernoulli(ActuationDistribution):
         _require_finite(self, self.beta)
 
     def support(self):
-        atoms = self._atoms()
-        lo = min(loc for loc, _ in atoms)
-        hi = max(loc for loc, _ in atoms)
-        return SupportInfo.build(lo, hi, atoms)
+        atoms = [a for a in ((0.0, 1.0 - self.p), (self.beta, self.p)) if a[1] > 0.0]
+        locs = [loc for loc, _ in atoms]
+        return SupportInfo.build(min(locs), max(locs), atoms)
 
     def moments(self):
         mean = self.beta * self.p
@@ -479,10 +458,6 @@ class ScaledBernoulli(ActuationDistribution):
             return prob, self
         loc, _ = kept[0]
         return prob, Empirical((loc,))
-
-    def _atoms(self):
-        atoms = ((0.0, 1.0 - self.p), (self.beta, self.p))
-        return tuple(a for a in atoms if a[1] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -551,8 +526,8 @@ class FiniteMixture(ActuationDistribution):
             return total, kept[0][1]
         return total, FiniteMixture(tuple((w / total, d) for w, d in kept))
 
-    def quadrature_nodes(self, singularities=()):
-        nodes, weights, inner = zip(*(d.quadrature_nodes(singularities)
+    def quadrature_nodes(self, singularities=(), eta=0.0):
+        nodes, weights, inner = zip(*(d.quadrature_nodes(singularities, eta)
                                       for _, d in self.components))
         return (np.concatenate(nodes),
                 np.concatenate([w * x for (w, _), x in zip(self.components, weights)]),
@@ -601,9 +576,6 @@ class Empirical(ActuationDistribution):
             raise EmptyCell(f"cell [{lo}, {hi}) contains no samples")
         return len(kept) / len(self.samples), Empirical(kept)
 
-    def _atoms(self):
-        return self.support().atoms
-
 
 def _sample_moments(arr):
     mean = float(arr.mean())
@@ -633,12 +605,6 @@ def _require_finite(law, *params):
         moments = (POS_INF,)
     if not all(math.isfinite(m) for m in moments):
         raise ValueError(f"{name} moments overflow: {moments}")
-
-
-def _gauss_piece(mu, sigma, lo, hi, mass):
-    """Density piece of N(mu, sigma^2) / mass on [lo, hi]."""
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * mass)
-    return lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)
 
 
 def _ndtr(z):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class SimulationReport:
     fractions: dict[float, np.ndarray]     # P(|X[n]| >= M)
     growth_slope_bits: float
     overflow_paths: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def moment_slope_bits(self, eta, start=None, stop=None):
         """LSQ slope of (1/eta) log2 E[|X|^eta] over [start, stop)."""
@@ -140,6 +139,8 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     eta_list = tuple(float(e) for e in eta_list)
     if not all(math.isfinite(v) for v in thresholds + eta_list):
         raise ValueError("thresholds and eta values must be finite")
+    if not all(m > 0.0 for m in thresholds):
+        raise ValueError(f"thresholds must be positive, got {thresholds}")
     log2_x0 = math.log2(abs(spec.x0))
     cutoffs = {m: math.log2(m) - log2_x0 for m in thresholds}
 
@@ -176,12 +177,6 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
         fractions=fractions,
         growth_slope_bits=slope,
         overflow_paths=overflow,
-        metadata={
-            "a": spec.a,
-            "x0": spec.x0,
-            "process_noise_std": spec.process_noise_std,
-            "obs_noise_std": spec.obs_noise_std,
-        },
     )
 
 
@@ -300,7 +295,7 @@ class ScanPoint:
 
 def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
                    eta: float = 2.0, horizon=2000, paths=10_000, seed=0,
-                   x0=1.0, dead_band=_DEAD_BAND):
+                   dead_band=_DEAD_BAND):
     """Classify each open-loop gain as stable/unstable under the optimal d.
 
     The statistic is the growth slope of the mean log state for the
@@ -323,10 +318,10 @@ def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
     for a in a_grid:
         if a <= 1.0:
             raise ValueError("scan gains must exceed 1")
-        gains.append(SystemSpec(a=float(a), dist=dist, x0=x0).a)
+        gains.append(SystemSpec(a=float(a), dist=dist).a)
     if not gains:
         return [], cap
-    unit = simulate(SystemSpec(a=1.0, dist=dist, x0=x0),
+    unit = simulate(SystemSpec(a=1.0, dist=dist),
                     StrategySpec("linear", d=cap.optimal_d), horizon, paths,
                     eta_list=(eta,), seed=seed)
     if sense == "shannon":
@@ -446,7 +441,7 @@ def _moment_ceiling_log2(dist, a, eta, d, w_std, v_std, x0):
     m = max(
         _abs_gauss_moment(w_std, eta),
         _abs_gauss_moment(v_std, eta),
-        dist.expect(lambda b: abs(b) ** eta, (0.0,)),
+        dist.expect(lambda b: abs(b) ** eta, (0.0,), eta),
         abs(x0) ** eta,
     )
     log2_m = math.log2(m)

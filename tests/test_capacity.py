@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from actcap.capacity import (
     capacity_curve,
@@ -186,8 +186,9 @@ def test_node_set_matches_uniform_closed_forms(b1, b2, hits):
 
 
 def test_node_set_matches_gaussian_closed_forms():
-    # the law is cut at mu +- 10 sigma: -1/d at mu, at a cut, 1 ulp outside
-    # a cut, and between; below |d| = 1e-2 the Poisson sum itself loses digits
+    # the Shannon window cuts the law at mu +- 10 sigma: -1/d at mu, at a
+    # cut, 1 ulp outside a cut, and between; below |d| = 1e-2 the Poisson sum
+    # itself loses digits
     mu, sigma = 3.5, 1.0
     dist = Gaussian(mu, sigma)
     hits = [mu, 4.0, -6.5, 13.5, np.nextafter(-6.5, -np.inf)]
@@ -198,6 +199,46 @@ def test_node_set_matches_gaussian_closed_forms():
             -0.5 * math.log2(second), abs=1e-10)
         assert shannon_objective(dist, d) == pytest.approx(
             gaussian_log_objective(mu, sigma, d), abs=1e-9)
+
+
+def gaussian_eta_objective_kummer(mu, sigma, d, eta):
+    """-(1/eta) log2 E|1 + B d|^eta for B ~ N(mu, sigma^2), from
+    E|N(m, s^2)|^eta = s^eta 2^(eta/2) Gamma((eta+1)/2) / sqrt(pi)
+    * 1F1(-eta/2; 1/2; -m^2 / 2s^2) with m = 1 + mu d, s = |d| sigma."""
+    m, s = 1.0 + mu * d, abs(d) * sigma
+    log_e = (eta * math.log(s) + 0.5 * eta * LOG2
+             + special.gammaln(0.5 * (eta + 1.0)) - 0.5 * math.log(math.pi)
+             + math.log(special.hyp1f1(-0.5 * eta, 0.5, -m * m / (2 * s * s))))
+    return -log_e / (eta * LOG2)
+
+
+def gaussian_eta_objective_quad(mu, sigma, d, eta):
+    """The same by quad over mu +- 200 sigma, scaled by the integrand's peak."""
+    lo, hi = mu - 200.0 * sigma, mu + 200.0 * sigma
+
+    def log_f(b):
+        with np.errstate(divide="ignore"):
+            return eta * np.log(np.abs(1.0 + b * d)) - 0.5 * ((b - mu) / sigma) ** 2
+
+    grid = np.linspace(lo, hi, 400_001)
+    vals = log_f(grid)
+    top = float(vals.max())
+    val, _ = integrate.quad(lambda b: math.exp(log_f(b) - top), lo, hi,
+                            points=sorted({-1.0 / d, float(grid[vals.argmax()])}),
+                            limit=500, epsabs=0.0, epsrel=1e-13)
+    log_e = top + math.log(val / (sigma * math.sqrt(2.0 * math.pi)))
+    return -log_e / (eta * LOG2)
+
+
+def test_gaussian_window_grows_with_eta():
+    # |1 + b d|^eta moves the integrand's mass out by about sqrt(eta) sigma;
+    # a window fixed at mu +- 10 sigma read 4.2e-5 bits high at eta = 64 and
+    # 3.4e-3 bits high at eta = 256
+    assert eta_objective(Gaussian(4, 1), -0.23, 64.0) == pytest.approx(
+        gaussian_eta_objective_kummer(4.0, 1.0, -0.23, 64.0), abs=1e-12)
+    # hyp1f1 is not trusted this far out; quad is the oracle
+    assert eta_objective(Gaussian(4, 1), -0.05, 256.0) == pytest.approx(
+        gaussian_eta_objective_quad(4.0, 1.0, -0.05, 256.0), abs=1e-10)
 
 
 # --- maximizer ----------------------------------------------------------------
@@ -312,6 +353,8 @@ def test_second_moment_closed_form():
     assert snr1.value_bits == pytest.approx(0.5, rel=1e-12)
     degenerate = second_moment_closed_form(Empirical((2.0,)))
     assert degenerate.value_bits == math.inf and degenerate.optimal_d is None
+    zero_mass = second_moment_closed_form(ScaledBernoulli(0.5, 0.0))
+    assert zero_mass.value_bits == 0.0 and zero_mass.optimal_d == 0.0
 
 
 @pytest.mark.parametrize("dist,want", [

@@ -40,6 +40,13 @@ def test_capacity_erasure_inf_literal(capsys):
     assert float(table["c_ze"][0]) == 0.0
 
 
+def test_capacity_of_point_mass_at_zero(capsys):
+    code, out = run_cli(["capacity", "--dist", "erasure:0.5,0"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1:] == [
+        "c_sh,0.0,0.0", "c_ze,0.0,0.0", "c_2,0.0,0.0"]
+
+
 def test_curve_monotone_rows(capsys):
     code, out = run_cli(
         ["curve", "--dist", "uniform:1,3", "--etas", "0.01,1,2,8,64"], capsys)
@@ -177,6 +184,11 @@ _SIM = ["simulate", "--dist", "uniform:1,3", "--d", "-0.4", "--horizon", "5",
     ["carryfree", "--gain", "cf:1,0", "--start-degree", "9223372036854775000"],
     ["carryfree", "--gain", "cf:1,0", "--g-a", "99999999999999999999"],
     _SIM + ["--a", "2", "--seed", "-1"],
+    _SIM + ["--a", "2", "--threshold-M", "-1"],
+    _SIM + ["--a", "2", "--threshold-M", "0"],
+    ["curve", "--dist", "uniform:1,3", "--etas", ","],
+    ["scan", "--dist", "uniform:1,3", "--a-grid", ","],
+    ["converse", "--dist", "uniform:1,3", "--a", "9", "--m-list", ","],
 ])
 def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert main(args) == 2
@@ -184,6 +196,16 @@ def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,message", [
+    (_SIM + ["--a", "2", "--threshold-M", "-1"], "thresholds must be positive"),
+    (["curve", "--dist", "uniform:1,3", "--etas", ","], "--etas needs"),
+    (["sweep", "--ratios", " , "], "--ratios needs"),
+])
+def test_malformed_input_message_names_the_problem(args, message, capsys):
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
 
 
 _EXPONENTS = st.integers(-300, 300)
@@ -232,7 +254,8 @@ def test_console_entry_point():
 
 
 def test_commands_load_no_scipy():
-    # the runtime is numpy-only: scipy serves the tests as an oracle
+    # the runtime is numpy-only: scipy serves the tests as an oracle; numpy.ma
+    # costs about 25 ms of import and nothing needs it
     script = """
 import contextlib, io, sys
 from actcap.cli import main
@@ -251,8 +274,9 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0, argv
 print(sorted(k for k in sys.modules if k.startswith("scipy")))
+print(sorted(k for k in sys.modules if k.split(".")[:2] == ["numpy", "ma"]))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]

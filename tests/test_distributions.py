@@ -107,6 +107,39 @@ def test_gaussian_support_unbounded():
     assert not info.is_bounded
 
 
+def test_degenerate_erasure_support_and_atom_nodes():
+    # the atom nodes are the support's atoms, in order, zero masses dropped
+    for law, atoms in ((ScaledBernoulli(2, 0.0), ((0.0, 1.0),)),
+                       (ScaledBernoulli(-2, 1.0), ((-2.0, 1.0),)),
+                       (ScaledBernoulli(-2, 0.25), ((-2.0, 0.25), (0.0, 0.75)))):
+        info = law.support()
+        assert sorted(info.atoms) == list(atoms)
+        assert (info.lower, info.upper) == (atoms[0][0], atoms[-1][0])
+        nodes, weights, inner = law.quadrature_nodes()
+        assert list(zip(nodes, weights)) == list(info.atoms)
+        assert not inner.any()
+
+
+def test_gaussian_is_the_whole_line_truncated_gaussian():
+    law = Gaussian(4, 1)
+    whole = TruncatedGaussian(4.0, 1.0, -math.inf, math.inf)
+    assert isinstance(law, TruncatedGaussian)
+    assert repr(law) == "Gaussian(mu=4, sigma=1)"
+    assert law == Gaussian(4.0, 1.0) and law != whole
+    assert law.cell_probability == 1.0
+    assert law.moments() == whole.moments() == (4.0, 1.0, 17.0)
+    assert law.std() == 1.0
+    for eta in (0.0, 64.0):
+        for a, b in zip(law.quadrature_nodes((3.0,), eta),
+                        whole.quadrature_nodes((3.0,), eta)):
+            np.testing.assert_array_equal(a, b)
+    # the node window is mu +- (10 + sqrt(eta)) sigma
+    for eta, reach in ((0.0, 10.0), (64.0, 18.0)):
+        nodes = law.quadrature_nodes((), eta)[0]
+        assert 4.0 - reach < nodes.min() < 4.0 - reach + 1e-3
+        assert 4.0 + reach - 1e-3 < nodes.max() < 4.0 + reach
+
+
 def test_empirical_support_counts_duplicates():
     info = Empirical((1.0, 2.0, 2.0, 5.0)).support()
     assert info.lower == 1.0 and info.upper == 5.0
