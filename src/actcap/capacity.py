@@ -15,6 +15,7 @@ an exact minimax closed form over the support interval.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .distributions import ActuationDistribution, FiniteMixture, _pow2_scale
 
 __all__ = [
     "CapacityResult",
+    "ETA_MAX",
     "capacity_curve",
     "eta_capacity",
     "eta_objective",
@@ -35,6 +37,9 @@ __all__ = [
 
 INF = float("inf")
 _LOG2 = math.log(2.0)
+# largest eta for which eta * ln x stays finite for every positive double x
+# (ln x >= -744.45), so no eta-moment log overflows to inf - inf
+ETA_MAX = sys.float_info.max / 745.0
 _TIE_TOL = 1e-12
 _GRID_POINTS = 2001
 _WINDOW = 100.0  # search half-width, in inverse units of the law
@@ -75,20 +80,27 @@ def shannon_objective(dist: ActuationDistribution, d: float) -> float:
 
 def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
     """-(1/eta) log2 E[|1 + B d|^eta], as a log-sum-exp for every eta."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta <= ETA_MAX:
+        raise ValueError(f"eta must lie in (0, {ETA_MAX:.4g}], got {eta!r}")
     if d == 0.0:
         return 0.0
-    nodes, weights, _ = dist.quadrature_nodes((-1.0 / d,), eta)
+    return -_log_eta_moment(dist, 1.0, d, eta) / (eta * _LOG2)
+
+
+def _log_eta_moment(dist, shift, d, eta):
+    """ln E|shift + B d|^eta as one weighted log-sum-exp: -inf when the sum
+    vanishes, +inf when |shift + b d| passes the float range.  d must be
+    nonzero: -shift/d is declared singular."""
+    nodes, weights, _ = dist.quadrature_nodes((-shift / d,), eta)
     with np.errstate(divide="ignore"):
-        logs = eta * np.log(np.abs(1.0 + nodes * d))
-    top = logs.max()
-    if top == -INF:
-        return INF
+        logs = eta * np.log(np.abs(shift + nodes * d))
+    top = float(logs.max())
+    if math.isinf(top):
+        return top
     total = float(weights @ np.exp(logs - top))
     if total <= 0.0:
-        return INF
-    return -(top + math.log(total)) / (eta * _LOG2)
+        return -INF
+    return top + math.log(total)
 
 
 def _build_grid(halfwidth, centers):
@@ -237,8 +249,7 @@ def shannon_capacity(dist: ActuationDistribution) -> CapacityResult:
 
 
 def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    """eta-th moment capacity; eta_objective checks eta on first call."""
     d_star, val, diag = _search(lambda d: eta_objective(dist, d, eta), dist)
     if math.isinf(val):
         return CapacityResult(INF, None, "eta", eta, diagnostics=diag)

@@ -161,27 +161,18 @@ def _clmul(a, b):
 class CarryFreeGain:
     """Random gain: known top bits, Bernoulli(1/2) bits from g_ran down.
 
-    ``det_bits`` fixes levels g_det .. g_ran+1 (leading bit 1); levels in
-    ``known_levels`` (at or below g_ran) are random but revealed to the
-    controller each step as side information.
+    Levels g_det .. g_ran+1 are deterministic: a leading 1 at g_det, then
+    zeros.  Levels in ``known_levels`` (at or below g_ran) are random but
+    revealed to the controller each step as side information.
     """
 
     g_det: int
     g_ran: int
-    det_bits: tuple[bool, ...] = None
     known_levels: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.g_ran > self.g_det:
             raise ValueError("g_ran must not exceed g_det")
-        if self.det_bits is None:
-            pattern = (True,) + (False,) * (self.g_det - self.g_ran - 1) \
-                if self.g_det > self.g_ran else ()
-            object.__setattr__(self, "det_bits", pattern)
-        if len(self.det_bits) != self.g_det - self.g_ran:
-            raise ValueError("det_bits must cover levels g_det..g_ran+1")
-        if self.det_bits and not self.det_bits[0]:
-            raise ValueError("leading deterministic bit must be 1")
         object.__setattr__(self, "known_levels", frozenset(self.known_levels))
         if any(lv > self.g_ran for lv in self.known_levels):
             raise ValueError("known levels above g_ran are already deterministic")
@@ -205,7 +196,7 @@ class CarryFreeGain:
         if level == self.g_det and self.g_det > self.g_ran:
             return 1
         if self.g_ran < level < self.g_det:
-            return int(self.det_bits[self.g_det - level])
+            return 0
         if level in self.known_levels:
             if realized is None or level not in realized:
                 raise ValueError(f"revealed level {level} needs a realized value")
@@ -223,7 +214,7 @@ class CarryFreeGain:
             if level in self.known_levels:
                 revealed.append((level, pos))
             elif level > self.g_ran:  # deterministic region, leading bit 1
-                if self.det_bits[self.g_det - level]:
+                if level == self.g_det:
                     fixed |= 1 << pos
             else:
                 unknown_mask |= 1 << pos

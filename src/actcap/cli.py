@@ -70,7 +70,7 @@ def _cmd_capacity(args):
 
 def _cmd_curve(args):
     dist = parse_spec(args.dist)
-    etas = _float_list(args.etas, "--etas")
+    etas = _float_list(args.etas, "--etas", lo=0.0, hi=cap.ETA_MAX)
     points = cap.capacity_curve(dist, etas)
     rows = [[eta, value] for eta, value in points]
     return ["eta", "capacity_bits"], rows, {"dist": args.dist}
@@ -78,7 +78,7 @@ def _cmd_curve(args):
 
 def _cmd_sweep(args):
     """Capacities versus mean/sigma for the three standard families."""
-    ratios = _float_list(args.ratios, "--ratios")
+    ratios = _float_list(args.ratios, "--ratios", lo=0.0)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     rows = []
     for family in families:
@@ -96,16 +96,16 @@ def _cmd_sweep(args):
 
 
 def _family_dist(family, ratio):
-    if ratio <= 0:
-        raise ValueError("mean/sigma ratios must be positive")
-    if family == "uniform":
-        return Uniform(ratio - _SQRT3, ratio + _SQRT3)
-    if family == "gaussian":
-        return Gaussian(ratio, 1.0)
-    if family == "erasure":
-        # scaled Bernoulli with mean/sigma = sqrt(p/(1-p))
-        p = ratio * ratio / (1.0 + ratio * ratio)
-        return ScaledBernoulli(1.0, p)
+    try:
+        if family == "uniform":
+            return Uniform(ratio - _SQRT3, ratio + _SQRT3)
+        if family == "gaussian":
+            return Gaussian(ratio, 1.0)
+        if family == "erasure":
+            # scaled Bernoulli with mean/sigma = sqrt(p/(1-p))
+            return ScaledBernoulli(1.0, ratio * ratio / (1.0 + ratio * ratio))
+    except ValueError as exc:
+        raise ValueError(f"--ratios {ratio!r} has no {family} law: {exc}") from None
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -120,6 +120,8 @@ def _cmd_sideinfo(args):
             value = si.shannon_capacity_with_si(model).value_bits
         rows = [[len(model.cells), value]]
         return ["cells", "capacity_bits"], rows, {"dist": args.dist, "sense": sense}
+    if not 0 <= args.si_bits <= si.MAX_BITS:
+        raise ValueError(f"--si-bits must be in [0, {si.MAX_BITS}], got {args.si_bits}")
     points = si.si_value_curve(dist, args.si_bits, sense=sense, eta=args.eta)
     rows = [[k, value] for k, value in points]
     return ["k_bits", "capacity_bits"], rows, {"dist": args.dist, "sense": sense}
@@ -133,7 +135,7 @@ def _cmd_simulate(args):
     strategy = (StrategySpec("zero") if args.zero_control
                 else StrategySpec("linear", d=_pick_d(args, dist)))
     report = run_simulation(spec, strategy, args.horizon, args.paths,
-                          eta_list=_float_list(args.etas, "--etas"),
+                          eta_list=_float_list(args.etas, "--etas", lo=0.0),
                           threshold=args.threshold_m, seed=args.seed)
     rows = [list(row) for row in report.csv_rows()]
     diag = {
@@ -290,10 +292,16 @@ def _build_parser():
     return parser
 
 
-def _float_list(text, flag):
+def _float_list(text, flag, lo=None, hi=math.inf):
+    """Comma-separated numbers, none NaN, each at most ``hi`` and, when
+    ``lo`` is given, above ``lo``."""
     values = [float(x) for x in str(text).split(",") if x.strip()]
     if not values:
         raise ValueError(f"{flag} needs at least one number, got {text!r}")
+    for v in values:
+        if not (v <= hi and (lo is None or v > lo)):
+            bounds = "other than nan" if lo is None else f"in ({lo:g}, {hi:g}]"
+            raise ValueError(f"{flag} takes numbers {bounds}, got {v!r}")
     return values
 
 

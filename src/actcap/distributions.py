@@ -46,8 +46,11 @@ POS_INF = float("inf")
 # Beyond 10 sigma the Gaussian density is below e^-50 of its peak, far below
 # the 1e-9 quadrature target.  An integrand growing like |b|^eta moves the
 # peak of its product with the density out by about sqrt(eta) sigma, so the
-# window reaches 10 + sqrt(eta) sigma.
+# window reaches 10 + sqrt(eta) sigma, up to 36.5 sigma.  Past that the
+# density is below e^-666 of its peak, and the graded panels at the window
+# end would carry subnormal weights (zero weights past about 38.6 sigma).
 _GAUSS_TAIL_SIGMAS = 10.0
+_GAUSS_MAX_SIGMAS = 36.5
 
 _ATOM_MASS_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
@@ -394,9 +397,9 @@ class TruncatedGaussian(ActuationDistribution):
         return cond.cell_probability / self.cell_probability, cond
 
     def _density_pieces(self, eta=0.0):
-        # cut the window, infinite ends included, 10 + sqrt(eta) sigma beyond
-        # the nearer of mu and the opposite end
-        reach = (_GAUSS_TAIL_SIGMAS + math.sqrt(eta)) * self.sigma
+        # cut the window, infinite ends included, 10 + sqrt(eta) sigma (at
+        # most 36.5 sigma) beyond the nearer of mu and the opposite end
+        reach = min(_GAUSS_TAIL_SIGMAS + math.sqrt(eta), _GAUSS_MAX_SIGMAS) * self.sigma
         lo = max(self.lo, min(self.mu, self.hi) - reach)
         hi = min(self.hi, max(self.mu, self.lo) + reach)
         mu, sigma = self.mu, self.sigma

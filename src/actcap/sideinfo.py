@@ -12,10 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .capacity import CapacityResult, eta_capacity, shannon_capacity
 from .distributions import ActuationDistribution, EmptyCell
 
 __all__ = [
+    "MAX_BITS",
     "SideCell",
     "SideInfoCapacityResult",
     "SideInformationModel",
@@ -31,6 +34,7 @@ INF = float("inf")
 
 _PROB_TOL = 1e-10
 _CONSISTENCY_TOL = 1e-7
+MAX_BITS = 20
 
 
 class UnboundedSupport(ValueError):
@@ -59,12 +63,13 @@ class SideInformationModel:
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"cell probabilities sum to {total}, expected 1")
 
-    def validate_against(self, base: ActuationDistribution, tol=_CONSISTENCY_TOL):
+    def validate_against(self, base: ActuationDistribution):
         """Check the mixture of conditionals reproduces the base mean/variance."""
         mean = sum(c.probability * c.conditional.moments()[0] for c in self.cells)
         second = sum(c.probability * c.conditional.moments()[2] for c in self.cells)
         bmean, bvar, _ = base.moments()
-        if abs(mean - bmean) > tol or abs(second - mean * mean - bvar) > tol:
+        if (abs(mean - bmean) > _CONSISTENCY_TOL
+                or abs(second - mean * mean - bvar) > _CONSISTENCY_TOL):
             raise ValueError(
                 "partition inconsistent with the base law: "
                 f"mean {mean} vs {bmean}, var {second - mean * mean} vs {bvar}"
@@ -82,8 +87,8 @@ class SideInfoCapacityResult:
 def uniform_bit_partition(dist: ActuationDistribution,
                           k_bits: int) -> SideInformationModel:
     """Split the support into 2^k equal-width cells (empty cells dropped)."""
-    if not 0 <= k_bits <= 20:
-        raise ValueError("k_bits must be in [0, 20]")
+    if not 0 <= k_bits <= MAX_BITS:
+        raise ValueError(f"k_bits must be in [0, {MAX_BITS}], got {k_bits}")
     info = dist.support()
     if not info.is_bounded:
         raise UnboundedSupport("equal-width cells need bounded support")
@@ -96,7 +101,7 @@ def uniform_bit_partition(dist: ActuationDistribution,
 def model_from_boundaries(dist: ActuationDistribution, edges) -> SideInformationModel:
     """Cells [e0,e1), ..., [e_{n-1}, e_n] from an increasing boundary list."""
     edges = [float(e) for e in edges]
-    if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("cell boundaries must be strictly increasing")
     cells = []
     last = len(edges) - 2
@@ -135,18 +140,19 @@ def eta_capacity_with_si(model: SideInformationModel, eta: float):
     if eta is None or not eta > 0:
         raise ValueError(f"the eta sense needs a positive eta, got {eta}")
     per_cell = tuple(eta_capacity(c.conditional, eta) for c in model.cells)
-    acc = 0.0
-    for c, r in zip(model.cells, per_cell):
-        if math.isinf(r.value_bits):
-            continue  # conditional minimum is exactly 0
-        acc += c.probability * 2.0 ** (-eta * r.value_bits)
-    value = INF if acc == 0.0 else -math.log2(acc) / eta
+    # log2 of each weighted minimum; an infinite capacity (minimum exactly 0)
+    # reads -inf, and summing in log2 keeps 2^(-eta C) from underflowing
+    terms = [math.log2(c.probability) - eta * r.value_bits
+             for c, r in zip(model.cells, per_cell)]
+    value = -float(np.logaddexp2.reduce(terms)) / eta
     return SideInfoCapacityResult(value, "eta", eta, per_cell)
 
 
 def si_value_curve(dist: ActuationDistribution, k_max: int, sense="shannon",
                    eta: float | None = None):
     """Capacity at k = 0..k_max partition bits; checked nondecreasing in k."""
+    if not 0 <= k_max <= MAX_BITS:
+        raise ValueError(f"k_max must be in [0, {MAX_BITS}], got {k_max}")
     points = []
     for k in range(k_max + 1):
         model = uniform_bit_partition(dist, k)

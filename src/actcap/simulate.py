@@ -14,13 +14,12 @@ reproducible.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import eta_capacity, eta_objective, shannon_capacity
-from .distributions import ActuationDistribution, make_rng, path_streams
+from .capacity import _log_eta_moment, eta_capacity, eta_objective, shannon_capacity
+from .distributions import ActuationDistribution, path_streams
 
 __all__ = [
     "AdditiveNoiseVerdict",
@@ -38,7 +37,6 @@ __all__ = [
 
 INF = float("inf")
 _LN2 = math.log(2.0)
-_LOG_MAX = math.log(sys.float_info.max)
 _BLOCK = 512
 _CLAMP = 1e300
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
@@ -106,12 +104,12 @@ class SimulationReport:
     growth_slope_bits: float
     overflow_paths: int = 0
 
-    def moment_slope_bits(self, eta, start=None, stop=None):
-        """LSQ slope of (1/eta) log2 E[|X|^eta] over [start, stop)."""
+    def moment_slope_bits(self, eta, start=None):
+        """LSQ slope of (1/eta) log2 E[|X|^eta] from step ``start`` (default
+        the midpoint) to the end."""
         y = self.log2_moments[eta] / eta
         start = self.horizon // 2 if start is None else start
-        stop = self.horizon + 1 if stop is None else stop
-        return _fit_slope(y, start, stop)
+        return _fit_slope(y, start, self.horizon + 1)
 
     def csv_header(self):
         return (
@@ -294,13 +292,12 @@ class ScanPoint:
 
 
 def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
-                   eta: float = 2.0, horizon=2000, paths=10_000, seed=0,
-                   dead_band=_DEAD_BAND):
+                   eta: float = 2.0, horizon=2000, paths=10_000, seed=0):
     """Classify each open-loop gain as stable/unstable under the optimal d.
 
     The statistic is the growth slope of the mean log state for the
     expected-log sense, or of (1/eta) log2 of the empirical eta-moment for
-    the moment sense; verdicts inside +-dead_band are "marginal".
+    the moment sense; verdicts inside +-_DEAD_BAND are "marginal".
 
     One unit-gain run serves the whole grid: along the same draws the
     noise-free plant at gain a is a^n times the unit plant, so both slopes
@@ -331,9 +328,9 @@ def threshold_scan(dist: ActuationDistribution, sense: str, a_grid, *,
     points = []
     for a in gains:
         slope = unit_slope + math.log2(a)
-        if slope < -dead_band:
+        if slope < -_DEAD_BAND:
             verdict = "stable"
-        elif slope > dead_band:
+        elif slope > _DEAD_BAND:
             verdict = "unstable"
         else:
             verdict = "marginal"
@@ -349,7 +346,7 @@ class ConverseReport:
 
 
 def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
-                               *, horizon=2000, paths=10_000, seed=0, x0=1.0):
+                               *, horizon=2000, paths=10_000, seed=0):
     """Above capacity, every strategy must push P(|X| >= M) to one.
 
     Runs the capacity-achieving gain, the do-nothing gain, and a per-step
@@ -376,12 +373,12 @@ def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
         "zero": StrategySpec("zero"),
         "random": StrategySpec("random_linear", d_low=lo, d_high=hi),
     }
-    reports = {}
-    for name, strat in strategies.items():
-        spec = SystemSpec(a=float(a), dist=dist, x0=x0)
-        reports[name] = simulate(spec, strat, horizon, paths,
-                                 eta_list=(2.0,), threshold=tuple(m_list),
-                                 seed=seed)
+    spec = SystemSpec(a=float(a), dist=dist)
+    reports = {
+        name: simulate(spec, strat, horizon, paths, eta_list=(2.0,),
+                       threshold=tuple(m_list), seed=seed)
+        for name, strat in strategies.items()
+    }
     return ConverseReport(cap.value_bits, log2_a, reports)
 
 
@@ -395,152 +392,84 @@ class AdditiveNoiseVerdict:
 
 
 def additive_noise_check(dist: ActuationDistribution, a: float, eta: float,
-                         d: float | None = None, *, w_std=1.0, v_std=1.0,
-                         x0=1.0, horizon=5000, paths=2000, seed=0,
-                         dead_band=_DEAD_BAND):
-    """Drive the plant with additive noise and judge eta-moment boundedness.
+                         *, w_std=1.0, v_std=1.0, horizon=5000, paths=2000,
+                         seed=0):
+    """Drive the plant at its eta-optimal gain with additive noise and judge
+    eta-moment boundedness.
 
     "Bounded" requires a non-trending empirical moment over the final
     quarter of the horizon and a supremum below the geometric-series ceiling
     implied by the per-step contraction and the noise moments.
     """
-    if d is None:
-        cap = eta_capacity(dist, eta)
-        if cap.optimal_d is None:
-            raise ValueError("no finite optimizer for this law")
-        d = cap.optimal_d
-    spec = SystemSpec(a=float(a), dist=dist, x0=x0,
+    cap = eta_capacity(dist, eta)
+    if cap.optimal_d is None:
+        raise ValueError("no finite optimizer for this law")
+    d = cap.optimal_d
+    spec = SystemSpec(a=float(a), dist=dist,
                       process_noise_std=w_std, obs_noise_std=v_std)
     rep = simulate(spec, StrategySpec("linear", d=d), horizon, paths,
                    eta_list=(eta,), seed=seed)
-    slope = rep.moment_slope_bits(
-        eta, start=3 * horizon // 4, stop=horizon + 1
-    )
-    log2_x0 = math.log2(abs(x0))
-    sup = float(np.max(rep.log2_moments[eta] + eta * log2_x0))
-    ceiling = _moment_ceiling_log2(dist, a, eta, d, w_std, v_std, x0)
-    bounded = (
-        rep.overflow_paths == 0
-        and slope <= dead_band
-        and (math.isinf(ceiling) or sup <= ceiling)
-    )
-    return AdditiveNoiseVerdict(
-        "bounded" if bounded else "unbounded", slope, sup, ceiling, rep
-    )
+    slope = rep.moment_slope_bits(eta, start=3 * horizon // 4)
+    sup = float(np.max(rep.log2_moments[eta]))
+    ceiling = _moment_ceiling_log2(dist, a, eta, d, w_std, v_std)
+    bounded = (rep.overflow_paths == 0 and slope <= _DEAD_BAND
+               and sup <= ceiling)
+    return AdditiveNoiseVerdict("bounded" if bounded else "unbounded", slope,
+                                sup, ceiling, rep)
 
 
-def _moment_ceiling_log2(dist, a, eta, d, w_std, v_std, x0):
-    """log2 of the closed-loop eta-moment bound from the contraction series.
+def _moment_ceiling_log2(dist, a, eta, d, w_std, v_std):
+    """log2 of the closed-loop eta-moment bound from the contraction series,
+    for a start at x0 = 1.
 
     Expanding the recursion, E|X[n]|^eta is bounded by a geometric series in
     L = E|a(1+dB)|^eta whenever L < 1 (triangle/Minkowski step per eta).
+    Every term is carried in log2, so no moment overflows.
     """
     log2_l = eta * (math.log2(abs(a)) - eta_objective(dist, d, eta))
     if log2_l >= 0.0:
         return INF
-    m = max(
-        _abs_gauss_moment(w_std, eta),
-        _abs_gauss_moment(v_std, eta),
-        dist.expect(lambda b: abs(b) ** eta, (0.0,), eta),
-        abs(x0) ** eta,
+    log2_m = max(
+        _log2_abs_gauss_moment(w_std, eta),
+        _log2_abs_gauss_moment(v_std, eta),
+        _log_eta_moment(dist, 0.0, 1.0, eta) / _LN2,
+        0.0,  # |x0|^eta
     )
-    log2_m = math.log2(m)
-    scale = abs(a * d)
-    if eta > 1.0:
-        root = 2.0 ** (log2_l / eta)
-        return (
-            -eta * math.log2(1.0 - root)
-            + log2_m
-            + eta * math.log2(1.0 + scale * m ** (1.0 / eta))
-        )
-    l = 2.0**log2_l
-    return -math.log2(1.0 - l) + log2_m + math.log2(1.0 + scale * m)
+    p = max(eta, 1.0)
+    return (
+        -p * math.log2(1.0 - 2.0 ** (log2_l / p))
+        + log2_m
+        + p * float(np.logaddexp2(0.0, math.log2(abs(a * d)) + log2_m / p))
+    )
 
 
-def _abs_gauss_moment(std, eta):
-    """E|N(0, std^2)|^eta, summed in log space; inf past the float range."""
+def _log2_abs_gauss_moment(std, eta):
+    """log2 E|N(0, std^2)|^eta; -inf for std 0."""
     if std == 0.0:
-        return 0.0
-    log_m = (eta * (math.log(std) + 0.5 * _LN2) + math.lgamma((eta + 1) / 2)
-             - 0.5 * math.log(math.pi))
-    return math.exp(log_m) if log_m <= _LOG_MAX else INF
+        return -INF
+    return (eta * (math.log(std) + 0.5 * _LN2) + math.lgamma((eta + 1) / 2)
+            - 0.5 * math.log(math.pi)) / _LN2
 
-
-# ---------------------------------------------------------------------------
-# exact path-equivalence between the unit-gain plant and the scaled plant
-# ---------------------------------------------------------------------------
 
 def scaling_equivalence_check(dist: ActuationDistribution, a: float, d: float,
-                              horizon=200, seed=0, x0=1.0):
-    """Max relative gap between the scaled plant and a^k times the unit plant.
+                              horizon=200, seed=0):
+    """Max relative gap between the plant at gain a and a^k times the plant
+    at gain 1, both under U = d X along the same draws.
 
-    The unit-gain system runs U[k] = d X[k]; the scaled system runs the same
-    linear law U_a[k] = d X_a[k], which along the equivalent path IS
-    a^k U[k].  Both evolve in signed log2 space, so 200 steps at any growth
-    rate stay representable, and the reference a^k X[k] accumulates the
-    k log2|a| term explicitly on the unit trajectory.
-
-    Feeding the unit system's control into the scaled state at literal full
-    scale is numerically ill-posed: the cross-state representation dust is
-    amplified by the inverse of the running product of |1 + B d| and
-    swamps the identity after tens of steps.  The self-controlled form keeps
-    all rounding additive in the log domain.
+    This is the identity :func:`threshold_scan` relies on, checked on one
+    path of :func:`simulate`: the gain-a log-state must equal the unit
+    log-state plus the running sum of log2|a|.  A step where both states
+    are exactly zero counts as no gap.
     """
-    rng = make_rng(seed, 0)
-    b = np.asarray(dist.sample(rng, horizon), dtype=float)
-    log2_a = math.log2(abs(a))
+    def log_state(gain):
+        spec = SystemSpec(a=gain, dist=dist)
+        return simulate(spec, StrategySpec("linear", d=d), horizon, 1,
+                        seed=seed).mean_log2_ratio
 
-    l1, s1 = _self_controlled_log_run(0.0, b, d, x0)
-    l2, s2 = _self_controlled_log_run(log2_a, b, d, x0)
-    worst = 0.0
-    klog = 0.0
-    for k in range(horizon + 1):
-        worst = max(worst, _relative_gap(l2[k], s2[k], klog + l1[k], s1[k]))
-        klog = log2_a + klog
-    return worst
-
-
-def _self_controlled_log_run(log2_gain, b, d, x0):
-    """Signed log2 trajectory of X <- gain (X + B d X) for one draw path."""
-    l, s = math.log2(abs(x0)), _sign(x0)
-    out_l, out_s = [l], [s]
-    for bk in b:
-        if d == 0.0 or bk == 0.0:
-            t_log, t_sign = -INF, 0
-        else:
-            t_log = math.log2(abs(bk * d)) + l
-            t_sign = _sign(bk) * _sign(d) * s
-        l, s = _signed_logadd2(l, s, t_log, t_sign)
-        l = log2_gain + l
-        out_l.append(l)
-        out_s.append(s)
-    return out_l, out_s
-
-
-def _sign(x):
-    return int(x > 0) - int(x < 0)
-
-
-def _signed_logadd2(lx, sx, ly, sy):
-    """(log2|x+y|, sign) from the signed log2 representations of x and y."""
-    if sy == 0 or ly == -INF:
-        return lx, sx
-    if sx == 0 or lx == -INF:
-        return ly, sy
-    if ly > lx:
-        lx, ly, sx, sy = ly, lx, sy, sx
-    delta = ly - lx  # <= 0
-    if sx == sy:
-        return lx + math.log1p(2.0**delta) / _LN2, sx
-    diff = -math.expm1(delta * _LN2)  # 1 - 2^delta, full relative precision
-    if diff == 0.0:
-        return -INF, 0
-    return lx + math.log(diff) / _LN2, sx
-
-
-def _relative_gap(lg, sg, l1, s1):
-    if s1 == 0 and sg == 0:
-        return 0.0
-    if s1 == 0 or sg == 0:
-        return INF
-    return abs(sg * s1 * 2.0 ** (lg - l1) - 1.0)
+    scaled, unit = log_state(a), log_state(1.0)
+    steps = np.full(horizon, math.log2(abs(a)))
+    reference = unit + np.concatenate(([0.0], np.cumsum(steps)))
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(np.exp2(scaled - reference) - 1.0)
+    gaps[(scaled == -INF) & (reference == -INF)] = 0.0
+    return float(gaps.max())

@@ -241,6 +241,20 @@ def test_gaussian_window_grows_with_eta():
         gaussian_eta_objective_quad(4.0, 1.0, -0.05, 256.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("eta", [1e3, 1e4, 1e5])
+def test_gaussian_window_stops_at_the_float_range(eta):
+    # a reach of 10 + sqrt(eta) sigma passes about 38.6 sigma from eta ~ 800,
+    # where the node weights underflow to 0, and the capacity read inf
+    cap = eta_capacity(Gaussian(4, 1), eta)
+    assert cap.value_bits == pytest.approx(
+        gaussian_eta_objective_quad(4.0, 1.0, cap.optimal_d, eta), abs=1e-9)
+
+
+def test_mixture_with_gaussian_component_finite_at_high_eta():
+    mix = FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1))))
+    assert 0.0 < eta_capacity(mix, 1000.0).value_bits < 0.02
+
+
 # --- maximizer ----------------------------------------------------------------
 
 def test_maximize_matches_brute_force_uniform_2_6():

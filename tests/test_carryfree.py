@@ -125,8 +125,6 @@ def test_gain_validation():
     with pytest.raises(ValueError):
         CarryFreeGain(0, 1)
     with pytest.raises(ValueError):
-        CarryFreeGain(2, 0, det_bits=(False, True))
-    with pytest.raises(ValueError):
         CarryFreeGain(2, 0, known_levels=frozenset({1}))
 
 

@@ -189,6 +189,14 @@ _SIM = ["simulate", "--dist", "uniform:1,3", "--d", "-0.4", "--horizon", "5",
     ["curve", "--dist", "uniform:1,3", "--etas", ","],
     ["scan", "--dist", "uniform:1,3", "--a-grid", ","],
     ["converse", "--dist", "uniform:1,3", "--a", "9", "--m-list", ","],
+    ["curve", "--dist", "uniform:1,3", "--etas", "1e308"],
+    ["sideinfo", "--dist", "uniform:1,3", "--si-bits", "-1"],
+    ["sideinfo", "--dist", "uniform:1,3", "--si-bits", "21"],
+    _SIM + ["--a", "2", "--etas", "0"],
+    _SIM + ["--a", "2", "--etas=-1"],
+    ["sideinfo", "--dist", "uniform:0,4", "--si-cells", "0,nan,4"],
+    ["sweep", "--ratios", "1e200"],
+    ["sweep", "--ratios", "nan"],
 ])
 def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert main(args) == 2
@@ -202,6 +210,14 @@ def test_malformed_input_exits_2_with_one_line(args, capsys):
     (_SIM + ["--a", "2", "--threshold-M", "-1"], "thresholds must be positive"),
     (["curve", "--dist", "uniform:1,3", "--etas", ","], "--etas needs"),
     (["sweep", "--ratios", " , "], "--ratios needs"),
+    (["curve", "--dist", "uniform:1,3", "--etas", "1e308"], "--etas"),
+    (["sideinfo", "--dist", "uniform:1,3", "--si-bits", "-1"], "--si-bits"),
+    (["sideinfo", "--dist", "uniform:1,3", "--si-bits", "21"], "--si-bits"),
+    (_SIM + ["--a", "2", "--etas", "0"], "--etas"),
+    (_SIM + ["--a", "2", "--etas=-1"], "--etas"),
+    (["sideinfo", "--dist", "uniform:0,4", "--si-cells", "0,nan,4"], "--si-cells"),
+    (["sweep", "--ratios", "1e200"], "--ratios 1e+200"),
+    (["sweep", "--ratios", "nan"], "--ratios"),
 ])
 def test_malformed_input_message_names_the_problem(args, message, capsys):
     assert main(args) == 2
@@ -232,6 +248,28 @@ def test_capacity_at_any_magnitude_exits_cleanly(family, pair):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert "nan" not in out.getvalue().lower()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["uniform:1,3", "uniform:-1,3", "gaussian:4,1"]),
+       st.builds(lambda m, e: m * 10.0 ** e, st.integers(1, 9),
+                 st.integers(-300, 308)))
+def test_curve_at_any_eta_exits_cleanly(dist, eta):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["curve", "--dist", dist, "--etas", repr(eta)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        value = float(out.getvalue().splitlines()[1].split(",")[1])
+        assert math.isfinite(value)
+
+
+def test_curve_of_gaussian_past_its_float_range_is_finite(capsys):
+    code, out = run_cli(["curve", "--dist", "gaussian:4,1", "--etas", "1e5"],
+                        capsys)
+    assert code == 0
+    assert 0.0 < float(out.splitlines()[1].split(",")[1]) < 1e-3
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

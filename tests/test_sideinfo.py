@@ -148,6 +148,25 @@ def test_eta_aggregate_closed_form_cells():
     assert res.value_bits > eta_capacity(Uniform(2, 6), 2.0).value_bits
 
 
+def test_eta_aggregate_survives_underflow_of_the_cell_minima():
+    # 2^(-eta C) underflows past eta ~ 1075/C; the aggregate sums in log2
+    pts = si_value_curve(Uniform(1, 3), 1, sense="eta", eta=2000.0)
+    assert pts[0][1] == pytest.approx(
+        eta_capacity(Uniform(1, 3), 2000.0).value_bits, rel=1e-15)
+    assert pts[0][1] < pts[1][1] < math.inf
+
+
+def test_si_value_curve_checks_bits_up_front():
+    for k_max in (-1, 21):
+        with pytest.raises(ValueError, match="k_max"):
+            si_value_curve(Uniform(1, 3), k_max)
+
+
+def test_model_from_boundaries_rejects_nan_edges():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        model_from_boundaries(Uniform(0, 4), [0.0, math.nan, 4.0])
+
+
 def test_refinement_never_hurts():
     dist = Uniform(2, 6)
     for sense, eta in (("shannon", None), ("eta", 2.0)):

@@ -18,7 +18,7 @@ from actcap.simulate import (
     ScanPoint,
     StrategySpec,
     SystemSpec,
-    _abs_gauss_moment,
+    _log2_abs_gauss_moment,
     _moment_ceiling_log2,
     additive_noise_check,
     scaling_equivalence_check,
@@ -328,20 +328,27 @@ def test_additive_noise_bounded_and_divergent():
 @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0, 3.0, 8.0, 64.0, 120.0])
 def test_abs_gauss_moment_matches_gamma_form(std, eta):
     want = std**eta * 2.0 ** (eta / 2.0) * special.gamma((eta + 1) / 2) / math.sqrt(math.pi)
-    assert _abs_gauss_moment(std, eta) == pytest.approx(want, rel=1e-12)
+    assert 2.0 ** _log2_abs_gauss_moment(std, eta) == pytest.approx(want, rel=1e-12)
 
 
 def test_abs_gauss_moment_near_the_top_of_the_float_range():
     want = 2.0**150 * special.gamma(150.5) / math.sqrt(math.pi)  # about 1e306
-    assert _abs_gauss_moment(1.0, 300.0) == pytest.approx(want, rel=1e-12)
+    assert 2.0 ** _log2_abs_gauss_moment(1.0, 300.0) == pytest.approx(want, rel=1e-12)
 
 
-def test_moment_ceiling_is_infinite_past_the_float_range():
-    # at eta = 400 the noise moment 2^200 Gamma(200.5)/sqrt(pi) overflows
-    # (math.gamma itself overflows past 171.6); the ceiling stays inf
-    assert _abs_gauss_moment(1.0, 400.0) == math.inf
-    assert _abs_gauss_moment(0.0, 400.0) == 0.0
-    assert _moment_ceiling_log2(Uniform(1, 3), 1.0, 400.0, -0.5, 1.0, 1.0, 1.0) == math.inf
+def test_moment_ceiling_is_finite_past_the_float_range():
+    # at eta = 400 the noise moment 2^200 Gamma(200.5)/sqrt(pi) is past the
+    # float range (math.gamma itself overflows past 171.6), its log2 is not
+    log2_noise = 200.0 + (special.gammaln(200.5) - 0.5 * math.log(math.pi)) / math.log(2.0)
+    assert _log2_abs_gauss_moment(1.0, 400.0) == pytest.approx(log2_noise, rel=1e-12)
+    assert _log2_abs_gauss_moment(0.0, 400.0) == -math.inf
+    # a = 1, d = -1/2 on U(1,3): E|1 - B/2|^eta = 2^-eta / (eta + 1) and
+    # log2 E|B|^eta is about 626, so the noise moment is the largest one
+    eta, root = 400.0, 0.5 * 401.0 ** (-1.0 / 400.0)
+    want = (-eta * math.log2(1.0 - root) + log2_noise
+            + eta * math.log2(1.0 + 0.5 * 2.0 ** (log2_noise / eta)))
+    got = _moment_ceiling_log2(Uniform(1, 3), 1.0, eta, -0.5, 1.0, 1.0)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_scaling_equivalence_trivial_cases():
