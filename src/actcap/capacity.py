@@ -4,12 +4,16 @@ All reported values are in bits.  Each objective is one weighted sum over
 the law's quadrature node set, with b = -1/d declared as the singular
 point: the Shannon objective sums -log|1 + b d|, the eta-th-moment
 objective takes one weighted log-sum-exp of eta log|1 + b d|, which stays
-free of overflow for every eta.  The capacities come from a coarse grid scan
-(log-densified near d = 0 and near -1/mean, where the closed-form optimizers
-live) followed by golden-section refinement.  The window, the densification
-floor and the refinement stop are all set in a power-of-two unit of the law,
-so rescaling the law by 2^k moves no bit count.  The zero-error capacity has
-an exact minimax closed form over the support interval.
+free of overflow for every eta.  Two searches over d, chosen by the
+objective's structure, give the capacities.  For eta >= 1, E|1 + B d|^eta is
+convex in d: bounded Brent runs on the smooth pieces between the exactly
+evaluated atom-cancelling gains.  For the Shannon sense and eta < 1, a coarse
+grid scan (log-densified near d = 0 and near -1/mean, where the closed-form
+optimizers live) is followed by bounded Brent refinement of every grid-local
+maximum.  The window, the densification floor and the refinement stop are
+all set in a power-of-two unit of the law, so rescaling the law by 2^k moves
+no bit count.  The zero-error capacity has an exact minimax closed form over
+the support interval.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ _LOG2 = math.log(2.0)
 # (ln x >= -744.45), so no eta-moment log overflows to inf - inf
 ETA_MAX = sys.float_info.max / 745.0
 _TIE_TOL = 1e-12
-_GRID_POINTS = 2001
+_GRID_POINTS = 57
 _WINDOW = 100.0  # search half-width, in inverse units of the law
-_REFINE_REL = 1e-12  # golden-section stop, relative to the scale of d
+_REFINE_REL = 1e-12  # absolute part of the Brent stop, relative to the window
+_MAX_DOUBLINGS = 60  # of the convex search's bracket
 
 
 @dataclass(frozen=True)
@@ -80,24 +85,48 @@ def shannon_objective(dist: ActuationDistribution, d: float) -> float:
 
 def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
     """-(1/eta) log2 E[|1 + B d|^eta], as a log-sum-exp for every eta."""
-    if not 0.0 < eta <= ETA_MAX:
-        raise ValueError(f"eta must lie in (0, {ETA_MAX:.4g}], got {eta!r}")
+    _check_eta(eta)
     if d == 0.0:
         return 0.0
     return -_log_eta_moment(dist, 1.0, d, eta) / (eta * _LOG2)
 
 
+def _check_eta(eta):
+    if not 0.0 < eta <= ETA_MAX:
+        raise ValueError(f"eta must lie in (0, {ETA_MAX:.4g}], got {eta!r}")
+
+
 def _log_eta_moment(dist, shift, d, eta):
     """ln E|shift + B d|^eta as one weighted log-sum-exp: -inf when the sum
     vanishes, +inf when |shift + b d| passes the float range.  d must be
-    nonzero: -shift/d is declared singular."""
+    nonzero: -shift/d is declared singular.
+
+    The sums are normalised by the weights' total and, while the mean stays
+    above 1/2, taken as log1p of the mean expm1 term: at small eta every
+    term is near 1, and the rounding of the weights' total would otherwise
+    swamp a logarithm that is then divided by eta."""
     nodes, weights, _ = dist.quadrature_nodes((-shift / d,), eta)
+    t = np.abs(shift + nodes * d)
+    if not t.all():
+        # as in shannon_objective, a density node a hair from the singular
+        # point, where cancellation zeroes |shift + b d|, reads one ulp of
+        # the products (0^eta would be a whole unit short at tiny eta); an
+        # exactly cancelled atom keeps its 0
+        atoms = {loc for loc, _ in dist.support().atoms}
+        lost = [i for i in np.flatnonzero(t == 0.0) if nodes[i] not in atoms]
+        t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(nodes[lost] * d))
     with np.errstate(divide="ignore"):
-        logs = eta * np.log(np.abs(shift + nodes * d))
+        logs = np.log(t)
+    logs *= eta
     top = float(logs.max())
     if math.isinf(top):
         return top
-    total = float(weights @ np.exp(logs - top))
+    logs -= top
+    mass = float(weights.sum())
+    excess = float(weights @ np.expm1(logs)) / mass
+    if excess > -0.5:
+        return top + math.log1p(excess)
+    total = float(weights @ np.exp(logs)) / mass
     if total <= 0.0:
         return -INF
     return top + math.log(total)
@@ -106,8 +135,11 @@ def _log_eta_moment(dist, shift, d, eta):
 def _build_grid(halfwidth, centers):
     h = max([halfwidth] + [2.0 * abs(c) for c in centers])
     per_center = _GRID_POINTS // 8
-    backbone = max(101, _GRID_POINTS - 2 * per_center * len(centers))
-    pts = [np.linspace(-h, h, backbone), np.array([0.0])]
+    backbone = max(101, _GRID_POINTS - 2 * per_center * len(centers)) // 2
+    # symmetric about an exact 0, so no backbone point sits a rounding
+    # error away from it
+    side = np.linspace(0.0, h, backbone + 1)[1:]
+    pts = [-side, np.array([0.0]), side]
     for c in centers:
         offs = np.geomspace(max(abs(c), halfwidth / _WINDOW) * 1e-12, h,
                             per_center)
@@ -120,83 +152,209 @@ def _build_grid(halfwidth, centers):
     return grid[(grid >= -h) & (grid <= h)]
 
 
+def _counted(objective):
+    """``objective`` with NaN read as -inf, and a list holding its call
+    count."""
+    calls = [0]
+
+    def f(d):
+        calls[0] += 1
+        value = float(objective(d))
+        return -INF if math.isnan(value) else value
+
+    return f, calls
+
+
+def _diagnostics(method, calls, grid_evals, value, flat, bound_hit, halfwidth):
+    """The one diagnostics shape both searches fill."""
+    return {
+        "method": method,
+        "evaluations": calls[0],
+        "grid_evaluations": grid_evals,
+        "refine_iterations": calls[0] - grid_evals,
+        "objective_at_d": value,
+        "flat": flat,
+        "bound_hit": bound_hit,
+        "halfwidth": halfwidth,
+    }
+
+
 def maximize_over_d(objective, halfwidth, centers=(0.0,)):
-    """Grid scan then golden-section refinement around the best grid value,
-    the smallest |d| among exact ties.
+    """Coarse grid scan, then bounded Brent refinement between the grid
+    neighbours of every grid-local maximum; the smallest |d| wins exact
+    ties.
 
     ``halfwidth`` sets the scale of the search.  The grid spans
-    [-halfwidth, halfwidth], widened to twice the farthest center, and is
-    densified geometrically around each center c from 1e-12 of
-    max(|c|, halfwidth / 100) outward.  Refinement stops at 1e-12 of
-    max(halfwidth, |d|), so no step depends on the units of d.
+    [-halfwidth, halfwidth], widened to twice the farthest center, holds 0
+    exactly, and is densified geometrically around each center c from
+    1e-12 of max(|c|, halfwidth / 100) outward.  Refinement stops within
+    1e-12 of max(halfwidth, |d|), so no step depends on the units of d.
 
     Returns ``(d_star, value, diagnostics)``.  A +inf objective value on the
-    grid wins immediately; -inf (|b d| past the float range) loses like any
-    other value.  ``diagnostics['bound_hit']`` flags an argmax on the search
-    boundary.
+    grid wins immediately; -inf (|b d| past the float range) and NaN lose
+    like any other value.  ``diagnostics['bound_hit']`` flags an argmax on
+    the search boundary, and ``diagnostics['flat']`` a second grid value
+    within _TIE_TOL of the best.
     """
     if not halfwidth > 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     grid = _build_grid(halfwidth, centers)
-    vals = np.array([objective(d) for d in grid])
-    evals = len(grid)
+    f, calls = _counted(objective)
+    vals = np.array([f(d) for d in grid])
+    n = len(grid)
 
     if np.isposinf(vals).any():
         winners = grid[np.isposinf(vals)]
         d_star = float(winners[np.argmin(np.abs(winners))])
-        return d_star, INF, {
-            "grid_evaluations": evals,
-            "refine_iterations": 0,
-            "objective_at_d": INF,
-            "flat": False,
-            "bound_hit": False,
-            "halfwidth": float(grid[-1]),
-        }
+        return d_star, INF, _diagnostics("scan", calls, n, INF, False, False,
+                                         float(grid[-1]))
 
     best = float(np.max(vals))
     flat = int(np.count_nonzero(vals >= best - _TIE_TOL)) > 1
     top = np.flatnonzero(vals == best)
     i = int(top[np.argmin(np.abs(grid[top]))])
-
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    tol = _REFINE_REL * max(halfwidth, abs(grid[i]))
-    d_star, val, iters = _golden_max(objective, lo, hi, tol)
-    evals += 2 * iters
-    if vals[i] >= val:  # exact ties keep the canonical grid point
-        d_star, val = float(grid[i]), float(vals[i])
-    d_star, val = float(d_star), float(val)
-    return d_star, val, {
-        "grid_evaluations": evals,
-        "refine_iterations": iters,
-        "objective_at_d": val,
-        "flat": flat,
-        "bound_hit": i in (0, len(grid) - 1),
-        "halfwidth": float(grid[-1]),
-    }
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+    d_star, val = float(grid[i]), best
+    # every grid-local maximum, but none inside a plateau of exact ties,
+    # where refinement has nothing to find
+    padded = np.pad(vals, 1, mode="edge")
+    left, right = padded[:-2], padded[2:]
+    peaks = np.flatnonzero((vals >= left) & (vals >= right)
+                           & ((vals > left) | (vals > right)))
+    for j in peaks:
+        lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n - 1)])
+        tol = _REFINE_REL * max(halfwidth, abs(float(grid[j])))
+        start = (float(grid[j]), float(vals[j])) if 0 < j < n - 1 else None
+        d, v = _brent_max(f, lo, hi, tol, start, rel=0.0)
+        if v > val:  # exact ties keep the canonical grid point
+            d_star, val = d, v
+    return d_star, val, _diagnostics("scan", calls, n, val, flat,
+                                     i in (0, n - 1), float(grid[-1]))
 
 
-def _golden_max(f, lo, hi, tol):
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    iters = 0
-    while hi - lo > tol and iters < 200:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_BRENT_REL = math.sqrt(sys.float_info.epsilon)
+_BRENT_STEPS = 200
+
+
+def _brent_max(f, a, b, tol, start=None, rel=_BRENT_REL):
+    """Brent's bounded maximiser of f on [a, b] (Brent 1973, ch. 5): a
+    parabola through the three best points where it steps inside the
+    bracket and shrinks it fast enough, a golden-section step otherwise.
+
+    ``start`` = (x, f(x)) seeds an interior point; the golden point is the
+    default.  Stops once the best point lies within rel |x| + tol / 3 of
+    the bracket midpoint, half-bracket permitting.  The arithmetic runs
+    on x / s, s the power of two of the bracket's magnitude, so it neither
+    overflows nor underflows whatever the units of x.  Returns
+    ``(x, f(x))`` for the best point seen.
+    """
+    s = _pow2_scale(max(abs(a), abs(b)))
+    a, b, tol = a / s, b / s, tol / s
+    if start is None:
+        x = a + _CGOLD * (b - a)
+        fx = f(x * s)
+    else:
+        x, fx = start[0] / s, start[1]
+    w = v = x
+    fw = fv = fx
+    step = gap = 0.0  # the last step and the one before it
+    for _ in range(_BRENT_STEPS):
+        mid = 0.5 * (a + b)
+        tol1 = rel * abs(x) + tol / 3.0
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(gap) > tol1:  # fit the parabola through x, w and v
+            r = (x - w) * (fv - fx)
+            q = (x - v) * (fw - fx)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, gap = gap, step
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            step = p / q
+            if x + step - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
+                step = tol1 if x < mid else -tol1
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        iters += 1
-    if f1 >= f2:
-        return x1, f1, iters
-    return x2, f2, iters
+            gap = (b - x) if x < mid else (a - x)
+            step = _CGOLD * gap
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = f(u * s)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x * s, fx
+
+
+def _maximize_convex(objective, dist):
+    """Maximize -(1/eta) log2 E|1 + B d|^eta for eta >= 1, where the moment
+    is convex in d.
+
+    The atom-cancelling gains -1/loc split d into smooth convex pieces.
+    Each is evaluated exactly, together with 0 and the far end 4 d_2 of
+    the bracket, d_2 = -E[B]/E[B^2] being the eta = 2 optimum; the far end
+    doubles until an interior point beats both ends.  Bounded Brent then
+    refines the two pieces beside the best of these points, where
+    convexity puts the optimum.  E[B] = 0 reads 0 at d = 0 by Jensen.
+    """
+    unit = _unit(dist)
+    m = dist.moments()[0] / unit
+    s = dist.std() / unit
+    # -m / (m^2 + s^2), the eta = 2 optimum in units of 1 / unit, formed
+    # without squaring m
+    u2 = -1.0 / (m + s * (s / m)) if m != 0.0 else 0.0
+    if u2 == 0.0:  # |E[B]| too small against the spread to matter
+        return 0.0, 0.0, _diagnostics("convex", [0], 0, 0.0, False, False,
+                                      0.0)
+    f, calls = _counted(objective)
+    far = 4.0 * u2 / unit
+    kinks = [-1.0 / loc for loc, _ in dist.support().atoms if loc != 0.0]
+    values = {0.0: f(0.0)}  # every evaluated gain on the side of d_2
+    for _ in range(_MAX_DOUBLINGS + 1):
+        for d in [k for k in kinks if 0.0 < k / far <= 1.0] + [far]:
+            if d not in values:
+                values[d] = f(d)
+        order = sorted(values, key=abs)
+        best = max(values.values())
+        j = next(i for i, d in enumerate(order) if values[d] == best)
+        if best == INF or j < len(order) - 1:
+            break
+        far *= 2.0
+    if best == INF:
+        return order[j], INF, _diagnostics("convex", calls, calls[0], INF,
+                                           False, False, abs(far))
+    grid_evals = calls[0]
+    d_star, val = order[j], best
+    tol = _REFINE_REL * abs(far)
+    for k in (j - 1, j + 1):
+        if 0 <= k < len(order):
+            lo, hi = sorted((order[j], order[k]))
+            d, v = _brent_max(f, lo, hi, tol)
+            if v > val:  # exact ties keep the evaluated gain
+                d_star, val = d, v
+    # flat: a tie at one step of the coarse scan grid from d*
+    grid = _build_grid(_WINDOW / unit, _grid_centers(dist))
+    k = int(np.searchsorted(grid, d_star))
+    after = k + 1 if k < len(grid) and grid[k] == d_star else k
+    flat = any(f(float(grid[i])) >= val - _TIE_TOL
+               for i in (k - 1, after) if 0 <= i < len(grid))
+    return d_star, val, _diagnostics("convex", calls, grid_evals, val, flat,
+                                     j == len(order) - 1, abs(far))
 
 
 def _grid_centers(dist):
@@ -249,8 +407,18 @@ def shannon_capacity(dist: ActuationDistribution) -> CapacityResult:
 
 
 def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
-    """eta-th moment capacity; eta_objective checks eta on first call."""
-    d_star, val, diag = _search(lambda d: eta_objective(dist, d, eta), dist)
+    """eta-th moment capacity: the convex search for eta >= 1, the scan
+    below."""
+    _check_eta(eta)
+
+    def objective(d):
+        return eta_objective(dist, d, eta)
+
+    if eta >= 1.0:
+        with np.errstate(over="ignore"):
+            d_star, val, diag = _maximize_convex(objective, dist)
+    else:
+        d_star, val, diag = _search(objective, dist)
     if math.isinf(val):
         return CapacityResult(INF, None, "eta", eta, diagnostics=diag)
     return CapacityResult(max(val, 0.0), d_star, "eta", eta, diagnostics=diag)

@@ -386,7 +386,10 @@ class TruncatedGaussian(ActuationDistribution):
         # Inverse-CDF so the per-draw count is fixed (no rejection).
         u = rng.random(size)
         a, _, sign = self._lower_side()
-        z = _ndtri(_ndtr(a) + u * self.cell_probability).astype(float)
+        # u = 0 at an infinite end reads p = 0, and p can round up to 1:
+        # keep p in (0, 1), where every quantile is finite
+        p = np.clip(_ndtr(a) + u * self.cell_probability, _P_MIN, _P_MAX)
+        z = _ndtri(p).astype(float)
         return np.clip(self.mu + sign * self.sigma * z, self.lo, self.hi)
 
     def restrict(self, lo, hi, *, include_upper=False):
@@ -621,6 +624,8 @@ def _ndtri_scalar(p):
 
 
 _SQRT2 = math.sqrt(2.0)
+_P_MIN = math.ulp(0.0)  # the smallest positive double
+_P_MAX = 1.0 - 2.0**-53  # the largest double below 1
 _STD_NORMAL = statistics.NormalDist()
 _ndtri = np.frompyfunc(_ndtri_scalar, 1, 1)
 

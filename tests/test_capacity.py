@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from actcap.capacity import (
+    _build_grid,
     capacity_curve,
     eta_capacity,
     eta_objective,
@@ -22,6 +23,7 @@ from actcap.distributions import (
     TruncatedGaussian,
     Uniform,
     make_rng,
+    parse_spec,
 )
 
 LOG2 = math.log(2.0)
@@ -283,6 +285,29 @@ def test_maximize_tie_breaks_toward_small_d():
     assert diag["flat"]
 
 
+def test_maximize_reads_nan_as_a_loss():
+    # a NaN objective value loses like -inf, away from the optimum or next
+    # to it; it used to raise "attempt to get argmin of an empty sequence"
+    d_star, val, _ = maximize_over_d(
+        lambda d: math.nan if abs(d - 0.5) < 1e-3 else -d * d, 1.0)
+    assert d_star == 0.0 and val == 0.0
+    d_star, val, _ = maximize_over_d(
+        lambda d: math.nan if abs(d) < 1e-3 else -(d - 0.3) ** 2, 1.0)
+    assert d_star == pytest.approx(0.3, abs=1e-6)
+    assert val == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("halfwidth", [0.05, 1.0, 3.0, 100.0])
+def test_scan_grid_holds_zero_without_near_duplicates(halfwidth):
+    # a backbone point a rounding error from 0 (6.9e-18 for 151 points on
+    # [-1, 1]) reads NaN in closed-form oracles; the nearest nonzero point
+    # is the densification floor 1e-12 * halfwidth / 100
+    grid = _build_grid(halfwidth, (0.0,))
+    assert 0.0 in grid
+    nearest = float(np.abs(grid[grid != 0.0]).min())
+    assert nearest == pytest.approx(1e-14 * halfwidth, rel=1e-12)
+
+
 # --- capacities ----------------------------------------------------------------
 
 def test_shannon_capacity_atom_rule():
@@ -409,8 +434,11 @@ def test_second_moment_is_scale_free_down_to_tiny_scales():
 
 
 def test_empirical_capacity_values_pinned():
-    law = Empirical(tuple(Uniform(1, 3).sample(make_rng(3), 30)))
-    for eta, value, d_star in ((2.0, 1.8962735718009844, -0.4310410721831485),
+    samples = Uniform(1, 3).sample(make_rng(3), 30)
+    law = Empirical(tuple(samples))
+    # the eta = 2 optimum has the closed form -E[B] / E[B^2]
+    d_two = -float(np.mean(samples)) / float(np.mean(samples * samples))
+    for eta, value, d_star in ((2.0, 1.8962735718009844, d_two),
                                (0.5, 2.4346426879259773, -0.3727610685521455)):
         res = eta_capacity(law, eta)
         assert res.value_bits == pytest.approx(value, rel=1e-13)
@@ -537,3 +565,103 @@ def test_search_covers_dense_scan_of_two_scale_mixtures(w_small, k_small,
     mags = np.geomspace(2.0 ** -36, 2.0 ** 36, 700)
     brute = max(shannon_objective(mix, d) for d in (*-mags, *mags))
     assert shannon_capacity(mix).value_bits >= brute - 1e-9
+
+
+# --- the two searches: convex for eta >= 1, scan otherwise --------------------
+
+# eta-capacities at eta = 1, 2, 8, 64 under the 2,001-point grid search with
+# golden-section refinement that the convex search replaced
+_GRID_SEARCH_ETA = {
+    "uniform:1,3": (2.0827257408918527, 1.8502198590705465,
+                    1.4166489954857315, 1.096992387345723),
+    "uniform:-1,3": (0.6942419136306177, 0.40367746102880236,
+                     0.08111997744621938, 0.009322365672608413),
+    "gaussian:4,1": (2.3690598071724165, 2.04373142062517,
+                     1.2074829203829662, 0.18288301087202585),
+    "mixture:0.5*uniform:1,3|0.5*gaussian:4,1": (
+        1.5488363886197931, 1.3390359525563194, 0.8691714884745191,
+        0.17486639094955916),
+    "erasure:2,0.7": (1.736965594166206, 0.868482797083103,
+                      0.21712069927077576, 0.02714008740884697),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GRID_SEARCH_ETA))
+def test_convex_search_matches_the_grid_search(spec):
+    law = parse_spec(spec)
+    for eta, want in zip((1.0, 2.0, 8.0, 64.0), _GRID_SEARCH_ETA[spec]):
+        res = eta_capacity(law, eta)
+        assert res.diagnostics["method"] == "convex"
+        assert res.value_bits == pytest.approx(want, abs=1e-13), eta
+        assert res.diagnostics["evaluations"] <= 150, eta
+
+
+@pytest.mark.parametrize("spec", sorted(_GRID_SEARCH_ETA))
+def test_scan_search_evaluation_count(spec):
+    law = parse_spec(spec)
+    results = [eta_capacity(law, eta) for eta in (1e-20, 0.01, 0.5)]
+    if not law.support().has_nonzero_atom:
+        results.append(shannon_capacity(law))
+    for res in results:
+        assert res.diagnostics["method"] == "scan"
+        assert res.diagnostics["evaluations"] <= 400
+
+
+@pytest.mark.parametrize("mix, sense, want", [
+    # two peaks 0.09 apart in d, the higher one beside the kink at -1/3
+    (FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1)))), None,
+     1.9979212597844649),
+    (FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1)))), 0.01,
+     1.988722225496429),
+    # a narrow component whose cancellation gives the global peak
+    (FiniteMixture(((0.5, Uniform(1, 1.001)), (0.5, Gaussian(4, 1)))), None,
+     5.463978755573842),
+    (FiniteMixture(((0.2, Uniform(3, 3.0001)), (0.8, Uniform(-1, 5)))), None,
+     4.551884062515886),
+    (FiniteMixture(((0.3, Gaussian(2, 1e-4)), (0.7, Uniform(-2, 6)))), None,
+     4.871112175061466),
+])
+def test_scan_finds_the_global_peak_of_mixtures(mix, sense, want):
+    # pinned to the 2,001-point grid search that the coarse scan replaced
+    res = shannon_capacity(mix) if sense is None else eta_capacity(mix, sense)
+    assert res.value_bits == pytest.approx(want, abs=1e-10)
+
+
+def test_both_searches_fill_one_diagnostics_shape():
+    keys = {"method", "evaluations", "grid_evaluations", "refine_iterations",
+            "objective_at_d", "flat", "bound_hit", "halfwidth"}
+    results = {
+        "scan": [shannon_capacity(Uniform(1, 3)), eta_capacity(Uniform(1, 3), 0.5)],
+        "convex": [eta_capacity(Uniform(1, 3), 2.0),
+                   eta_capacity(Uniform(-1, 1), 2.0),  # E[B] = 0: no search
+                   eta_capacity(Empirical((2.0,)), 2.0)],  # cancelled: inf
+    }
+    for method, group in results.items():
+        for res in group:
+            diag = res.diagnostics
+            assert set(diag) == keys
+            assert diag["method"] == method
+            assert diag["evaluations"] == (diag["grid_evaluations"]
+                                           + diag["refine_iterations"])
+    zero_mean = results["convex"][1]
+    assert (zero_mean.value_bits, zero_mean.optimal_d) == (0.0, 0.0)
+    assert zero_mean.diagnostics["evaluations"] == 0
+    assert results["convex"][2].value_bits == math.inf
+
+
+@pytest.mark.parametrize("law", [Uniform(1, 3), Gaussian(4, 1)],
+                         ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("eta", [1e-300, 1e-20])
+def test_eta_capacity_at_tiny_eta_reads_shannon(law, eta):
+    # C_eta -> C_sh as eta -> 0; the weights' rounding used to be divided
+    # by eta, reading 128138 bits at eta = 1e-20 on U(1, 3)
+    assert eta_capacity(law, eta).value_bits == pytest.approx(
+        shannon_capacity(law).value_bits, abs=1e-12)
+
+
+def test_eta_search_rejects_bad_eta_without_a_search():
+    # the zero-mean convex path makes no objective call, so eta is
+    # checked up front
+    for eta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            eta_capacity(Uniform(-1, 1), eta)

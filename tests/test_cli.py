@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from actcap.capacity import shannon_capacity, zero_error_capacity
 from actcap.cli import main
-from actcap.distributions import Uniform
+from actcap.distributions import Uniform, parse_spec
 
 
 def run_cli(args, capsys):
@@ -250,6 +251,11 @@ def test_capacity_at_any_magnitude_exits_cleanly(family, pair):
         assert "nan" not in out.getvalue().lower()
 
 
+@functools.cache
+def _shannon_bits(spec):
+    return shannon_capacity(parse_spec(spec)).value_bits
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["uniform:1,3", "uniform:-1,3", "gaussian:4,1"]),
        st.builds(lambda m, e: m * 10.0 ** e, st.integers(1, 9),
@@ -263,6 +269,8 @@ def test_curve_at_any_eta_exits_cleanly(dist, eta):
     if code == 0:
         value = float(out.getvalue().splitlines()[1].split(",")[1])
         assert math.isfinite(value)
+        # by Jensen, C_eta <= C_sh; tiny eta used to read 1e5 bits and more
+        assert value <= _shannon_bits(dist) + 1e-9
 
 
 def test_curve_of_gaussian_past_its_float_range_is_finite(capsys):
