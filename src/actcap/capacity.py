@@ -45,6 +45,7 @@ _LOG2 = math.log(2.0)
 # (ln x >= -744.45), so no eta-moment log overflows to inf - inf
 ETA_MAX = sys.float_info.max / 745.0
 _TIE_TOL = 1e-12
+_ROUND_TOL = 64 * sys.float_info.epsilon  # a tie within rounding, per bit
 _GRID_POINTS = 57
 _WINDOW = 100.0  # search half-width, in inverse units of the law
 _REFINE_REL = 1e-12  # absolute part of the Brent stop, relative to the window
@@ -181,8 +182,9 @@ def _diagnostics(method, calls, grid_evals, value, flat, bound_hit, halfwidth):
 
 def maximize_over_d(objective, halfwidth, centers=(0.0,)):
     """Coarse grid scan, then bounded Brent refinement between the grid
-    neighbours of every grid-local maximum; the smallest |d| wins exact
-    ties.
+    neighbours of every grid-local maximum.  The smallest |d| wins exact
+    ties on the grid; among points that tie the best within rounding, such
+    as the mirror optima of a symmetric law, a negative d wins.
 
     ``halfwidth`` sets the scale of the search.  The grid spans
     [-halfwidth, halfwidth], widened to twice the farthest center, holds 0
@@ -213,7 +215,7 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
     flat = int(np.count_nonzero(vals >= best - _TIE_TOL)) > 1
     top = np.flatnonzero(vals == best)
     i = int(top[np.argmin(np.abs(grid[top]))])
-    d_star, val = float(grid[i]), best
+    found = [(float(grid[i]), best)]
     # every grid-local maximum, but none inside a plateau of exact ties,
     # where refinement has nothing to find
     padded = np.pad(vals, 1, mode="edge")
@@ -224,9 +226,12 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
         lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n - 1)])
         tol = _REFINE_REL * max(halfwidth, abs(float(grid[j])))
         start = (float(grid[j]), float(vals[j])) if 0 < j < n - 1 else None
-        d, v = _brent_max(f, lo, hi, tol, start, rel=0.0)
-        if v > val:  # exact ties keep the canonical grid point
-            d_star, val = d, v
+        found.append(_brent_max(f, lo, hi, tol, start, rel=0.0))
+    val = max(v for _, v in found)
+    ties = [(d, v) for d, v in found
+            if v >= val - _ROUND_TOL * max(1.0, abs(val))]
+    # max keeps the first of exact ties: the canonical grid point
+    d_star, val = max(ties, key=lambda c: (c[0] < 0.0, c[1]))
     return d_star, val, _diagnostics("scan", calls, n, val, flat,
                                      i in (0, n - 1), float(grid[-1]))
 

@@ -35,11 +35,17 @@ from .distributions import (
 )
 
 _SQRT3 = math.sqrt(3.0)
+# commands that draw random streams; --seed is a word of their Philox keys
+_DRAWING = ("simulate", "scan", "converse", "carryfree")
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in _DRAWING and not 0 <= args.seed < 2**64:
+        print(f"error: --seed must lie in [0, 2^64), got {args.seed}",
+              file=sys.stderr)
+        return 2
     try:
         header, rows, diagnostics = _COMMANDS[args.command](args)
     except (DistSpecError, EmptyCell, ValueError) as exc:
@@ -132,8 +138,8 @@ def _cmd_simulate(args):
     spec = SystemSpec(args.a, dist, x0=args.x0,
                       process_noise_std=args.noise_w,
                       obs_noise_std=args.noise_v)
-    strategy = (StrategySpec("zero") if args.zero_control
-                else StrategySpec("linear", d=_pick_d(args, dist)))
+    d = 0.0 if args.zero_control else _pick_d(args, dist)
+    strategy = StrategySpec("linear", d=d)
     report = run_simulation(spec, strategy, args.horizon, args.paths,
                           eta_list=_float_list(args.etas, "--etas", lo=0.0),
                           threshold=args.threshold_m, seed=args.seed)

@@ -37,7 +37,6 @@ __all__ = [
     "make_rng",
     "parse_spec",
     "path_streams",
-    "stream_keys",
 ]
 
 NEG_INF = float("-inf")
@@ -64,44 +63,15 @@ class DistSpecError(ValueError):
     """Unparseable distribution specification string."""
 
 
-def make_rng(seed, *stream):
-    """Counter-based generator for the (seed, stream...) key.
+def make_rng(seed, path=0):
+    """Counter-based generator of path ``path`` under ``seed``.
 
-    Identical keys yield identical draw sequences across runs and across any
-    thread scheduling, which is what makes all Monte Carlo in this package
-    reproducible.
+    Philox keyed by the pair (seed, path) itself, one uint64 word each, with
+    the counter at 0.  Distinct keys give independent streams, and a key
+    gives the same draws on every run, which is what makes all Monte Carlo
+    in this package reproducible.  Both words must lie in [0, 2^64).
     """
-    key = np.random.SeedSequence([int(seed), *map(int, stream)])
-    return np.random.Generator(np.random.Philox(key))
-
-
-# numpy's SeedSequence hash-and-mix constants, for a 4-word pool
-_M32 = np.uint64(0xFFFFFFFF)
-_SHIFT = np.uint64(16)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
-_POOL = 4
-
-
-def stream_keys(seed, paths):
-    """Philox keys of ``make_rng(seed, p)`` for every p in ``paths``, shape (n, 2).
-
-    Runs SeedSequence's uint32 hash-and-mix over all paths at once, one
-    uint64 lane per path.  Seeds of any size are exact; paths must be below
-    2^64.
-    """
-    seed_words = _uint32_words(int(seed))
-    paths = np.asarray(paths, dtype=np.uint64)
-    keys = np.empty((len(paths), 2), dtype=np.uint64)
-    # SeedSequence splits a path of 2^32 or more into two words
-    for wide in (False, True):
-        sel = (paths > _M32) == wide
-        if sel.any():
-            p = paths[sel]
-            words = [p & _M32] + ([p >> np.uint64(32)] if wide else [])
-            keys[sel] = _seed_sequence_keys(seed_words, words)
-    return keys
+    return np.random.Generator(np.random.Philox(key=_key(seed, path)))
 
 
 def path_streams(seed, lo, hi):
@@ -110,63 +80,24 @@ def path_streams(seed, lo, hi):
     One generator is re-keyed in place for each path, so finish drawing for
     a path before advancing.
     """
-    keys = stream_keys(seed, np.arange(lo, hi, dtype=np.uint64))
-    bit_gen = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_gen)
+    if hi > lo:
+        _key(seed, hi - 1)  # the last path's word must fit too
+    rng = make_rng(seed, lo)
+    bit_gen = rng.bit_generator
     state = bit_gen.state  # counter 0, empty buffer, no pending uint32
-    for key in keys:
-        state["state"]["key"] = key
+    key = state["state"]["key"]
+    for p in range(lo, hi):
+        key[1] = p
         bit_gen.state = state
         yield rng
 
 
-def _uint32_words(n):
-    """Little-endian uint32 words of n >= 0, as SeedSequence splits it."""
-    if n < 0:
-        raise ValueError(f"seed and stream entries must be >= 0, got {n}")
-    words = [n & 0xFFFFFFFF]
-    n >>= 32
-    while n:
-        words.append(n & 0xFFFFFFFF)
-        n >>= 32
-    return words
-
-
-def _seed_sequence_keys(seed_words, path_words):
-    """SeedSequence([seed, p]).generate_state(2, uint64) for arrays of p."""
-    n = len(path_words[0])
-    entropy = [np.full(n, w, dtype=np.uint64) for w in seed_words] + path_words
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint64(hash_const)
-        hash_const = (hash_const * _MULT_A) & 0xFFFFFFFF
-        value = (value * np.uint64(hash_const)) & _M32
-        return value ^ (value >> _SHIFT)
-
-    def mix(x, y):
-        value = (_MIX_L * x - _MIX_R * y) & _M32
-        return value ^ (value >> _SHIFT)
-
-    zero = np.zeros(n, dtype=np.uint64)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out, hash_const = [], _INIT_B
-    for word in pool:
-        word = word ^ np.uint64(hash_const)
-        hash_const = (hash_const * _MULT_B) & 0xFFFFFFFF
-        word = (word * np.uint64(hash_const)) & _M32
-        out.append(word ^ (word >> _SHIFT))
-    return np.stack([out[0] | (out[1] << np.uint64(32)),
-                     out[2] | (out[3] << np.uint64(32))], axis=1)
+def _key(seed, path):
+    """The Philox key (seed, path), one uint64 word each."""
+    words = (int(seed), int(path))
+    if not all(0 <= w < 2**64 for w in words):
+        raise ValueError(f"seed and path must lie in [0, 2^64), got {words}")
+    return np.array(words, dtype=np.uint64)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ driven by linear memoryless controls U[n] = d Y[n].  Noise-free runs track
 (sign, log2|X|) so horizons of 1e4 steps at growth rates of many bits/step
 never overflow; additive-noise runs use raw doubles clamped at 1e300.
 
-Path p reads the counter-based stream of ``make_rng(seed, p)``; the keys of
-a block of paths are derived at once and one generator is re-keyed per path.
+Path p reads the counter-based stream of ``make_rng(seed, p)``, Philox keyed
+by (seed, p); one generator is re-keyed for each path.
 Block results are folded in fixed index order, so reports are bitwise
 reproducible.
 """
@@ -69,15 +69,15 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """Control law: fixed linear gain, no control, or per-step random gain."""
+    """Control law: fixed linear gain (d = 0 for none) or per-step random gain."""
 
-    kind: str = "linear"  # "linear" | "zero" | "random_linear"
+    kind: str = "linear"  # "linear" | "random_linear"
     d: float = 0.0
     d_low: float = 0.0
     d_high: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "zero", "random_linear"):
+        if self.kind not in ("linear", "random_linear"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if not math.isfinite(self.d):
             raise ValueError("d must be finite")
@@ -85,8 +85,6 @@ class StrategySpec:
     def describe(self):
         if self.kind == "linear":
             return f"linear(d={self.d!r})"
-        if self.kind == "zero":
-            return "zero"
         return f"random_linear([{self.d_low!r}, {self.d_high!r}])"
 
 
@@ -214,12 +212,9 @@ class _Block:
     def evolve(self, bs):
         """(log2|X[n]/x0| for the first ``bs`` paths, shape (bs, horizon+1),
         number of those paths that hit the clamp)."""
-        spec, strategy = self.spec, self.strategy
+        spec = self.spec
         b, dl = self.b[:bs], self.dl[:bs]
-        if self.d is not None:
-            d_eff = self.d[:bs]
-        else:
-            d_eff = 0.0 if strategy.kind == "zero" else strategy.d
+        d_eff = self.d[:bs] if self.d is not None else self.strategy.d
 
         if spec.noise_free:
             factors = self.work[:bs, 1:]
@@ -370,7 +365,7 @@ def strong_converse_experiment(dist: ActuationDistribution, a: float, m_list,
         lo, hi = sorted((2.0 * d_star, 0.0))
     strategies = {
         "optimal": StrategySpec("linear", d=d_star),
-        "zero": StrategySpec("zero"),
+        "zero": StrategySpec("linear", d=0.0),
         "random": StrategySpec("random_linear", d_low=lo, d_high=hi),
     }
     spec = SystemSpec(a=float(a), dist=dist)

@@ -225,6 +225,40 @@ def test_malformed_input_message_names_the_problem(args, message, capsys):
     assert message in capsys.readouterr().err
 
 
+_DRAWING = [
+    _SIM + ["--a", "2"],
+    ["scan", "--dist", "uniform:1,3", "--a-grid", "2", "--horizon", "5",
+     "--paths", "10"],
+    ["converse", "--dist", "uniform:1,3", "--a", "9", "--horizon", "5",
+     "--paths", "10"],
+    ["carryfree", "--gain", "cf:1,0", "--horizon", "5", "--paths", "2"],
+]
+_IGNORING = [
+    ["capacity", "--dist", "uniform:1,3"],
+    ["curve", "--dist", "uniform:1,3", "--etas", "2"],
+    ["sweep", "--ratios", "4", "--families", "uniform"],
+    ["sideinfo", "--dist", "uniform:0,4", "--si-bits", "1"],
+]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_the_key_range(seed, capsys):
+    # a seed is one uint64 word of each path's Philox key
+    for args in _DRAWING:
+        assert main(args + ["--seed", seed]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --seed must lie in [0, 2^64)")
+        assert main(args + ["--seed", str(2**64 - 1)]) == 0, args
+        capsys.readouterr()
+    for args in _IGNORING:
+        assert main(args + ["--seed", seed]) == 0, args
+        ignored = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == ignored
+
+
 _EXPONENTS = st.integers(-300, 300)
 _SHAPES = st.integers(-8000, 8000).map(lambda x: x / 1000)
 _ANY_MAGNITUDE = st.builds(lambda m, e: m * 10.0 ** e,

@@ -20,7 +20,6 @@ from actcap.distributions import (
     make_rng,
     parse_spec,
     path_streams,
-    stream_keys,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -28,38 +27,35 @@ EULER_GAMMA = 0.5772156649015329
 
 # --- random streams --------------------------------------------------------
 
-def _seed_sequence_key(seed, path):
-    return np.random.Philox(np.random.SeedSequence([seed, path])).state["state"]["key"]
-
-
-# SeedSequence splits an integer into uint32 words: cover 1 to 13 words
-_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
-                   st.integers(2**64, 2**128), st.integers(2**128, 2**400))
-_PATHS = st.one_of(st.sampled_from([0, 1, 511, 512, 2**31, 2**32 - 1, 2**32,
-                                    2**64 - 1]),
+# one uint64 key word each, with the 32-bit and 64-bit edges
+_WORDS = st.one_of(st.sampled_from([0, 1, 511, 512, 2**32 - 1, 2**32,
+                                    2**32 + 1, 2**64 - 1]),
                    st.integers(0, 2**64 - 1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_SEEDS, st.lists(_PATHS, min_size=1, max_size=6))
-def test_stream_keys_match_seed_sequence(seed, paths):
-    want = np.array([_seed_sequence_key(seed, p) for p in paths])
-    assert np.array_equal(stream_keys(seed, paths), want)
+def _key(rng):
+    return [int(w) for w in rng.bit_generator.state["state"]["key"]]
 
 
-def test_stream_keys_block_crossing_word_boundary():
-    paths = np.arange(2**32 - 300, 2**32 + 300, dtype=np.uint64)
-    want = np.array([_seed_sequence_key(7, int(p)) for p in paths])
-    assert np.array_equal(stream_keys(7, paths), want)
+@settings(max_examples=200, deadline=None)
+@given(_WORDS, _WORDS, st.integers(1, 4))
+def test_path_key_is_the_seed_path_pair(seed, path, count):
+    assert _key(make_rng(seed, path)) == [seed, path]
+    assert _key(make_rng(seed)) == [seed, 0]
+    lo = min(path, 2**64 - count)
+    for p, rng in zip(range(lo, lo + count), path_streams(seed, lo, lo + count)):
+        assert _key(rng) == [seed, p]
+        assert np.array_equal(rng.random(5), make_rng(seed, p).random(5))
 
 
 def test_negative_seed_rejected_like_make_rng():
-    with pytest.raises(ValueError):
-        make_rng(-1, 0)
-    with pytest.raises(ValueError):
-        stream_keys(-1, [0])
-    with pytest.raises(ValueError):
-        next(path_streams(-1, 0, 4))
+    for seed, path in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError):
+            make_rng(seed, path)
+    for seed, lo, hi in ((-1, 0, 4), (2**64, 0, 4), (0, -1, 4),
+                         (0, 2**64 - 2, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            next(path_streams(seed, lo, hi))
 
 
 _LAWS = [
@@ -187,7 +183,9 @@ def test_mixture_moments_match_monte_carlo():
     mean, var, _ = mix.moments()
     assert mean == pytest.approx(1.5, abs=1e-12)
     assert var == pytest.approx(1 + 1 / 12, abs=1e-12)
-    draws = mix.sample(make_rng(123), 10_000_000)
+    # make_rng(123) as it was before the Philox key became (seed, path)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([123])))
+    draws = mix.sample(rng, 10_000_000)
     assert mean == pytest.approx(float(np.mean(draws)), abs=5e-4)
     assert var == pytest.approx(float(np.var(draws)), abs=1e-3)
 

@@ -76,7 +76,7 @@ def _reference_block(spec, strategy, horizon, block, seed):
             rows["w"].append(rng.normal(0.0, spec.process_noise_std, horizon))
     b, d, v, w = (np.array(rows[k]) if rows[k] else None for k in "bdvw")
     if d is None:
-        d = 0.0 if strategy.kind == "zero" else strategy.d
+        d = strategy.d
     if spec.noise_free:
         with np.errstate(divide="ignore"):
             factors = math.log2(abs(spec.a)) + np.log2(np.abs(1.0 + d * b))
@@ -122,15 +122,15 @@ def test_spec_validation():
 
 
 def test_identity_dynamics():
-    rep = simulate(SystemSpec(1.0, Uniform(1, 3)), StrategySpec("zero"),
-                   horizon=50, paths=20, seed=0)
+    rep = simulate(SystemSpec(1.0, Uniform(1, 3)),
+                   StrategySpec("linear", d=0.0), horizon=50, paths=20, seed=0)
     assert np.all(rep.mean_log2_ratio == 0.0)
     assert rep.growth_slope_bits == 0.0
 
 
 def test_zero_control_pure_powers():
     rep = simulate(SystemSpec(2.0, Uniform(1, 3), x0=1.0),
-                   StrategySpec("zero"), horizon=200, paths=4,
+                   StrategySpec("linear", d=0.0), horizon=200, paths=4,
                    threshold=2.0**100, seed=0)
     assert rep.mean_log2_ratio[-1] == pytest.approx(200.0, abs=1e-9)
     assert rep.fractions[2.0**100][200] == 1.0
@@ -159,7 +159,7 @@ _LAWS = [
 ]
 _STRATEGIES = [
     StrategySpec("linear", d=-0.4),
-    StrategySpec("zero"),
+    StrategySpec("linear", d=0.0),
     StrategySpec("random_linear", d_low=-0.8, d_high=0.0),
 ]
 
@@ -180,7 +180,7 @@ def test_simulate_equals_per_path_make_rng_oracle(law, paths):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_clamped_paths_match_oracle():
     spec = SystemSpec(1e40, Gaussian(4, 1), process_noise_std=1.0)
-    args = (spec, StrategySpec("zero"), 12, 513)
+    args = (spec, StrategySpec("linear", d=0.0), 12, 513)
     rep = simulate(*args, seed=2)
     assert rep.overflow_paths == 513
     assert_matches_reference(rep, reference_simulate(*args, seed=2))
