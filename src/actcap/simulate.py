@@ -6,7 +6,11 @@ driven by linear memoryless controls U[n] = d Y[n].  Noise-free runs track
 never overflow; additive-noise runs use raw doubles clamped at 1e300.
 
 Path p reads the counter-based stream of ``make_rng(seed, p)``, Philox keyed
-by (seed, p); one generator is re-keyed for each path.
+by (seed, p).  Short rows of one-word draws (no noise rows, at most
+``_KERNEL_WORDS`` words per path) come from the Philox kernel
+``path_words`` on the same keys, a block of paths at once; other runs
+re-key one generator for each path.  Either way the stream layout is the
+same, and so are the draws.
 Block results are folded in fixed index order, so reports are bitwise
 reproducible.
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import _log_eta_moment, eta_capacity, eta_objective, shannon_capacity
-from .distributions import ActuationDistribution, path_streams
+from .distributions import ActuationDistribution, path_streams, path_words
 
 __all__ = [
     "AdditiveNoiseVerdict",
@@ -38,6 +42,10 @@ __all__ = [
 INF = float("inf")
 _LN2 = math.log(2.0)
 _BLOCK = 512
+# Rows of at most this many one-word draws per path come from the Philox
+# kernel, whose cost grows with the words; from about 100 words per path
+# re-keying one generator per path is faster (table in CHANGES.md)
+_KERNEL_WORDS = 64
 _CLAMP = 1e300
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
                    # at the default 1e4 paths x 2000 steps
@@ -81,6 +89,12 @@ class StrategySpec:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if not math.isfinite(self.d):
             raise ValueError("d must be finite")
+        # the width is formed as in rng.uniform: it must be a finite float
+        if not (self.d_low <= self.d_high
+                and math.isfinite(self.d_high - self.d_low)):
+            raise ValueError("random gain bounds need d_low <= d_high and a "
+                             "finite width d_high - d_low, got "
+                             f"[{self.d_low!r}, {self.d_high!r}]")
 
     def describe(self):
         if self.kind == "linear":
@@ -196,10 +210,23 @@ class _Block:
         self.dl[:, 0] = 0.0
         self.work = matrix(True, horizon + 1)  # step factors, then LSE terms
         self.mask = matrix(True, horizon + 1, bool)
+        words = horizon * (1 if self.d is None else 2)
+        one_word = (spec.dist._from_uniform is not None
+                    and self.v is None and self.w is None)
+        self.kernel_words = words if one_word and words <= _KERNEL_WORDS else 0
 
     def draw(self, seed, lo, hi):
         """Per-path draws in a fixed order: gains, strategy gains, V, W."""
         spec, strategy, horizon = self.spec, self.strategy, self.horizon
+        if self.kernel_words:
+            # the same words as the loop below, a block at a time
+            words = path_words(seed, lo, hi, self.kernel_words)
+            u = (words >> np.uint64(11)).astype(float) * 2.0**-53
+            self.b[:hi - lo] = spec.dist._from_uniform(u[:, :horizon])
+            if self.d is not None:
+                self.d[:hi - lo] = (strategy.d_low + (strategy.d_high - strategy.d_low)
+                                    * u[:, horizon:])
+            return
         for i, rng in enumerate(path_streams(seed, lo, hi)):
             self.b[i] = spec.dist.sample(rng, horizon)
             if self.d is not None:
@@ -232,17 +259,17 @@ class _Block:
         x = np.full(bs, float(spec.x0))
         log2_x0 = math.log2(abs(spec.x0))
         overflowed = np.zeros(bs, dtype=bool)
-        for n in range(self.horizon):
-            y = x + v[:, n] if v is not None else x
-            d_n = d_eff[:, n] if isinstance(d_eff, np.ndarray) else d_eff
-            x = spec.a * (x + b[:, n] * d_n * y)
-            if w is not None:
-                x = x + w[:, n]
-            hit = np.abs(x) >= _CLAMP
-            if hit.any():
-                x = np.clip(x, -_CLAMP, _CLAMP)
-                overflowed |= hit
-            with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):
+            for n in range(self.horizon):
+                y = x + v[:, n] if v is not None else x
+                d_n = d_eff[:, n] if isinstance(d_eff, np.ndarray) else d_eff
+                x = spec.a * (x + b[:, n] * d_n * y)
+                if w is not None:
+                    x = x + w[:, n]
+                hit = np.abs(x) >= _CLAMP
+                if hit.any():
+                    x = np.clip(x, -_CLAMP, _CLAMP)
+                    overflowed |= hit
                 dl[:, n + 1] = np.log2(np.abs(x)) - log2_x0
         return dl, int(overflowed.sum())
 

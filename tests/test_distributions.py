@@ -20,6 +20,7 @@ from actcap.distributions import (
     make_rng,
     parse_spec,
     path_streams,
+    path_words,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -54,8 +55,29 @@ def test_negative_seed_rejected_like_make_rng():
             make_rng(seed, path)
     for seed, lo, hi in ((-1, 0, 4), (2**64, 0, 4), (0, -1, 4),
                          (0, 2**64 - 2, 2**64 + 1)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as streams:
             next(path_streams(seed, lo, hi))
+        with pytest.raises(ValueError) as words:
+            path_words(seed, lo, hi, 4)
+        assert str(words.value) == str(streams.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WORDS, _WORDS, st.integers(1, 3), st.integers(1, 40))
+def test_path_words_are_the_raw_streams(seed, path, count, n):
+    lo = min(path, 2**64 - count)
+    words = path_words(seed, lo, lo + count, n)
+    assert words.dtype == np.uint64 and words.shape == (count, n)
+    for p, row in zip(range(lo, lo + count), words):
+        assert np.array_equal(row, make_rng(seed, p).bit_generator.random_raw(n))
+
+
+@pytest.mark.parametrize("b1,b2", [(0.1, 0.7), (-1 / 3, 2 / 7), (1e-3, 1e5),
+                                   (-2.5e10, 3.3)])
+def test_uniform_sample_is_rng_uniform(b1, b2):
+    # one value formula serves sample and the kernel route of simulate
+    assert np.array_equal(Uniform(b1, b2).sample(make_rng(9, 4), 1000),
+                          make_rng(9, 4).uniform(b1, b2, 1000))
 
 
 _LAWS = [

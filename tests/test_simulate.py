@@ -15,6 +15,7 @@ from actcap.distributions import (
     make_rng,
 )
 from actcap.simulate import (
+    _KERNEL_WORDS,
     ScanPoint,
     StrategySpec,
     SystemSpec,
@@ -121,6 +122,15 @@ def test_spec_validation():
         StrategySpec("mystery")
 
 
+@pytest.mark.parametrize("d_low,d_high", [
+    (math.nan, 0.0), (-1.0, math.nan), (-math.inf, 0.0), (0.0, math.inf),
+    (math.inf, math.inf), (0.5, -0.5), (-1e308, 1e308),
+])
+def test_random_gain_bounds_rejected(d_low, d_high):
+    with pytest.raises(ValueError, match="random gain bounds"):
+        StrategySpec("random_linear", d_low=d_low, d_high=d_high)
+
+
 def test_identity_dynamics():
     rep = simulate(SystemSpec(1.0, Uniform(1, 3)),
                    StrategySpec("linear", d=0.0), horizon=50, paths=20, seed=0)
@@ -168,10 +178,12 @@ _STRATEGIES = [
 @pytest.mark.parametrize("law", _LAWS, ids=lambda law: type(law).__name__)
 def test_simulate_equals_per_path_make_rng_oracle(law, paths):
     for strategy in _STRATEGIES:
-        for noise in (0.0, 0.5):
+        # rows of one-word laws up to _KERNEL_WORDS words come from the kernel
+        edge = _KERNEL_WORDS // (2 if strategy.kind == "random_linear" else 1)
+        for horizon, noise in ((12, 0.0), (12, 0.5), (edge, 0.0), (edge + 1, 0.0)):
             spec = SystemSpec(1.5, law, x0=2.0, process_noise_std=noise,
                               obs_noise_std=noise)
-            args = (spec, strategy, 12, paths)
+            args = (spec, strategy, horizon, paths)
             kwargs = dict(eta_list=(1.0, 4.0), threshold=(3.0, 1e3), seed=5)
             rep = simulate(*args, **kwargs)
             assert_matches_reference(rep, reference_simulate(*args, **kwargs))
