@@ -3,7 +3,11 @@
 Scalar plant  X[n+1] = a (X[n] + B[n] U[n]) + W[n],  Y[n] = X[n] + V[n],
 driven by linear memoryless controls U[n] = d Y[n].  Noise-free runs track
 (sign, log2|X|) so horizons of 1e4 steps at growth rates of many bits/step
-never overflow; additive-noise runs use raw doubles clamped at 1e300.
+never overflow; where |d B| passes the float range a step reads
+log2|d| + log2|B + 1/d|.  Additive-noise runs step raw doubles through
+time-major tiles of ``_TILE`` steps.  A tile in which some |X| reached 1e300
+or went NaN is redone from its carried state, with every state clamped to
++-1e300 as a per-step loop would clamp it.
 
 Path p reads the counter-based stream of ``make_rng(seed, p)``, Philox keyed
 by (seed, p).  Short rows of one-word draws (no noise rows, at most
@@ -11,8 +15,8 @@ by (seed, p).  Short rows of one-word draws (no noise rows, at most
 ``path_words`` on the same keys, a block of paths at once; other runs
 re-key one generator for each path.  Either way the stream layout is the
 same, and so are the draws.
-Block results are folded in fixed index order, so reports are bitwise
-reproducible.
+Block results are folded in fixed path and step order, so reports are
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ _BLOCK = 512
 # re-keying one generator per path is faster (table in CHANGES.md)
 _KERNEL_WORDS = 64
 _CLAMP = 1e300
+_TILE = 64  # steps per noisy tile: its time-major buffers stay in cache
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
                    # at the default 1e4 paths x 2000 steps
 
@@ -163,13 +168,15 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     for lo in range(0, paths, _BLOCK):
         hi = min(lo + _BLOCK, paths)
         block.draw(seed, lo, hi)
-        dl, overflowed = block.evolve(hi - lo)
-        total_sum += dl.sum(axis=0)
-        for m in thresholds:
-            total_counts[m] += block.count_at_least(dl, cutoffs[m])
-        for e in eta_list:
-            total_lse[e] = np.logaddexp2(total_lse[e], block.log2_sum_exp2(dl, e))
-        overflow += overflowed
+        for first, dl in block.evolve(hi - lo):
+            cols = slice(first, first + dl.shape[1])
+            total_sum[cols] += dl.sum(axis=0)
+            for m in thresholds:
+                total_counts[m][cols] += block.count_at_least(dl, cutoffs[m])
+            for e in eta_list:
+                lse = total_lse[e][cols]
+                np.logaddexp2(lse, block.log2_sum_exp2(dl, e), out=lse)
+        overflow += block.overflowed
 
     mean_log = total_sum / paths
     log2_moments = {e: total_lse[e] - math.log2(paths) for e in eta_list}
@@ -194,7 +201,11 @@ class _Block:
     """Work arrays for one block of paths, allocated once per run.
 
     Each block overwrites them in place, so a run's memory is fixed by the
-    block size and the horizon however many blocks it folds.
+    block size and the horizon however many blocks it folds.  The draws
+    span the horizon.  A noise-free block's log-state, step factors and mask
+    span it too: its evolve is one ``cumsum``.  A noisy block steps the
+    plant through time-major tiles of about ``_TILE`` steps, so its state,
+    log-state, fold and mask arrays hold one tile.
     """
 
     def __init__(self, spec, strategy, horizon, rows):
@@ -206,10 +217,17 @@ class _Block:
         self.d = matrix(strategy.kind == "random_linear")
         self.v = matrix(spec.obs_noise_std > 0)
         self.w = matrix(spec.process_noise_std > 0)
-        self.dl = matrix(True, horizon + 1)  # log2|X[n]/x0|
+        steps = horizon if spec.noise_free else min(horizon, _TILE + 1)
+        self.dl = matrix(True, steps + 1)  # log2|X[n]/x0|, column 0 is step 0
         self.dl[:, 0] = 0.0
-        self.work = matrix(True, horizon + 1)  # step factors, then LSE terms
-        self.mask = matrix(True, horizon + 1, bool)
+        self.work = matrix(True, steps + 1)  # step factors, then LSE terms
+        self.mask = matrix(True, steps + 1, bool)
+        if not spec.noise_free:
+            def tile(wanted, length=steps):
+                return np.empty((length, rows)) if wanted else None
+            # time-major: row 0 of x carries the state into the tile
+            self.x, self.bd = tile(True, steps + 1), tile(True)
+            self.vt, self.wt = tile(self.v is not None), tile(self.w is not None)
         words = horizon * (1 if self.d is None else 2)
         one_word = (spec.dist._from_uniform is not None
                     and self.v is None and self.w is None)
@@ -237,51 +255,77 @@ class _Block:
                 self.w[i] = rng.normal(0.0, spec.process_noise_std, horizon)
 
     def evolve(self, bs):
-        """(log2|X[n]/x0| for the first ``bs`` paths, shape (bs, horizon+1),
-        number of those paths that hit the clamp)."""
+        """Yield (first step, log2|X[n]/x0| over the first ``bs`` paths)
+        slabs, row-major and at least two steps wide, that cover steps 0 to
+        horizon in order: one slab when noise-free, else one per tile.  Then
+        ``overflowed`` is the number of those paths that hit the clamp."""
         spec = self.spec
         b, dl = self.b[:bs], self.dl[:bs]
         d_eff = self.d[:bs] if self.d is not None else self.strategy.d
+        log2_a = math.log2(abs(spec.a))
+        self.overflowed = 0
 
         if spec.noise_free:
             factors = self.work[:bs, 1:]
-            np.multiply(d_eff, b, out=factors)
-            np.add(1.0, factors, out=factors)
-            np.abs(factors, out=factors)
-            with np.errstate(divide="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
+                np.multiply(d_eff, b, out=factors)
+                np.add(1.0, factors, out=factors)
+                np.abs(factors, out=factors)
                 np.log2(factors, out=factors)
-            np.add(math.log2(abs(spec.a)), factors, out=factors)
-            np.cumsum(factors, axis=1, out=dl[:, 1:])
-            return dl, 0
+                np.add(log2_a, factors, out=factors)
+                np.cumsum(factors, axis=1, out=dl[:, 1:])
+                if not np.maximum.reduce(dl[:, -1]) < INF:
+                    # d b passed the float range: there, and only there,
+                    # log2|1 + d b| is log2|d| + log2|b + 1/d|
+                    big = factors == INF
+                    d_big = d_eff[big] if self.d is not None else d_eff
+                    closed = (np.log2(np.abs(d_big))
+                              + np.log2(np.abs(b[big] + 1.0 / d_big)))
+                    factors[big] = log2_a + closed
+                    np.cumsum(factors, axis=1, out=dl[:, 1:])
+            yield 0, dl
+            return
 
-        v = self.v[:bs] if self.v is not None else None
-        w = self.w[:bs] if self.w is not None else None
-        x = np.full(bs, float(spec.x0))
+        x = self.x[:, :bs]
+        x[0] = spec.x0
         log2_x0 = math.log2(abs(spec.x0))
         overflowed = np.zeros(bs, dtype=bool)
-        with np.errstate(divide="ignore"):
-            for n in range(self.horizon):
-                y = x + v[:, n] if v is not None else x
-                d_n = d_eff[:, n] if isinstance(d_eff, np.ndarray) else d_eff
-                x = spec.a * (x + b[:, n] * d_n * y)
-                if w is not None:
-                    x = x + w[:, n]
-                hit = np.abs(x) >= _CLAMP
-                if hit.any():
-                    x = np.clip(x, -_CLAMP, _CLAMP)
-                    overflowed |= hit
-                dl[:, n + 1] = np.log2(np.abs(x)) - log2_x0
-        return dl, int(overflowed.sum())
+        for n0, n1 in _tiles(self.horizon):
+            steps = n1 - n0
+            bd = self.bd[:steps, :bs]
+            np.multiply(b[:, n0:n1].T,
+                        d_eff if self.d is None else d_eff[:, n0:n1].T, out=bd)
+            v = w = None
+            if self.v is not None:
+                v = self.vt[:steps, :bs]
+                np.copyto(v, self.v[:bs, n0:n1].T)
+            if self.w is not None:
+                w = self.wt[:steps, :bs]
+                np.copyto(w, self.w[:bs, n0:n1].T)
+            xs, logs = x[:steps + 1], dl[:, 1:steps + 1]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _step_tile(spec.a, xs, bd, v, w)
+                np.abs(xs[1:].T, out=logs)
+                if not logs.max() < _CLAMP:
+                    # some |X| reached the clamp or went NaN: redo the tile
+                    # from its carried state, clamping every step
+                    _step_tile(spec.a, xs, bd, v, w, overflowed)
+                    np.abs(xs[1:].T, out=logs)
+                np.log2(logs, out=logs)
+            np.subtract(logs, log2_x0, out=logs)
+            yield (0, dl[:, :steps + 1]) if n0 == 0 else (n0 + 1, logs)
+            x[0] = xs[steps]
+        self.overflowed = int(overflowed.sum())
 
     def count_at_least(self, dl, cutoff):
         """Per-step number of paths with dl >= cutoff."""
-        mask = self.mask[:len(dl)]
+        mask = self.mask[:len(dl), :dl.shape[1]]
         np.greater_equal(dl, cutoff, out=mask)
         return mask.sum(axis=0)
 
     def log2_sum_exp2(self, dl, eta):
         """Per-step log2 sum_paths 2^(eta dl)."""
-        z = self.work[:len(dl)]
+        z = self.work[:len(dl), :dl.shape[1]]
         np.multiply(eta, dl, out=z)
         m = z.max(axis=0)
         with np.errstate(invalid="ignore"):
@@ -289,6 +333,38 @@ class _Block:
             np.exp2(z, out=z)
             lse = m + np.log2(z.sum(axis=0))
         return np.where(np.isfinite(m), lse, m)
+
+
+def _tiles(horizon):
+    """(first, last) step pairs of the noisy tiles: ``_TILE`` steps each,
+    with a one-step tail joined to the tile before it, since numpy sums a
+    one-column slab over paths pairwise rather than in path order."""
+    bounds = list(range(0, horizon, _TILE)) + [horizon]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds, bounds[1:])
+
+
+def _step_tile(a, x, bd, v, w, overflowed=None):
+    """x[k+1] = a (x[k] + bd[k] (x[k] + v[k])) + w[k] for each row of ``bd``,
+    in place and in the operation order of the per-step plant.  With
+    ``overflowed``, clamp every state to +-_CLAMP and mark the paths whose
+    |X| reached it."""
+    for k in range(len(bd)):
+        xk, xn = x[k], x[k + 1]
+        if v is None:
+            np.multiply(bd[k], xk, out=xn)
+        else:
+            np.add(xk, v[k], out=xn)
+            np.multiply(bd[k], xn, out=xn)
+        np.add(xk, xn, out=xn)
+        np.multiply(a, xn, out=xn)
+        if w is not None:
+            np.add(xn, w[k], out=xn)
+        if overflowed is not None:
+            overflowed |= np.abs(xn) >= _CLAMP
+            np.maximum(xn, -_CLAMP, out=xn)
+            np.minimum(xn, _CLAMP, out=xn)
 
 
 def _fit_slope(y, start, stop):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from actcap.capacity import shannon_capacity, zero_error_capacity
 from actcap.cli import main
-from actcap.distributions import Uniform, parse_spec
+from actcap.distributions import Uniform, make_rng, parse_spec
 
 
 def run_cli(args, capsys):
@@ -158,6 +158,25 @@ def test_second_moment_of_tiny_scale_laws(dist, want, tmp_path, capsys):
     assert code == 0
     table = {r.split(",")[0]: r.split(",")[1:] for r in out.strip().splitlines()[1:]}
     assert float(table["c_2"][0]) == pytest.approx(want, abs=1e-12)
+
+
+def test_simulate_gain_product_past_the_float_range(capsys):
+    # d b passes the float range for b > 1.797: each step then adds
+    # log2|a| + log2|d| + log2|b + 1/d|, not inf
+    code, out = run_cli(["simulate", "--dist", "uniform:1,3", "--a", "2",
+                         "--d", "1e308", "--horizon", "3", "--paths", "4"],
+                        capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.strip().splitlines()[1:]]
+    draws = [Uniform(1, 3).sample(make_rng(0, p), 3) for p in range(4)]
+    want = 0.0
+    for n, row in enumerate(rows):
+        assert row[0] == n and row[1] == pytest.approx(want, rel=1e-12)
+        if n < 3:
+            want += sum(1.0 + math.log2(1e308) + math.log2(b[n] + 1e-308)
+                        for b in draws) / 4
+    assert len(rows) == 4 and all(math.isfinite(v) for row in rows for v in row)
 
 
 def test_config_error_exit_code(capsys):

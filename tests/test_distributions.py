@@ -205,11 +205,15 @@ def test_mixture_moments_match_monte_carlo():
     mean, var, _ = mix.moments()
     assert mean == pytest.approx(1.5, abs=1e-12)
     assert var == pytest.approx(1 + 1 / 12, abs=1e-12)
-    # make_rng(123) as it was before the Philox key became (seed, path)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([123])))
-    draws = mix.sample(rng, 10_000_000)
-    assert mean == pytest.approx(float(np.mean(draws)), abs=5e-4)
-    assert var == pytest.approx(float(np.var(draws)), abs=1e-3)
+    # five standard errors, from the exact central moments: sigma/sqrt(n)
+    # for the mean, sqrt((mu4 - sigma^4)/n) for the variance
+    n = 10_000_000
+    mu4 = sum(w * ((u.b2 - mean) ** 5 - (u.b1 - mean) ** 5) / (5 * (u.b2 - u.b1))
+              for w, u in mix.components)
+    draws = mix.sample(make_rng(123), n)
+    assert mean == pytest.approx(float(np.mean(draws)), abs=5 * math.sqrt(var / n))
+    assert var == pytest.approx(float(np.var(draws)),
+                                abs=5 * math.sqrt((mu4 - var**2) / n))
 
 
 def test_truncated_gaussian_moments_match_sampling():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from actcap.distributions import (
 )
 from actcap.simulate import (
     _KERNEL_WORDS,
+    _TILE,
     ScanPoint,
     StrategySpec,
     SystemSpec,
@@ -196,6 +199,102 @@ def test_clamped_paths_match_oracle():
     rep = simulate(*args, seed=2)
     assert rep.overflow_paths == 513
     assert_matches_reference(rep, reference_simulate(*args, seed=2))
+
+
+_NOISY_CASES = {
+    "v_only": (SystemSpec(1.5, Uniform(1, 3), x0=2.0, obs_noise_std=0.5),
+               StrategySpec("linear", d=-0.4)),
+    "w_only": (SystemSpec(1.5, Gaussian(4, 1), x0=2.0, process_noise_std=0.5),
+               StrategySpec("linear", d=-0.2)),
+    "random_linear": (SystemSpec(1.5, Uniform(1, 3), x0=2.0,
+                                 process_noise_std=0.5, obs_noise_std=0.5),
+                      StrategySpec("random_linear", d_low=-0.8, d_high=0.0)),
+    "negative_x0": (SystemSpec(1.5, FiniteMixture(((0.5, Uniform(1, 3)),
+                                                   (0.5, Gaussian(4, 1)))),
+                               x0=-3.0, process_noise_std=0.5, obs_noise_std=0.5),
+                    StrategySpec("linear", d=-0.3)),
+}
+
+
+@pytest.mark.parametrize("paths", [1, 513])
+@pytest.mark.parametrize("horizon", [_TILE - 1, _TILE, _TILE + 1, _TILE + 2,
+                                     2 * _TILE + 1])
+@pytest.mark.parametrize("case", sorted(_NOISY_CASES))
+def test_noisy_tiles_match_oracle(case, horizon, paths):
+    spec, strategy = _NOISY_CASES[case]
+    args = (spec, strategy, horizon, paths)
+    kwargs = dict(eta_list=(1.0, 4.0), threshold=(3.0, 1e3), seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, so no RuntimeWarning
+        rep = simulate(*args, **kwargs)
+    assert rep.overflow_paths == 0
+    assert_matches_reference(rep, reference_simulate(*args, **kwargs))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_clamp_first_firing_in_a_later_tile_matches_oracle():
+    spec = SystemSpec(32.0, Uniform(0, 6), process_noise_std=1.0,
+                      obs_noise_std=1.0)
+    args = (spec, StrategySpec("linear", d=-0.2), 300, 513)
+    kwargs = dict(eta_list=(1.0, 4.0), threshold=(1e3, _CLAMP), seed=2)
+    rep = simulate(*args, **kwargs)
+    at_clamp = rep.fractions[_CLAMP]
+    assert not at_clamp[:3 * _TILE + 1].any()  # nothing clamps before tile 4
+    assert 0 < rep.overflow_paths < 513 and 0 < at_clamp.max() < 1
+    assert_matches_reference(rep, reference_simulate(*args, **kwargs))
+
+
+def test_noisy_memory_beyond_the_draws_does_not_grow_with_the_horizon():
+    spec = SystemSpec(2.0, Uniform(2, 6), process_noise_std=1.0,
+                      obs_noise_std=1.0)
+
+    def traced_peak(horizon):
+        tracemalloc.start()
+        try:
+            simulate(spec, StrategySpec("linear", d=-0.2), horizon, 512, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the gain, V and W rows are 512 x horizon doubles; everything else the
+    # block holds is one tile wide, and the report is O(horizon)
+    draw_rows = 3 * 512 * 2000 * 8
+    assert traced_peak(3000) - traced_peak(1000) <= draw_rows + 2**20
+
+
+@pytest.mark.parametrize("horizon", [3, 100])
+@pytest.mark.parametrize("strategy", [
+    StrategySpec("linear", d=1e308),
+    StrategySpec("linear", d=-6e307),
+    StrategySpec("random_linear", d_low=-1e308, d_high=0.0),
+], ids=lambda s: s.describe())
+def test_gain_products_past_the_float_range_read_the_closed_form(strategy,
+                                                                 horizon):
+    # where d b overflows, log2|1 + d b| = log2|d| + log2|b + 1/d| is finite
+    dist, a, paths = Uniform(1, 3), 2.0, 40
+
+    def draws(p):
+        rng = make_rng(1, p)
+        b = dist.sample(rng, horizon)
+        d = (rng.uniform(strategy.d_low, strategy.d_high, horizon)
+             if strategy.kind == "random_linear" else strategy.d)
+        return b, d, np.log2(np.abs(d)) + np.log2(np.abs(b + 1.0 / d))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = simulate(SystemSpec(a, dist), strategy, horizon, paths, seed=1)
+    steps = np.mean([1.0 + draws(p)[2] for p in range(paths)], axis=0)
+    want = np.concatenate(([0.0], np.cumsum(steps)))
+    assert np.all(np.isfinite(rep.mean_log2_ratio))
+    np.testing.assert_allclose(rep.mean_log2_ratio, want, rtol=1e-12)
+    assert math.isfinite(rep.growth_slope_bits)
+    # and only there: one path keeps log2|1 + d b| bit for bit elsewhere
+    b, d, closed = draws(0)
+    with np.errstate(over="ignore"):
+        factors = np.log2(np.abs(1.0 + d * b))
+    factors = np.where(np.isfinite(factors), factors, closed)
+    one = simulate(SystemSpec(a, dist), strategy, horizon, 1, seed=1)
+    assert np.array_equal(one.mean_log2_ratio[1:], np.cumsum(1.0 + factors))
 
 
 @pytest.mark.parametrize("dist,sense,grid,horizon,paths", [
