@@ -5,9 +5,7 @@ driven by linear memoryless controls U[n] = d Y[n].  Noise-free runs track
 (sign, log2|X|) so horizons of 1e4 steps at growth rates of many bits/step
 never overflow; where |d B| passes the float range a step reads
 log2|d| + log2|B + 1/d|.  Additive-noise runs step raw doubles through
-time-major tiles of ``_TILE`` steps.  A tile in which some |X| reached 1e300
-or went NaN is redone from its carried state, with every state clamped to
-+-1e300 as a per-step loop would clamp it.
+time-major tiles of ``_TILE`` steps, clamping every state to +-1e300.
 
 Path p reads the counter-based stream of ``make_rng(seed, p)``, Philox keyed
 by (seed, p).  Short rows of one-word draws (no noise rows, at most
@@ -51,7 +49,10 @@ _BLOCK = 512
 # re-keying one generator per path is faster (table in CHANGES.md)
 _KERNEL_WORDS = 64
 _CLAMP = 1e300
-_TILE = 64  # steps per noisy tile: its time-major buffers stay in cache
+# Steps per noisy tile.  A noisy run takes the same time from 32 to 256
+# steps and longer at 16, while a block's tile arrays grow with the width,
+# about 25 kB a step (table in CHANGES.md)
+_TILE = 64
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
                    # at the default 1e4 paths x 2000 steps
 
@@ -165,18 +166,20 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     total_lse = {e: np.full(horizon + 1, -INF) for e in eta_list}
     overflow = 0
     block = _Block(spec, strategy, horizon, min(paths, _BLOCK))
+
+    def fold(first, dl):
+        cols = slice(first, first + dl.shape[1])
+        total_sum[cols] += dl.sum(axis=0)
+        for m in thresholds:
+            total_counts[m][cols] += block.count_at_least(dl, cutoffs[m])
+        for e in eta_list:
+            lse = total_lse[e][cols]
+            np.logaddexp2(lse, block.log2_sum_exp2(dl, e), out=lse)
+
     for lo in range(0, paths, _BLOCK):
         hi = min(lo + _BLOCK, paths)
         block.draw(seed, lo, hi)
-        for first, dl in block.evolve(hi - lo):
-            cols = slice(first, first + dl.shape[1])
-            total_sum[cols] += dl.sum(axis=0)
-            for m in thresholds:
-                total_counts[m][cols] += block.count_at_least(dl, cutoffs[m])
-            for e in eta_list:
-                lse = total_lse[e][cols]
-                np.logaddexp2(lse, block.log2_sum_exp2(dl, e), out=lse)
-        overflow += block.overflowed
+        overflow += block.evolve(hi - lo, fold)
 
     mean_log = total_sum / paths
     log2_moments = {e: total_lse[e] - math.log2(paths) for e in eta_list}
@@ -254,18 +257,17 @@ class _Block:
             if self.w is not None:
                 self.w[i] = rng.normal(0.0, spec.process_noise_std, horizon)
 
-    def evolve(self, bs):
-        """Yield (first step, log2|X[n]/x0| over the first ``bs`` paths)
-        slabs, row-major and at least two steps wide, that cover steps 0 to
-        horizon in order: one slab when noise-free, else one per tile.  Then
-        ``overflowed`` is the number of those paths that hit the clamp."""
+    def evolve(self, bs, fold):
+        """Call ``fold(first step, slab)`` on log2|X[n]/x0| slabs over the
+        first ``bs`` paths, row-major and at least two steps wide, that cover
+        steps 0 to horizon in order: one slab when noise-free, else one per
+        tile.  Return the number of those paths that hit the clamp."""
         spec = self.spec
         b, dl = self.b[:bs], self.dl[:bs]
         d_eff = self.d[:bs] if self.d is not None else self.strategy.d
-        log2_a = math.log2(abs(spec.a))
-        self.overflowed = 0
 
         if spec.noise_free:
+            log2_a = math.log2(abs(spec.a))
             factors = self.work[:bs, 1:]
             with np.errstate(over="ignore", divide="ignore"):
                 np.multiply(d_eff, b, out=factors)
@@ -283,8 +285,8 @@ class _Block:
                               + np.log2(np.abs(b[big] + 1.0 / d_big)))
                     factors[big] = log2_a + closed
                     np.cumsum(factors, axis=1, out=dl[:, 1:])
-            yield 0, dl
-            return
+            fold(0, dl)
+            return 0
 
         x = self.x[:, :bs]
         x[0] = spec.x0
@@ -306,16 +308,16 @@ class _Block:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 _step_tile(spec.a, xs, bd, v, w)
                 np.abs(xs[1:].T, out=logs)
-                if not logs.max() < _CLAMP:
-                    # some |X| reached the clamp or went NaN: redo the tile
-                    # from its carried state, clamping every step
-                    _step_tile(spec.a, xs, bd, v, w, overflowed)
-                    np.abs(xs[1:].T, out=logs)
+                # a clamped |X| is exactly _CLAMP: the paths that reached it
+                overflowed |= (logs >= _CLAMP).any(axis=1)
                 np.log2(logs, out=logs)
             np.subtract(logs, log2_x0, out=logs)
-            yield (0, dl[:, :steps + 1]) if n0 == 0 else (n0 + 1, logs)
+            if n0 == 0:
+                fold(0, dl[:, :steps + 1])
+            else:
+                fold(n0 + 1, logs)
             x[0] = xs[steps]
-        self.overflowed = int(overflowed.sum())
+        return int(overflowed.sum())
 
     def count_at_least(self, dl, cutoff):
         """Per-step number of paths with dl >= cutoff."""
@@ -345,11 +347,10 @@ def _tiles(horizon):
     return zip(bounds, bounds[1:])
 
 
-def _step_tile(a, x, bd, v, w, overflowed=None):
+def _step_tile(a, x, bd, v, w):
     """x[k+1] = a (x[k] + bd[k] (x[k] + v[k])) + w[k] for each row of ``bd``,
-    in place and in the operation order of the per-step plant.  With
-    ``overflowed``, clamp every state to +-_CLAMP and mark the paths whose
-    |X| reached it."""
+    clamped to +-_CLAMP, in place and in the operation order of the per-step
+    plant."""
     for k in range(len(bd)):
         xk, xn = x[k], x[k + 1]
         if v is None:
@@ -361,10 +362,8 @@ def _step_tile(a, x, bd, v, w, overflowed=None):
         np.multiply(a, xn, out=xn)
         if w is not None:
             np.add(xn, w[k], out=xn)
-        if overflowed is not None:
-            overflowed |= np.abs(xn) >= _CLAMP
-            np.maximum(xn, -_CLAMP, out=xn)
-            np.minimum(xn, _CLAMP, out=xn)
+        np.maximum(xn, -_CLAMP, out=xn)
+        np.minimum(xn, _CLAMP, out=xn)
 
 
 def _fit_slope(y, start, stop):
