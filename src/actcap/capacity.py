@@ -46,7 +46,8 @@ _LOG2 = math.log(2.0)
 ETA_MAX = sys.float_info.max / 745.0
 _TIE_TOL = 1e-12
 _ROUND_TOL = 64 * sys.float_info.epsilon  # a tie within rounding, per bit
-_GRID_POINTS = 57
+_BACKBONE = 50  # evenly spaced scan gains on each side of 0
+_PER_CENTER = 7  # geometric scan gains on each side of each center
 _WINDOW = 100.0  # search half-width, in inverse units of the law
 _REFINE_REL = 1e-12  # absolute part of the Brent stop, relative to the window
 _MAX_DOUBLINGS = 60  # of the convex search's bracket
@@ -135,15 +136,13 @@ def _log_eta_moment(dist, shift, d, eta):
 
 def _build_grid(halfwidth, centers):
     h = max([halfwidth] + [2.0 * abs(c) for c in centers])
-    per_center = _GRID_POINTS // 8
-    backbone = max(101, _GRID_POINTS - 2 * per_center * len(centers)) // 2
     # symmetric about an exact 0, so no backbone point sits a rounding
     # error away from it
-    side = np.linspace(0.0, h, backbone + 1)[1:]
+    side = np.linspace(0.0, h, _BACKBONE + 1)[1:]
     pts = [-side, np.array([0.0]), side]
     for c in centers:
         offs = np.geomspace(max(abs(c), halfwidth / _WINDOW) * 1e-12, h,
-                            per_center)
+                            _PER_CENTER)
         pts.append(np.clip(c + offs, -h, h))
         pts.append(np.clip(c - offs, -h, h))
         pts.append(np.array([c]))  # exact cusp optima must be evaluable

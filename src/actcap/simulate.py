@@ -1,11 +1,11 @@
 """Monte Carlo verification of the operational meaning of the capacities.
 
 Scalar plant  X[n+1] = a (X[n] + B[n] U[n]) + W[n],  Y[n] = X[n] + V[n],
-driven by linear memoryless controls U[n] = d Y[n].  Noise-free runs track
-(sign, log2|X|) so horizons of 1e4 steps at growth rates of many bits/step
-never overflow; where |d B| passes the float range a step reads
-log2|d| + log2|B + 1/d|.  Additive-noise runs step raw doubles through
-time-major tiles of ``_TILE`` steps, clamping every state to +-1e300.
+driven by linear memoryless controls U[n] = d Y[n], through time-major
+tiles of ``_TILE`` steps.  Noise-free runs sum log2|a (1 + d B)| so growth
+of many bits/step never overflows; where |d B| passes the float range a
+step reads log2|a| + log2|d| + log2|B + 1/d|.  Additive-noise runs step raw
+doubles, clamping every state to +-1e300.
 
 Path p reads the counter-based stream of ``make_rng(seed, p)``, Philox keyed
 by (seed, p).  Short rows of one-word draws (no noise rows, at most
@@ -13,7 +13,8 @@ by (seed, p).  Short rows of one-word draws (no noise rows, at most
 ``path_words`` on the same keys, a block of paths at once; other runs
 re-key one generator for each path.  Either way the stream layout is the
 same, and so are the draws.
-Block results are folded in fixed path and step order, so reports are
+Each step sums a block's paths pairwise (numpy's summation along a
+contiguous axis), and blocks are folded in path order, so reports are
 bitwise reproducible.
 """
 
@@ -49,9 +50,9 @@ _BLOCK = 512
 # re-keying one generator per path is faster (table in CHANGES.md)
 _KERNEL_WORDS = 64
 _CLAMP = 1e300
-# Steps per noisy tile.  A noisy run takes the same time from 32 to 256
-# steps and longer at 16, while a block's tile arrays grow with the width,
-# about 25 kB a step (table in CHANGES.md)
+# Steps per tile.  Both routes take about the same time from 32 to 256
+# steps, while a block's tile arrays grow with the width, about 9 kB a step
+# noise-free and 25 kB noisy (table in CHANGES.md)
 _TILE = 64
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
                    # at the default 1e4 paths x 2000 steps
@@ -160,7 +161,8 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     log2_x0 = math.log2(abs(spec.x0))
     cutoffs = {m: math.log2(m) - log2_x0 for m in thresholds}
 
-    # fold blocks in index order so the result is bitwise reproducible
+    # each step sums a block's paths pairwise, along the slab's contiguous
+    # axis, and blocks fold in index order: the result is bitwise reproducible
     total_sum = np.zeros(horizon + 1)
     total_counts = {m: np.zeros(horizon + 1, dtype=np.int64) for m in thresholds}
     total_lse = {e: np.full(horizon + 1, -INF) for e in eta_list}
@@ -168,13 +170,15 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     block = _Block(spec, strategy, horizon, min(paths, _BLOCK))
 
     def fold(first, dl):
-        cols = slice(first, first + dl.shape[1])
-        total_sum[cols] += dl.sum(axis=0)
+        cols = slice(first, first + len(dl))
+        total_sum[cols] += dl.sum(axis=1)
+        mask = block.mask[:len(dl), :dl.shape[1]]
         for m in thresholds:
-            total_counts[m][cols] += block.count_at_least(dl, cutoffs[m])
+            np.greater_equal(dl, cutoffs[m], out=mask)
+            total_counts[m][cols] += mask.sum(axis=1)
         for e in eta_list:
             lse = total_lse[e][cols]
-            np.logaddexp2(lse, block.log2_sum_exp2(dl, e), out=lse)
+            np.logaddexp2(lse, block.log2_sum_exp2(dl, e, first), out=lse)
 
     for lo in range(0, paths, _BLOCK):
         hi = min(lo + _BLOCK, paths)
@@ -201,36 +205,34 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
 
 
 class _Block:
-    """Work arrays for one block of paths, allocated once per run.
-
-    Each block overwrites them in place, so a run's memory is fixed by the
-    block size and the horizon however many blocks it folds.  The draws
-    span the horizon.  A noise-free block's log-state, step factors and mask
-    span it too: its evolve is one ``cumsum``.  A noisy block steps the
-    plant through time-major tiles of about ``_TILE`` steps, so its state,
-    log-state, fold and mask arrays hold one tile.
+    """Work arrays for one block of paths, allocated once per run and
+    overwritten in place by each block.  Only the draw rows span the
+    horizon; every other array holds one time-major tile of at most
+    ``_TILE`` steps, on either route.
     """
 
     def __init__(self, spec, strategy, horizon, rows):
-        def matrix(wanted, cols=horizon, dtype=float):
-            return np.empty((rows, cols), dtype=dtype) if wanted else None
+        steps = min(horizon, _TILE)
+
+        def matrix(wanted):
+            return np.empty((rows, horizon)) if wanted else None
+
+        def tile(wanted, length=steps, dtype=float):
+            return np.empty((length, rows), dtype=dtype) if wanted else None
 
         self.spec, self.strategy, self.horizon = spec, strategy, horizon
         self.b = matrix(True)
         self.d = matrix(strategy.kind == "random_linear")
         self.v = matrix(spec.obs_noise_std > 0)
         self.w = matrix(spec.process_noise_std > 0)
-        steps = horizon if spec.noise_free else min(horizon, _TILE + 1)
-        self.dl = matrix(True, steps + 1)  # log2|X[n]/x0|, column 0 is step 0
-        self.dl[:, 0] = 0.0
-        self.work = matrix(True, steps + 1)  # step factors, then LSE terms
-        self.mask = matrix(True, steps + 1, bool)
-        if not spec.noise_free:
-            def tile(wanted, length=steps):
-                return np.empty((length, rows)) if wanted else None
-            # time-major: row 0 of x carries the state into the tile
-            self.x, self.bd = tile(True, steps + 1), tile(True)
-            self.vt, self.wt = tile(self.v is not None), tile(self.w is not None)
+        # log2|X[n]/x0|, time-major: row 0 carries the step before the tile
+        self.dl = tile(True, steps + 1)
+        self.work = tile(True, steps + 1)  # LSE terms
+        self.mask = tile(True, steps + 1, bool)
+        noisy = not spec.noise_free
+        # row 0 of x carries the state into the tile
+        self.x, self.bd = tile(noisy, steps + 1), tile(noisy)
+        self.vt, self.wt = tile(self.v is not None), tile(self.w is not None)
         words = horizon * (1 if self.d is None else 2)
         one_word = (spec.dist._from_uniform is not None
                     and self.v is None and self.w is None)
@@ -258,93 +260,85 @@ class _Block:
                 self.w[i] = rng.normal(0.0, spec.process_noise_std, horizon)
 
     def evolve(self, bs, fold):
-        """Call ``fold(first step, slab)`` on log2|X[n]/x0| slabs over the
-        first ``bs`` paths, row-major and at least two steps wide, that cover
-        steps 0 to horizon in order: one slab when noise-free, else one per
-        tile.  Return the number of those paths that hit the clamp."""
-        spec = self.spec
-        b, dl = self.b[:bs], self.dl[:bs]
-        d_eff = self.d[:bs] if self.d is not None else self.strategy.d
-
-        if spec.noise_free:
-            log2_a = math.log2(abs(spec.a))
-            factors = self.work[:bs, 1:]
-            with np.errstate(over="ignore", divide="ignore"):
-                np.multiply(d_eff, b, out=factors)
-                np.add(1.0, factors, out=factors)
-                np.abs(factors, out=factors)
-                np.log2(factors, out=factors)
-                np.add(log2_a, factors, out=factors)
-                np.cumsum(factors, axis=1, out=dl[:, 1:])
-                if not np.maximum.reduce(dl[:, -1]) < INF:
-                    # d b passed the float range: there, and only there,
-                    # log2|1 + d b| is log2|d| + log2|b + 1/d|
-                    big = factors == INF
-                    d_big = d_eff[big] if self.d is not None else d_eff
-                    closed = (np.log2(np.abs(d_big))
-                              + np.log2(np.abs(b[big] + 1.0 / d_big)))
-                    factors[big] = log2_a + closed
-                    np.cumsum(factors, axis=1, out=dl[:, 1:])
-            fold(0, dl)
-            return 0
-
-        x = self.x[:, :bs]
-        x[0] = spec.x0
-        log2_x0 = math.log2(abs(spec.x0))
+        """Call ``fold(first step, slab)`` on time-major (steps, paths) slabs
+        of log2|X[n]/x0| over the first ``bs`` paths, one per tile, that
+        cover steps 0 to horizon in order.  Return the number of those paths
+        that hit the clamp."""
+        spec, b, d = self.spec, self.b[:bs], self.d
+        self.dl[0, :bs] = 0.0
+        if not spec.noise_free:
+            self.x[0, :bs] = spec.x0
         overflowed = np.zeros(bs, dtype=bool)
-        for n0, n1 in _tiles(self.horizon):
+        for n0 in range(0, self.horizon, _TILE):
+            n1 = min(n0 + _TILE, self.horizon)
             steps = n1 - n0
-            bd = self.bd[:steps, :bs]
-            np.multiply(b[:, n0:n1].T,
-                        d_eff if self.d is None else d_eff[:, n0:n1].T, out=bd)
-            v = w = None
-            if self.v is not None:
-                v = self.vt[:steps, :bs]
-                np.copyto(v, self.v[:bs, n0:n1].T)
-            if self.w is not None:
-                w = self.wt[:steps, :bs]
-                np.copyto(w, self.w[:bs, n0:n1].T)
-            xs, logs = x[:steps + 1], dl[:, 1:steps + 1]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _step_tile(spec.a, xs, bd, v, w)
-                np.abs(xs[1:].T, out=logs)
-                # a clamped |X| is exactly _CLAMP: the paths that reached it
-                overflowed |= (logs >= _CLAMP).any(axis=1)
-                np.log2(logs, out=logs)
-            np.subtract(logs, log2_x0, out=logs)
-            if n0 == 0:
-                fold(0, dl[:, :steps + 1])
+            b_t = b[:, n0:n1].T
+            d_t = self.strategy.d if d is None else d[:bs, n0:n1].T
+            dl = self.dl[:steps + 1, :bs]
+            logs = dl[1:]
+            if spec.noise_free:
+                # log2|a (1 + d b)| below the carried log-state, then summed
+                log2_a = math.log2(abs(spec.a))
+                with np.errstate(over="ignore", divide="ignore"):
+                    np.multiply(d_t, b_t, out=logs)
+                    np.add(1.0, logs, out=logs)
+                    np.abs(logs, out=logs)
+                    np.log2(logs, out=logs)
+                    np.add(log2_a, logs, out=logs)
+                    if not logs.max() < INF:
+                        # d b passed the float range: there, and only there,
+                        # log2|1 + d b| is log2|d| + log2|b + 1/d|
+                        big = logs == INF
+                        d_big = d_t[big] if d is not None else d_t
+                        closed = (np.log2(np.abs(d_big))
+                                  + np.log2(np.abs(b_t[big] + 1.0 / d_big)))
+                        logs[big] = log2_a + closed
+                # row by row: numpy accumulates a column at a time
+                for k in range(steps):
+                    np.add(dl[k], logs[k], out=logs[k])
             else:
-                fold(n0 + 1, logs)
-            x[0] = xs[steps]
+                bd, xs = self.bd[:steps, :bs], self.x[:steps + 1, :bs]
+                np.multiply(b_t, d_t, out=bd)
+                v = w = None
+                if self.v is not None:
+                    v = self.vt[:steps, :bs]
+                    np.copyto(v, self.v[:bs, n0:n1].T)
+                if self.w is not None:
+                    w = self.wt[:steps, :bs]
+                    np.copyto(w, self.w[:bs, n0:n1].T)
+                with np.errstate(over="ignore", invalid="ignore",
+                                 divide="ignore"):
+                    _step_tile(spec.a, xs, bd, v, w)
+                    np.abs(xs[1:], out=logs)
+                    # a clamped |X| is exactly _CLAMP: the paths that reached it
+                    overflowed |= (logs >= _CLAMP).any(axis=0)
+                    np.log2(logs, out=logs)
+                np.subtract(logs, math.log2(abs(spec.x0)), out=logs)
+                xs[0] = xs[steps]
+            first = 1 if n0 else 0  # step 0 is folded with the first tile
+            fold(n0 + first, dl[first:])
+            dl[0] = dl[steps]
         return int(overflowed.sum())
 
-    def count_at_least(self, dl, cutoff):
-        """Per-step number of paths with dl >= cutoff."""
-        mask = self.mask[:len(dl), :dl.shape[1]]
-        np.greater_equal(dl, cutoff, out=mask)
-        return mask.sum(axis=0)
-
-    def log2_sum_exp2(self, dl, eta):
-        """Per-step log2 sum_paths 2^(eta dl)."""
+    def log2_sum_exp2(self, dl, eta, first):
+        """Per-step log2 sum_paths 2^(eta dl); ``ArithmeticError`` where
+        eta dl passes the float range for a finite dl."""
         z = self.work[:len(dl), :dl.shape[1]]
-        np.multiply(eta, dl, out=z)
-        m = z.max(axis=0)
+        try:
+            with np.errstate(over="raise"):
+                np.multiply(eta, dl, out=z)
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                over = (np.isinf(eta * dl) > np.isinf(dl)).any(axis=1)
+            raise ArithmeticError(
+                f"eta = {eta!r} times log2|X/x0| passes the float range at "
+                f"step {first + int(np.argmax(over))}") from None
+        m = z.max(axis=1)
         with np.errstate(invalid="ignore"):
-            np.subtract(z, m, out=z)
+            np.subtract(z, m[:, None], out=z)
             np.exp2(z, out=z)
-            lse = m + np.log2(z.sum(axis=0))
+            lse = m + np.log2(z.sum(axis=1))
         return np.where(np.isfinite(m), lse, m)
-
-
-def _tiles(horizon):
-    """(first, last) step pairs of the noisy tiles: ``_TILE`` steps each,
-    with a one-step tail joined to the tile before it, since numpy sums a
-    one-column slab over paths pairwise rather than in path order."""
-    bounds = list(range(0, horizon, _TILE)) + [horizon]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds, bounds[1:])
 
 
 def _step_tile(a, x, bd, v, w):

@@ -179,6 +179,18 @@ def test_simulate_gain_product_past_the_float_range(capsys):
     assert len(rows) == 4 and all(math.isfinite(v) for row in rows for v in row)
 
 
+def test_simulate_moment_past_the_float_range_exits_3(capsys):
+    # 1e307 log2|X/x0| overflows once the state is about 18 bits from x0;
+    # it used to print -inf moments with exit 0
+    code = main(["simulate", "--dist", "uniform:1,3", "--a", "2", "--d",
+                 "-0.4", "--horizon", "300", "--paths", "40", "--etas",
+                 "1e307"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "eta = 1e+307" in err[0] and "step" in err[0]
+
+
 def test_config_error_exit_code(capsys):
     assert main(["capacity", "--dist", "bogus:1,2"]) == 2
     assert main(["capacity", "--dist", "uniform:3,1"]) == 2

@@ -50,14 +50,16 @@ def reference_simulate(spec, strategy, horizon, paths, eta_list=(2.0,),
     for lo in range(0, paths, _BLOCK):
         dl, over = _reference_block(spec, strategy, horizon,
                                     range(lo, min(lo + _BLOCK, paths)), seed)
-        total_sum += dl.sum(axis=0)
+        # (steps, paths): each step sums its paths pairwise along axis 1
+        dl = np.ascontiguousarray(dl.T)
+        total_sum += dl.sum(axis=1)
         for m in thresholds:
-            counts[m] += (dl >= math.log2(m) - log2_x0).sum(axis=0)
+            counts[m] += (dl >= math.log2(m) - log2_x0).sum(axis=1)
         for eta in eta_list:
             z = eta * dl
-            top = z.max(axis=0)
+            top = z.max(axis=1)
             with np.errstate(invalid="ignore"):
-                block = top + np.log2(np.exp2(z - top).sum(axis=0))
+                block = top + np.log2(np.exp2(z - top[:, None]).sum(axis=1))
             lse[eta] = np.logaddexp2(lse[eta],
                                      np.where(np.isfinite(top), block, top))
         overflow += over
@@ -201,7 +203,16 @@ def test_clamped_paths_match_oracle():
     assert_matches_reference(rep, reference_simulate(*args, seed=2))
 
 
-_NOISY_CASES = {
+_TILE_CASES = {
+    "noise_free_uniform": (SystemSpec(1.5, Uniform(1, 3), x0=2.0),
+                           StrategySpec("linear", d=-0.4)),
+    "noise_free_random_linear": (SystemSpec(1.5, Uniform(1, 3), x0=2.0),
+                                 StrategySpec("random_linear", d_low=-0.8,
+                                              d_high=0.0)),
+    "noise_free_gaussian": (SystemSpec(1.5, Gaussian(4, 1), x0=2.0),
+                            StrategySpec("linear", d=-0.2)),
+    "noise_free_negative_x0": (SystemSpec(1.5, Uniform(1, 3), x0=-3.0),
+                               StrategySpec("linear", d=-0.3)),
     "v_only": (SystemSpec(1.5, Uniform(1, 3), x0=2.0, obs_noise_std=0.5),
                StrategySpec("linear", d=-0.4)),
     "w_only": (SystemSpec(1.5, Gaussian(4, 1), x0=2.0, process_noise_std=0.5),
@@ -219,9 +230,12 @@ _NOISY_CASES = {
 @pytest.mark.parametrize("paths", [1, 513])
 @pytest.mark.parametrize("horizon", [_TILE - 1, _TILE, _TILE + 1, _TILE + 2,
                                      2 * _TILE + 1])
-@pytest.mark.parametrize("case", sorted(_NOISY_CASES))
+@pytest.mark.parametrize("case", sorted(_TILE_CASES))
 def test_noisy_tiles_match_oracle(case, horizon, paths):
-    spec, strategy = _NOISY_CASES[case]
+    # noise-free cases cover the kernel route (uniform, random_linear up to
+    # _KERNEL_WORDS words) and the generator route (Gaussian) on both sides
+    # of a tile edge
+    spec, strategy = _TILE_CASES[case]
     args = (spec, strategy, horizon, paths)
     kwargs = dict(eta_list=(1.0, 4.0), threshold=(3.0, 1e3), seed=5)
     with warnings.catch_warnings():
@@ -244,9 +258,11 @@ def test_clamp_first_firing_in_a_later_tile_matches_oracle():
     assert_matches_reference(rep, reference_simulate(*args, **kwargs))
 
 
-def test_noisy_memory_beyond_the_draws_does_not_grow_with_the_horizon():
-    spec = SystemSpec(2.0, Uniform(2, 6), process_noise_std=1.0,
-                      obs_noise_std=1.0)
+@pytest.mark.parametrize("noise,rows", [(1.0, 3), (0.0, 1)],
+                         ids=["noisy", "noise_free"])
+def test_memory_beyond_the_draws_does_not_grow_with_the_horizon(noise, rows):
+    spec = SystemSpec(2.0, Uniform(2, 6), process_noise_std=noise,
+                      obs_noise_std=noise)
 
     def traced_peak(horizon):
         tracemalloc.start()
@@ -256,13 +272,14 @@ def test_noisy_memory_beyond_the_draws_does_not_grow_with_the_horizon():
         finally:
             tracemalloc.stop()
 
-    # the gain, V and W rows are 512 x horizon doubles; everything else the
-    # block holds is one tile wide, and the report is O(horizon)
-    draw_rows = 3 * 512 * 2000 * 8
+    # the gain row (and V and W when noisy) is 512 x horizon doubles;
+    # everything else the block holds is one tile wide, and the report is
+    # O(horizon)
+    draw_rows = rows * 512 * 2000 * 8
     assert traced_peak(3000) - traced_peak(1000) <= draw_rows + 2**20
 
 
-@pytest.mark.parametrize("horizon", [3, 100])
+@pytest.mark.parametrize("horizon", [3, 100, 2 * _TILE + 1])
 @pytest.mark.parametrize("strategy", [
     StrategySpec("linear", d=1e308),
     StrategySpec("linear", d=-6e307),
@@ -356,12 +373,26 @@ def test_moment_identity_short_horizon():
         )
 
 
+def test_moments_past_the_float_range_raise():
+    # eta log2|X/x0| overflows once |log2|X/x0|| passes about 18 bits
+    spec, strategy = SystemSpec(2.0, Uniform(1, 3)), StrategySpec("linear", d=-0.4)
+    dl, _ = _reference_block(spec, strategy, 300, range(40), 0)
+    with np.errstate(over="ignore"):
+        step = int(np.argmax(np.isinf(1e307 * dl).any(axis=0)))
+    assert step > 1
+    with pytest.raises(ArithmeticError, match=rf"eta = 1e\+307 .* at step {step}$"):
+        simulate(spec, strategy, horizon=300, paths=40, eta_list=(2.0, 1e307),
+                 seed=0)
+
+
 def test_moment_collapse_reads_as_full_decay():
     # exact atom cancellation drives every path to literal zero
     rep = simulate(SystemSpec(1.35, ScaledBernoulli(1, 0.5)),
                    StrategySpec("linear", d=-1.0), horizon=400, paths=300,
-                   eta_list=(2.0,), seed=2)
+                   eta_list=(2.0, 1e307), seed=2)
     assert rep.moment_slope_bits(2.0) == -math.inf
+    # a path at exactly 0 is no overflow, even where eta is huge
+    assert rep.log2_moments[1e307][-1] == -math.inf
 
 
 def test_additive_noise_degenerates_to_noise_free():
