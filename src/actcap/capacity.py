@@ -1,18 +1,20 @@
 """Capacity objectives and the one-dimensional search over the control gain d.
 
-All reported values are in bits.  Each objective is one weighted sum over
-the law's quadrature node set, with b = -1/d declared as the singular
-point: the Shannon objective sums -log|1 + b d|, the eta-th-moment
-objective takes one weighted log-sum-exp of eta log|1 + b d|, which stays
-free of overflow for every eta.  Two searches over d, chosen by the
-objective's structure, give the capacities.  For eta >= 1, E|1 + B d|^eta is
-convex in d: bounded Brent runs on the smooth pieces between the exactly
-evaluated atom-cancelling gains.  For the Shannon sense and eta < 1, a coarse
-grid scan (log-densified near d = 0 and near -1/mean, where the closed-form
-optimizers live) is followed by bounded Brent refinement of every grid-local
-maximum.  The window, the densification floor and the refinement stop are
-all set in a power-of-two unit of the law, so rescaling the law by 2^k moves
-no bit count.  The zero-error capacity has an exact minimax closed form over
+All reported values are in bits.  A law that defines the closed-form hooks
+``_mean_log_abs`` and ``_log_abs_moment`` (the uniform law) evaluates both
+objectives through them.  For every other law each objective is one
+weighted sum over the law's quadrature node set, with b = -1/d declared as
+the singular point: the Shannon objective sums -log|1 + b d|, the
+eta-th-moment objective takes one weighted log-sum-exp of
+eta log|1 + b d|, which stays free of overflow for every eta.  Two searches
+over d, chosen by the objective's structure, give the capacities.  For
+eta >= 1, E|1 + B d|^eta is convex in d: bounded Brent runs on the smooth
+pieces between the exactly evaluated atom-cancelling gains.  For the Shannon
+sense and eta < 1, a coarse grid scan (log-densified near d = 0 and near
+-1/mean, where the closed-form optimizers live) is followed by bounded Brent
+refinement of every grid-local maximum.  The window, the densification floor
+and the refinement stop are all set in a power-of-two unit of the law, so
+rescaling the law by 2^k moves no bit count.  The zero-error capacity has an exact minimax closed form over
 the support interval.
 """
 
@@ -66,6 +68,8 @@ def shannon_objective(dist: ActuationDistribution, d: float) -> float:
     """E[-log2 |1 + B d|]; +inf when the law has an atom exactly at -1/d."""
     if d == 0.0:
         return 0.0
+    if dist._mean_log_abs is not None:
+        return -dist._mean_log_abs(1.0, d) / _LOG2
     hit = -1.0 / d
     for loc, _ in dist.support().atoms:
         if loc == hit:
@@ -99,7 +103,8 @@ def _check_eta(eta):
 
 
 def _log_eta_moment(dist, shift, d, eta):
-    """ln E|shift + B d|^eta as one weighted log-sum-exp: -inf when the sum
+    """ln E|shift + B d|^eta: the law's closed form when it has one, else
+    one weighted log-sum-exp over its node set.  -inf when the sum
     vanishes, +inf when |shift + b d| passes the float range.  d must be
     nonzero: -shift/d is declared singular.
 
@@ -107,6 +112,8 @@ def _log_eta_moment(dist, shift, d, eta):
     above 1/2, taken as log1p of the mean expm1 term: at small eta every
     term is near 1, and the rounding of the weights' total would otherwise
     swamp a logarithm that is then divided by eta."""
+    if dist._log_abs_moment is not None:
+        return dist._log_abs_moment(shift, d, eta)
     nodes, weights, _ = dist.quadrature_nodes((-shift / d,), eta)
     t = np.abs(shift + nodes * d)
     if not t.all():
@@ -225,7 +232,7 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
         lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n - 1)])
         tol = _REFINE_REL * max(halfwidth, abs(float(grid[j])))
         start = (float(grid[j]), float(vals[j])) if 0 < j < n - 1 else None
-        found.append(_brent_max(f, lo, hi, tol, start, rel=0.0))
+        found.append(_brent_max(f, lo, hi, tol, start))
     val = max(v for _, v in found)
     ties = [(d, v) for d, v in found
             if v >= val - _ROUND_TOL * max(1.0, abs(val))]
@@ -236,24 +243,25 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
 
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-_BRENT_REL = math.sqrt(sys.float_info.epsilon)
 _BRENT_STEPS = 200
 
 
-def _brent_max(f, a, b, tol, start=None, rel=_BRENT_REL):
+def _brent_max(f, a, b, tol, start=None):
     """Brent's bounded maximiser of f on [a, b] (Brent 1973, ch. 5): a
     parabola through the three best points where it steps inside the
     bracket and shrinks it fast enough, a golden-section step otherwise.
 
     ``start`` = (x, f(x)) seeds an interior point; the golden point is the
-    default.  Stops once the best point lies within rel |x| + tol / 3 of
-    the bracket midpoint, half-bracket permitting.  The arithmetic runs
+    default.  Stops once the best point lies within tol / 3 of the bracket
+    midpoint, half-bracket permitting.  The stop has no part relative to
+    |x|: sqrt(eps) |x| left the sharp eta = 2 peak of a narrow law, such as
+    U(7, 7 + 2^-8), 1.5e-10 bits below its closed form.  The arithmetic runs
     on x / s, s the power of two of the bracket's magnitude, so it neither
     overflows nor underflows whatever the units of x.  Returns
     ``(x, f(x))`` for the best point seen.
     """
     s = _pow2_scale(max(abs(a), abs(b)))
-    a, b, tol = a / s, b / s, tol / s
+    a, b, tol1 = a / s, b / s, tol / (3.0 * s)
     if start is None:
         x = a + _CGOLD * (b - a)
         fx = f(x * s)
@@ -264,7 +272,6 @@ def _brent_max(f, a, b, tol, start=None, rel=_BRENT_REL):
     step = gap = 0.0  # the last step and the one before it
     for _ in range(_BRENT_STEPS):
         mid = 0.5 * (a + b)
-        tol1 = rel * abs(x) + tol / 3.0
         if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
             break
         p = q = r = 0.0
@@ -385,6 +392,12 @@ def _unit(dist):
     return _pow2_scale(extent) if extent > 0.0 else 1.0
 
 
+def _objective_kind(hook):
+    """How a search evaluated its objective: the law's closed-form hook, or
+    its quadrature node set."""
+    return "node_set" if hook is None else "closed_form"
+
+
 def _search(objective, dist):
     """Maximize over a window set by the law alone: _WINDOW inverse units,
     widened by maximize_over_d to hold -1/mean and every other center.
@@ -405,6 +418,7 @@ def shannon_capacity(dist: ActuationDistribution) -> CapacityResult:
         return CapacityResult(INF, None, "shannon",
                               diagnostics={"atom_rule": True})
     d_star, val, diag = _search(lambda d: shannon_objective(dist, d), dist)
+    diag["objective"] = _objective_kind(dist._mean_log_abs)
     if math.isinf(val):
         return CapacityResult(INF, None, "shannon", diagnostics=diag)
     return CapacityResult(max(val, 0.0), d_star, "shannon", diagnostics=diag)
@@ -423,6 +437,7 @@ def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
             d_star, val, diag = _maximize_convex(objective, dist)
     else:
         d_star, val, diag = _search(objective, dist)
+    diag["objective"] = _objective_kind(dist._log_abs_moment)
     if math.isinf(val):
         return CapacityResult(INF, None, "eta", eta, diagnostics=diag)
     return CapacityResult(max(val, 0.0), d_star, "eta", eta, diagnostics=diag)

@@ -5,7 +5,8 @@ to draw reproducible samples, its quadrature node set (atoms weighted by
 their mass, density pieces covered by the graded pattern of
 :mod:`actcap.quadrature` around declared singular points), and how to
 condition on an interval cell.  Every expectation is one weighted sum over
-that node set.  Constructors reject non-finite parameters and laws whose
+that node set, except the two capacity objectives of a law that has them
+in closed form (the uniform law).  Constructors reject non-finite parameters and laws whose
 moments overflow.  Values are immutable and safe for concurrent reads;
 sampling always goes through an explicit generator.
 """
@@ -216,6 +217,14 @@ class ActuationDistribution:
 
     _from_uniform = None
 
+    # Laws whose capacity objectives have a closed form define
+    # ``_mean_log_abs(shift, d)``, E ln|shift + B d|, and
+    # ``_log_abs_moment(shift, d, eta)``, ln E|shift + B d|^eta, each +inf
+    # once |shift + b d| passes the float range; :mod:`actcap.capacity`
+    # sums the node set only for laws without them.
+    _mean_log_abs = None
+    _log_abs_moment = None
+
     def restrict(self, lo, hi, *, include_upper=False):
         """Condition on the cell [lo, hi) (or [lo, hi] for a closing cell).
 
@@ -307,6 +316,54 @@ class Uniform(ActuationDistribution):
     def _from_uniform(self, u):
         # bit for bit what rng.uniform(b1, b2) computes from the same word
         return self.b1 + (self.b2 - self.b1) * u
+
+    # t = shift + B d is uniform between the ends t1, t2; with s <= g their
+    # magnitudes, rho = s / g, w = |d| (b2 - b1) and r = w / s, the
+    # antiderivatives t ln|t| - t and sign(t) |t|^(eta+1) / (eta+1) give
+    #   E ln|t|    = ln g - 1 + rho ln rho / (1 + rho)      t changes sign
+    #              = ln g - 1 + log1p(r) / r                 it does not
+    #   E |t|^eta  = g^eta (1 + f) / (1 + eta), where
+    #            f = rho expm1(eta ln rho) / (1 + rho)       t changes sign
+    #              = -expm1(-eta log1p(r)) / r               it does not.
+    # Nothing differences t ln|t| or |t|^(eta+1) at the two ends, which
+    # cancels near t = 1 (small |b d|) and on a narrow support: r is read
+    # from the width, not from g - s, so the error stays within a few ulps
+    # of the rounding of t1 and t2 themselves.  At small eta, f ~ eta
+    # cancels only against log1p(eta), an absolute error of a few ulps
+    # times eta before the division by eta.  An end at exactly 0 (s = 0)
+    # reads r = inf, the limit of both forms.
+
+    def _ends(self, shift, d):
+        """(s, g, w, changes_sign) of t = shift + B d, as above.  Where both
+        ends round to 0, the range reads [0, w]."""
+        ta, tb = shift + self.b1 * d, shift + self.b2 * d
+        small, big = sorted((abs(ta), abs(tb)))
+        width = abs(d) * (self.b2 - self.b1)
+        return small, big or width, width, min(ta, tb) < 0.0 < max(ta, tb)
+
+    def _mean_log_abs(self, shift, d):
+        small, big, width, changes_sign = self._ends(shift, d)
+        if big == POS_INF:
+            return POS_INF
+        if changes_sign:
+            rho = small / big
+            part = rho * math.log(rho) / (1.0 + rho) if rho else 0.0
+        else:
+            r = width / small if small else POS_INF
+            part = math.log1p(r) / r if r < POS_INF else 0.0
+        return math.log(big) - 1.0 + part
+
+    def _log_abs_moment(self, shift, d, eta):
+        small, big, width, changes_sign = self._ends(shift, d)
+        if big == POS_INF:
+            return POS_INF
+        if changes_sign:
+            rho = small / big
+            f = rho * math.expm1(eta * math.log(rho)) / (1.0 + rho) if rho else 0.0
+        else:
+            r = width / small if small else POS_INF
+            f = -math.expm1(-eta * math.log1p(r)) / r
+        return eta * math.log(big) + math.log1p(f) - math.log1p(eta)
 
     def restrict(self, lo, hi, *, include_upper=False):
         nlo, nhi = max(self.b1, lo), min(self.b2, hi)

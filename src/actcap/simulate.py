@@ -158,6 +158,8 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
         raise ValueError("thresholds and eta values must be finite")
     if not all(m > 0.0 for m in thresholds):
         raise ValueError(f"thresholds must be positive, got {thresholds}")
+    if not all(e > 0.0 for e in eta_list):
+        raise ValueError(f"eta values must be positive, got {eta_list}")
     log2_x0 = math.log2(abs(spec.x0))
     cutoffs = {m: math.log2(m) - log2_x0 for m in thresholds}
 

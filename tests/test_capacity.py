@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from actcap.capacity import (
@@ -24,6 +27,8 @@ from actcap.distributions import (
     Uniform,
     parse_spec,
 )
+from actcap.sideinfo import si_value_curve
+from actcap.simulate import _moment_ceiling_log2
 
 LOG2 = math.log(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -69,6 +74,88 @@ def uniform_eta_objective_log(b1, b2, d, eta):
     else:
         log_num = hi + math.log(-math.expm1(lo - hi))
     return -(log_num - math.log((eta + 1) * (t2 - t1))) / (eta * LOG2)
+
+
+def node_set_logs(dist, shift, d, eta=0.0):
+    """ln|shift + b d| at the law's own nodes, with -shift/d declared
+    singular, and the node weights.  A node that cancellation zeroes reads
+    one ulp of the products, as the node-set objectives in actcap do."""
+    nodes, weights, _ = dist.quadrature_nodes((-shift / d,), eta)
+    with np.errstate(over="ignore"):  # |b d| past the float range reads inf
+        bd = nodes * d
+    t = np.maximum(np.abs(shift + bd),
+                   2.3e-16 * np.maximum(abs(shift), np.abs(bd)))
+    return np.log(t), weights
+
+
+def node_set_mean_log(dist, shift, d):
+    """E ln|shift + B d| over the node set, normalised by the weights'
+    total, so a narrow law's rounded panel widths cancel."""
+    logs, weights = node_set_logs(dist, shift, d)
+    return float(weights @ logs) / float(weights.sum())
+
+
+def node_set_log_moment(dist, shift, d, eta):
+    """ln E|shift + B d|^eta over the node set, as log1p of the mean expm1
+    term below the largest, so tiny eta keeps its digits."""
+    logs, weights = node_set_logs(dist, shift, d, eta)
+    logs *= eta
+    top = float(logs.max())
+    if math.isinf(top):
+        return top
+    excess = float(weights @ np.expm1(logs - top)) / float(weights.sum())
+    return top + math.log1p(excess)
+
+
+def quad_mean(dist, shift, d, g):
+    """E g(ln|shift + B d|) for a uniform law by quad over x = (B - b1) /
+    (b2 - b1), split at the singular point x0 of -shift/d (the split that
+    ``points=[-shift/d]`` asks for).
+
+    Over b itself the nodes next to the point round to the ulps of b,
+    coarse against a narrow law (1.1e-9 bits off at eta = 1e-3 on a 2e-6
+    wide law), and QUADPACK's QAGP, given the point, loses 4e-4 of the
+    Shannon value when it lies two ulps inside an end.  So inside the
+    support t = w (x - x0), w = d (b2 - b1), is integrated over u = x - x0,
+    where it is exact next to the point; outside, t = (1 - x) t1 + x t2
+    never cancels."""
+    b1, b2 = dist.b1, dist.b2
+    hit = -shift / d
+    if b1 < hit < b2:
+        x0 = (hit - b1) / (b2 - b1)
+        log_w = math.log(abs(d * (b2 - b1)))
+        cuts = [-x0, 0.0, 1.0 - x0]
+
+        def log_t(u):
+            return log_w + math.log(abs(u)) if u else -math.inf
+    else:
+        t1, t2 = shift + b1 * d, shift + b2 * d
+        cuts = [0.0, 1.0]
+
+        def log_t(x):
+            t = abs((1.0 - x) * t1 + x * t2)
+            return math.log(t) if t else -math.inf
+    with warnings.catch_warnings():
+        # a piece between an end and a point a few ulps away reports
+        # "extremely bad integrand behavior"; it carries below 1e-13
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        total = sum(integrate.quad(lambda v: g(log_t(v)), lo, hi, limit=200,
+                                   epsabs=1e-14, epsrel=1e-12)[0]
+                    for lo, hi in zip(cuts, cuts[1:]))
+    return total / (cuts[-1] - cuts[0])
+
+
+def quad_mean_log(dist, shift, d):
+    """E ln|shift + B d| by quad."""
+    return quad_mean(dist, shift, d, lambda log_t: max(log_t, -745.0))
+
+
+def quad_log_moment(dist, shift, d, eta):
+    """ln E|shift + B d|^eta by quad, scaled by the larger end's power and
+    integrated as expm1 terms, as node_set_log_moment sums them."""
+    top = eta * math.log(max(abs(shift + dist.b1 * d), abs(shift + dist.b2 * d)))
+    return top + math.log1p(quad_mean(
+        dist, shift, d, lambda log_t: math.expm1(eta * log_t - top)))
 
 
 def gaussian_log_objective(mu, sigma, d):
@@ -177,13 +264,84 @@ GAINS = [*(-SCALES), *SCALES]
                  np.nextafter(3.0, -np.inf)]),
 ])
 def test_node_set_matches_uniform_closed_forms(b1, b2, hits):
+    # the node set itself, which every law without a closed form sums
     dist = Uniform(b1, b2)
     for d in GAINS + [gain_hitting(t) for t in hits]:
-        assert shannon_objective(dist, d) == pytest.approx(
+        assert -node_set_mean_log(dist, 1.0, d) / LOG2 == pytest.approx(
             uniform_log_objective(b1, b2, d), abs=1e-10)
         for eta in (0.01, 0.5, 2.0, 64.0, 1024.0):
-            assert eta_objective(dist, d, eta) == pytest.approx(
-                uniform_eta_objective_log(b1, b2, d, eta), abs=1e-10)
+            assert (-node_set_log_moment(dist, 1.0, d, eta) / (eta * LOG2)
+                    == pytest.approx(uniform_eta_objective_log(b1, b2, d, eta),
+                                     abs=1e-10))
+
+
+CLOSED_FORM_ETAS = (1e-3, 0.01, 0.5, 2.0, 64.0, 1024.0)
+WIDE_GAINS = [*np.geomspace(1e-12, 1e12, 13), *-np.geomspace(1e-12, 1e12, 13)]
+
+
+def end_gains(*ends):
+    """The gains whose -1/d is each end exactly, and the gains one ulp on
+    either side of those."""
+    hits = [gain_hitting(e) for e in ends]
+    return [g for h in hits
+            for g in (h, float(np.nextafter(h, -np.inf)), float(np.nextafter(h, np.inf)))]
+
+
+@pytest.mark.parametrize("law, gains, quad_only", [
+    (Uniform(1.5, 3.5), WIDE_GAINS + end_gains(1.5, 3.5), []),
+    (Uniform(-1.0, 3.0), WIDE_GAINS + end_gains(-1.0, 3.0), []),
+    # (b2 - b1) / b1 = 1e-6.  With -1/d in the middle, the node set's graded
+    # panels sit at positions rounded to 4.4e-16 against a 2e-6 support, and
+    # it reads 6.6e-9 bits off; quad and the closed form agree to 1e-10
+    (Uniform(2.0, 2.000002), WIDE_GAINS, [gain_hitting(2.000001)]),
+], ids=["positive", "signed", "narrow"])
+def test_uniform_closed_form_matches_node_set_and_quad(law, gains, quad_only):
+    # shift 1 is the capacity objective, shift 0 the moment of B itself read
+    # by the additive-noise ceiling; each value is compared in bits, the
+    # moment after its division by eta
+    cases = ([(1.0, d, True) for d in gains] + [(1.0, d, False) for d in quad_only]
+             + [(0.0, d, True) for d in (1.0, -3.0, 1e-12, 1e12)])
+    for shift, d, node_set in cases:
+        got = law._mean_log_abs(shift, d)
+        assert got == pytest.approx(quad_mean_log(law, shift, d),
+                                    abs=1e-9 * LOG2), (shift, d)
+        if node_set:
+            assert got == pytest.approx(node_set_mean_log(law, shift, d),
+                                        abs=1e-10 * LOG2), (shift, d)
+        if shift == 1.0:
+            assert shannon_objective(law, d) == -got / LOG2
+        for eta in CLOSED_FORM_ETAS:
+            got = law._log_abs_moment(shift, d, eta)
+            assert got == pytest.approx(quad_log_moment(law, shift, d, eta),
+                                        abs=1e-9 * eta * LOG2), (shift, d, eta)
+            if node_set:
+                assert got == pytest.approx(
+                    node_set_log_moment(law, shift, d, eta),
+                    abs=1e-10 * eta * LOG2), (shift, d, eta)
+            if shift == 1.0:
+                assert eta_objective(law, d, eta) == -got / (eta * LOG2)
+
+
+@pytest.mark.parametrize("d", [1e308, -1e308, 6e307])
+def test_uniform_closed_form_past_the_float_range_reads_minus_inf(d):
+    # |b d| past the float range: the objectives read -inf, as the node set
+    law = Uniform(1.0, 3.0)
+    assert shannon_objective(law, d) == -math.inf
+    assert -node_set_mean_log(law, 1.0, d) == -math.inf
+    for eta in CLOSED_FORM_ETAS:
+        assert eta_objective(law, d, eta) == -math.inf
+        assert -node_set_log_moment(law, 1.0, d, eta) == -math.inf
+
+
+def test_uniform_closed_form_with_both_ends_rounded_to_zero():
+    # on a one-ulp law, 1 + b d can round to 0 at both ends; the range then
+    # reads [0, |d| (b2 - b1)] instead of failing in math.log(0)
+    b1 = 1.434567283641821
+    law, d = Uniform(b1, float(np.nextafter(b1, np.inf))), -0.697074310422987
+    assert 1.0 + law.b1 * d == 1.0 + law.b2 * d == 0.0
+    width = abs(d) * (law.b2 - law.b1)
+    assert law._mean_log_abs(1.0, d) == math.log(width) - 1.0
+    assert law._log_abs_moment(1.0, d, 2.0) == 2.0 * math.log(width) - math.log(3.0)
 
 
 def test_node_set_matches_gaussian_closed_forms():
@@ -545,6 +703,62 @@ def test_capacities_are_scale_free(family):
         assert got == pytest.approx(want, abs=1e-12), k
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(b1=st.floats(-8.0, 8.0), width=st.floats(2.0 ** -8, 16.0),
+       k=st.integers(-60, 60))
+def test_uniform_capacity_properties(b1, width, k):
+    law = Uniform(b1, b1 + width)
+    sh, half, two = (shannon_capacity(law), eta_capacity(law, 0.5),
+                     eta_capacity(law, 2.0))
+    # no gain on a dense grid, spaced 1/100 of the law's unit, beats a
+    # capacity
+    unit = max(abs(law.b1), abs(law.b2))
+    for d in np.linspace(-16.0, 16.0, 3201) / unit:
+        assert shannon_objective(law, d) <= sh.value_bits + 1e-9, d
+        assert eta_objective(law, d, 0.5) <= half.value_bits + 1e-9, d
+        assert eta_objective(law, d, 2.0) <= two.value_bits + 1e-9, d
+    # C_ze <= C_eta <= C_sh, C_eta nonincreasing in eta
+    ze = zero_error_capacity(law).value_bits
+    assert ze <= two.value_bits + 1e-9
+    assert two.value_bits <= half.value_bits + 1e-9
+    assert half.value_bits <= sh.value_bits + 1e-9
+    assert two.value_bits == pytest.approx(
+        second_moment_closed_form(law).value_bits, abs=1e-10)
+    # B -> 2^k B is absorbed by d -> d / 2^k
+    scaled = Uniform(law.b1 * 2.0 ** k, law.b2 * 2.0 ** k)
+    for res, eta in ((sh, None), (half, 0.5), (two, 2.0)):
+        twin = (shannon_capacity(scaled) if eta is None
+                else eta_capacity(scaled, eta))
+        assert twin.value_bits == pytest.approx(res.value_bits, abs=1e-12)
+
+
+@pytest.mark.parametrize("law", [Uniform(7.0, 7.0 + 2.0 ** -8),
+                                 Gaussian(7.0, 2.0 ** -10)],
+                         ids=["uniform", "gaussian"])
+def test_convex_search_resolves_sharp_peaks(law):
+    # the convex search stopped Brent at sqrt(eps) of |d|, 3.4e-10 from d*
+    # here, where a narrow law's peak is sharp enough to read 1.5e-10 bits
+    # low; it now stops within 1e-12 of the window, as the scan does
+    assert eta_capacity(law, 2.0).value_bits == pytest.approx(
+        second_moment_closed_form(law).value_bits, abs=1e-12)
+
+
+def test_uniform_objectives_build_no_node_set(monkeypatch):
+    # every uniform evaluation takes the closed form: capacities, side
+    # information cells and the additive-noise moment ceiling
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a uniform objective summed its node set")
+
+    monkeypatch.setattr(Uniform, "quadrature_nodes", refuse)
+    law = Uniform(1.0, 3.0)
+    results = [shannon_capacity(law), eta_capacity(law, 0.5),
+               eta_capacity(law, 2.0)]
+    assert [r.diagnostics["objective"] for r in results] == ["closed_form"] * 3
+    assert len(si_value_curve(Uniform(0.0, 4.0), 3)) == 4
+    d = results[2].optimal_d
+    assert math.isfinite(_moment_ceiling_log2(law, 2.0, 2.0, d, 1.0, 1.0))
+
+
 def test_near_zero_mean_searches_at_the_scale_of_the_spread():
     # -1/mean sits far out, but the optimum stays near -1/sigma; out there
     # |b d| overflows for the wide Gaussian, which must lose, not crash
@@ -642,7 +856,7 @@ def test_scan_finds_the_global_peak_of_mixtures(mix, sense, want):
 
 def test_both_searches_fill_one_diagnostics_shape():
     keys = {"method", "evaluations", "grid_evaluations", "refine_iterations",
-            "objective_at_d", "flat", "bound_hit", "halfwidth"}
+            "objective_at_d", "flat", "bound_hit", "halfwidth", "objective"}
     results = {
         "scan": [shannon_capacity(Uniform(1, 3)), eta_capacity(Uniform(1, 3), 0.5)],
         "convex": [eta_capacity(Uniform(1, 3), 2.0),
@@ -656,6 +870,9 @@ def test_both_searches_fill_one_diagnostics_shape():
             assert diag["method"] == method
             assert diag["evaluations"] == (diag["grid_evaluations"]
                                            + diag["refine_iterations"])
+            # uniform laws evaluate their closed forms, atomic ones the nodes
+            assert diag["objective"] == ("node_set" if res is results["convex"][2]
+                                         else "closed_form")
     zero_mean = results["convex"][1]
     assert (zero_mean.value_bits, zero_mean.optimal_d) == (0.0, 0.0)
     assert zero_mean.diagnostics["evaluations"] == 0

@@ -127,6 +127,19 @@ def test_spec_validation():
         StrategySpec("mystery")
 
 
+@pytest.mark.parametrize("etas", [(0.0, -1.0), (0.0,), (2.0, -1.0), (-1e-300,)])
+def test_non_positive_eta_rejected(etas):
+    # with a path at exactly 0, eta = 0 read NaN moments (0 * -inf) with a
+    # RuntimeWarning and eta = -1 read +inf moments
+    spec = SystemSpec(1.35, ScaledBernoulli(1, 0.5))
+    with pytest.raises(ValueError, match="eta values must be positive"):
+        simulate(spec, StrategySpec("linear", d=-1.0), 20, 30,
+                 eta_list=etas, seed=2)
+    with pytest.raises(ValueError, match="eta values must be positive"):
+        threshold_scan(Uniform(1, 3), "shannon", [4.0], eta=etas[-1],
+                       horizon=20, paths=30)
+
+
 @pytest.mark.parametrize("d_low,d_high", [
     (math.nan, 0.0), (-1.0, math.nan), (-math.inf, 0.0), (0.0, math.inf),
     (math.inf, math.inf), (0.5, -0.5), (-1e308, 1e308),
