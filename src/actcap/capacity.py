@@ -14,8 +14,8 @@ sense and eta < 1, a coarse grid scan (log-densified near d = 0 and near
 -1/mean, where the closed-form optimizers live) is followed by bounded Brent
 refinement of every grid-local maximum.  The window, the densification floor
 and the refinement stop are all set in a power-of-two unit of the law, so
-rescaling the law by 2^k moves no bit count.  The zero-error capacity has an exact minimax closed form over
-the support interval.
+rescaling the law by 2^k moves no bit count.  The zero-error capacity has an
+exact minimax closed form over the support interval.
 """
 
 from __future__ import annotations
@@ -392,12 +392,6 @@ def _unit(dist):
     return _pow2_scale(extent) if extent > 0.0 else 1.0
 
 
-def _objective_kind(hook):
-    """How a search evaluated its objective: the law's closed-form hook, or
-    its quadrature node set."""
-    return "node_set" if hook is None else "closed_form"
-
-
 def _search(objective, dist):
     """Maximize over a window set by the law alone: _WINDOW inverse units,
     widened by maximize_over_d to hold -1/mean and every other center.
@@ -418,7 +412,8 @@ def shannon_capacity(dist: ActuationDistribution) -> CapacityResult:
         return CapacityResult(INF, None, "shannon",
                               diagnostics={"atom_rule": True})
     d_star, val, diag = _search(lambda d: shannon_objective(dist, d), dist)
-    diag["objective"] = _objective_kind(dist._mean_log_abs)
+    diag["objective"] = ("node_set" if dist._mean_log_abs is None
+                         else "closed_form")
     if math.isinf(val):
         return CapacityResult(INF, None, "shannon", diagnostics=diag)
     return CapacityResult(max(val, 0.0), d_star, "shannon", diagnostics=diag)
@@ -437,7 +432,8 @@ def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
             d_star, val, diag = _maximize_convex(objective, dist)
     else:
         d_star, val, diag = _search(objective, dist)
-    diag["objective"] = _objective_kind(dist._log_abs_moment)
+    diag["objective"] = ("node_set" if dist._log_abs_moment is None
+                         else "closed_form")
     if math.isinf(val):
         return CapacityResult(INF, None, "eta", eta, diagnostics=diag)
     return CapacityResult(max(val, 0.0), d_star, "eta", eta, diagnostics=diag)

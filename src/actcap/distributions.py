@@ -6,9 +6,9 @@ their mass, density pieces covered by the graded pattern of
 :mod:`actcap.quadrature` around declared singular points), and how to
 condition on an interval cell.  Every expectation is one weighted sum over
 that node set, except the two capacity objectives of a law that has them
-in closed form (the uniform law).  Constructors reject non-finite parameters and laws whose
-moments overflow.  Values are immutable and safe for concurrent reads;
-sampling always goes through an explicit generator.
+in closed form (the uniform law).  Constructors reject non-finite
+parameters and laws whose moments overflow.  Values are immutable and safe
+for concurrent reads; sampling always goes through an explicit generator.
 """
 
 from __future__ import annotations
@@ -326,12 +326,12 @@ class Uniform(ActuationDistribution):
     #            f = rho expm1(eta ln rho) / (1 + rho)       t changes sign
     #              = -expm1(-eta log1p(r)) / r               it does not.
     # Nothing differences t ln|t| or |t|^(eta+1) at the two ends, which
-    # cancels near t = 1 (small |b d|) and on a narrow support: r is read
-    # from the width, not from g - s, so the error stays within a few ulps
-    # of the rounding of t1 and t2 themselves.  At small eta, f ~ eta
-    # cancels only against log1p(eta), an absolute error of a few ulps
-    # times eta before the division by eta.  An end at exactly 0 (s = 0)
-    # reads r = inf, the limit of both forms.
+    # cancels near t = 1 (small |b d|) and on a narrow support, so the
+    # error stays within a few ulps of the rounding of t1 and t2
+    # themselves.  At small eta, f ~ eta cancels only against log1p(eta),
+    # an absolute error of a few ulps times eta before the division by
+    # eta.  An end at exactly 0 (s = 0) reads r = inf, the limit of both
+    # forms.
 
     def _ends(self, shift, d):
         """(s, g, w, changes_sign) of t = shift + B d, as above.  Where both
@@ -359,7 +359,8 @@ class Uniform(ActuationDistribution):
             return POS_INF
         if changes_sign:
             rho = small / big
-            f = rho * math.expm1(eta * math.log(rho)) / (1.0 + rho) if rho else 0.0
+            f = (rho * math.expm1(eta * math.log(rho)) / (1.0 + rho)
+                 if rho else 0.0)
         else:
             r = width / small if small else POS_INF
             f = -math.expm1(-eta * math.log1p(r)) / r

@@ -283,8 +283,8 @@ def end_gains(*ends):
     """The gains whose -1/d is each end exactly, and the gains one ulp on
     either side of those."""
     hits = [gain_hitting(e) for e in ends]
-    return [g for h in hits
-            for g in (h, float(np.nextafter(h, -np.inf)), float(np.nextafter(h, np.inf)))]
+    return [g for h in hits for g in
+            (h, float(np.nextafter(h, -np.inf)), float(np.nextafter(h, np.inf)))]
 
 
 @pytest.mark.parametrize("law, gains, quad_only", [
@@ -322,10 +322,12 @@ def test_uniform_closed_form_matches_node_set_and_quad(law, gains, quad_only):
                 assert eta_objective(law, d, eta) == -got / (eta * LOG2)
 
 
-@pytest.mark.parametrize("d", [1e308, -1e308, 6e307])
-def test_uniform_closed_form_past_the_float_range_reads_minus_inf(d):
-    # |b d| past the float range: the objectives read -inf, as the node set
-    law = Uniform(1.0, 3.0)
+@pytest.mark.parametrize("b1, d", [(1.0, 1e308), (1.0, -1e308), (1.0, 6e307),
+                                   (2.0, 1e308)])
+def test_uniform_closed_form_past_the_float_range_reads_minus_inf(b1, d):
+    # |b d| past the float range at one end, or at both (b1 = 2): the
+    # objectives read -inf, as the node set
+    law = Uniform(b1, 3.0)
     assert shannon_objective(law, d) == -math.inf
     assert -node_set_mean_log(law, 1.0, d) == -math.inf
     for eta in CLOSED_FORM_ETAS:
