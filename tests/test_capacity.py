@@ -323,10 +323,10 @@ def test_uniform_closed_form_matches_node_set_and_quad(law, gains, quad_only):
 
 
 @pytest.mark.parametrize("b1, d", [(1.0, 1e308), (1.0, -1e308), (1.0, 6e307),
-                                   (2.0, 1e308)])
+                                   (2.0, 1e308), (-3.0, 1e308)])
 def test_uniform_closed_form_past_the_float_range_reads_minus_inf(b1, d):
-    # |b d| past the float range at one end, or at both (b1 = 2): the
-    # objectives read -inf, as the node set
+    # |b d| past the float range at one end, or at both (b1 = 2, and b1 = -3
+    # with opposite signs): the objectives read -inf, as the node set
     law = Uniform(b1, 3.0)
     assert shannon_objective(law, d) == -math.inf
     assert -node_set_mean_log(law, 1.0, d) == -math.inf
