@@ -1,13 +1,11 @@
 """Capacity objectives and the one-dimensional search over the control gain d.
 
-All reported values are in bits.  A law that defines the closed-form hooks
-``_mean_log_abs`` and ``_log_abs_moment`` (the uniform law) evaluates both
-objectives through them.  For every other law each objective is one
-weighted sum over the law's quadrature node set, with b = -1/d declared as
-the singular point: the Shannon objective sums -log|1 + b d|, the
-eta-th-moment objective takes one weighted log-sum-exp of
-eta log|1 + b d|, which stays free of overflow for every eta.  Two searches
-over d, chosen by the objective's structure, give the capacities.  For
+All reported values are in bits.  Both objectives read one functional of
+the gain law, which the law evaluates itself: the Shannon objective is
+-E log2|1 + B d| from ``mean_log_abs``, the eta-th-moment objective is
+-(1/eta) log2 E|1 + B d|^eta from ``log_abs_moment``, free of overflow for
+every eta (see :mod:`actcap.distributions`).  Two searches over d, chosen
+by the objective's structure, give the capacities.  For
 eta >= 1, E|1 + B d|^eta is convex in d: bounded Brent runs on the smooth
 pieces between the exactly evaluated atom-cancelling gains.  For the Shannon
 sense and eta < 1, a coarse grid scan (log-densified near d = 0 and near
@@ -65,28 +63,10 @@ class CapacityResult:
 
 
 def shannon_objective(dist: ActuationDistribution, d: float) -> float:
-    """E[-log2 |1 + B d|]; +inf when the law has an atom exactly at -1/d."""
+    """E[-log2 |1 + B d|]; +inf when an atom of the law is cancelled exactly."""
     if d == 0.0:
         return 0.0
-    if dist._mean_log_abs is not None:
-        return -dist._mean_log_abs(1.0, d) / _LOG2
-    hit = -1.0 / d
-    for loc, _ in dist.support().atoms:
-        if loc == hit:
-            return INF
-
-    def integrand(b):
-        bd = b * d
-        t = np.abs(1.0 + bd)
-        zero = t == 0.0
-        if zero.any():
-            # float cancellation can zero 1 + b d a hair away from the
-            # declared singular point; the true magnitude there is below
-            # one ulp of the products involved
-            t[zero] = 2.3e-16 * np.maximum(1.0, np.abs(bd[zero]))
-        return -np.log(t)
-
-    return dist.expect(integrand, (hit,)) / _LOG2
+    return -dist.mean_log_abs(1.0, d) / _LOG2
 
 
 def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
@@ -94,51 +74,12 @@ def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
     _check_eta(eta)
     if d == 0.0:
         return 0.0
-    return -_log_eta_moment(dist, 1.0, d, eta) / (eta * _LOG2)
+    return -dist.log_abs_moment(1.0, d, eta) / (eta * _LOG2)
 
 
 def _check_eta(eta):
     if not 0.0 < eta <= ETA_MAX:
         raise ValueError(f"eta must lie in (0, {ETA_MAX:.4g}], got {eta!r}")
-
-
-def _log_eta_moment(dist, shift, d, eta):
-    """ln E|shift + B d|^eta: the law's closed form when it has one, else
-    one weighted log-sum-exp over its node set.  -inf when the sum
-    vanishes, +inf when |shift + b d| passes the float range.  d must be
-    nonzero: -shift/d is declared singular.
-
-    The sums are normalised by the weights' total and, while the mean stays
-    above 1/2, taken as log1p of the mean expm1 term: at small eta every
-    term is near 1, and the rounding of the weights' total would otherwise
-    swamp a logarithm that is then divided by eta."""
-    if dist._log_abs_moment is not None:
-        return dist._log_abs_moment(shift, d, eta)
-    nodes, weights, _ = dist.quadrature_nodes((-shift / d,), eta)
-    t = np.abs(shift + nodes * d)
-    if not t.all():
-        # as in shannon_objective, a density node a hair from the singular
-        # point, where cancellation zeroes |shift + b d|, reads one ulp of
-        # the products (0^eta would be a whole unit short at tiny eta); an
-        # exactly cancelled atom keeps its 0
-        atoms = {loc for loc, _ in dist.support().atoms}
-        lost = [i for i in np.flatnonzero(t == 0.0) if nodes[i] not in atoms]
-        t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(nodes[lost] * d))
-    with np.errstate(divide="ignore"):
-        logs = np.log(t)
-    logs *= eta
-    top = float(logs.max())
-    if math.isinf(top):
-        return top
-    logs -= top
-    mass = float(weights.sum())
-    excess = float(weights @ np.expm1(logs)) / mass
-    if excess > -0.5:
-        return top + math.log1p(excess)
-    total = float(weights @ np.exp(logs)) / mass
-    if total <= 0.0:
-        return -INF
-    return top + math.log(total)
 
 
 def _build_grid(halfwidth, centers):
@@ -374,7 +315,7 @@ def _grid_centers(dist):
     atom-cancelling gains -1/location."""
     means = [dist.moments()[0]]
     if isinstance(dist, FiniteMixture):
-        means += [comp.moments()[0] for _, comp in dist.components]
+        means += [comp.moments()[0] for w, comp in dist.components if w > 0.0]
     centers = [0.0] + [-1.0 / m for m in means if m != 0.0]
     for loc, _ in dist.support().atoms:
         if loc != 0.0:
@@ -412,11 +353,11 @@ def shannon_capacity(dist: ActuationDistribution) -> CapacityResult:
         return CapacityResult(INF, None, "shannon",
                               diagnostics={"atom_rule": True})
     d_star, val, diag = _search(lambda d: shannon_objective(dist, d), dist)
-    diag["objective"] = ("node_set" if dist._mean_log_abs is None
-                         else "closed_form")
+    diag["objective"] = dist.objective_route
     if math.isinf(val):
         return CapacityResult(INF, None, "shannon", diagnostics=diag)
-    return CapacityResult(max(val, 0.0), d_star, "shannon", diagnostics=diag)
+    # 0.0 first, so it wins a tie with -0.0 (a law that d does not move)
+    return CapacityResult(max(0.0, val), d_star, "shannon", diagnostics=diag)
 
 
 def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
@@ -432,11 +373,10 @@ def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
             d_star, val, diag = _maximize_convex(objective, dist)
     else:
         d_star, val, diag = _search(objective, dist)
-    diag["objective"] = ("node_set" if dist._log_abs_moment is None
-                         else "closed_form")
+    diag["objective"] = dist.objective_route
     if math.isinf(val):
         return CapacityResult(INF, None, "eta", eta, diagnostics=diag)
-    return CapacityResult(max(val, 0.0), d_star, "eta", eta, diagnostics=diag)
+    return CapacityResult(max(0.0, val), d_star, "eta", eta, diagnostics=diag)
 
 
 def zero_error_capacity(dist: ActuationDistribution) -> CapacityResult:

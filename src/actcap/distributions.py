@@ -5,10 +5,11 @@ to draw reproducible samples, its quadrature node set (atoms weighted by
 their mass, density pieces covered by the graded pattern of
 :mod:`actcap.quadrature` around declared singular points), and how to
 condition on an interval cell.  Every expectation is one weighted sum over
-that node set, except the two capacity objectives of a law that has them
-in closed form (the uniform law).  Constructors reject non-finite
-parameters and laws whose moments overflow.  Values are immutable and safe
-for concurrent reads; sampling always goes through an explicit generator.
+that node set, the two that the capacity objectives read included, unless
+a law overrides them (the uniform law in closed form, a mixture by
+composition).  Constructors reject non-finite parameters and laws whose
+moments overflow.  Values are immutable and safe for concurrent reads;
+sampling always goes through an explicit generator.
 """
 
 from __future__ import annotations
@@ -217,13 +218,7 @@ class ActuationDistribution:
 
     _from_uniform = None
 
-    # Laws whose capacity objectives have a closed form define
-    # ``_mean_log_abs(shift, d)``, E ln|shift + B d|, and
-    # ``_log_abs_moment(shift, d, eta)``, ln E|shift + B d|^eta, each +inf
-    # once |shift + b d| passes the float range; :mod:`actcap.capacity`
-    # sums the node set only for laws without them.
-    _mean_log_abs = None
-    _log_abs_moment = None
+    objective_route = "node_set"  # or "closed_form", for the diagnostics
 
     def restrict(self, lo, hi, *, include_upper=False):
         """Condition on the cell [lo, hi) (or [lo, hi] for a closing cell).
@@ -271,7 +266,7 @@ class ActuationDistribution:
         return locs, masses, np.zeros(len(atoms), dtype=bool)
 
     def expect(self, integrand, singularities=(), eta=0.0):
-        """E[integrand(B)] as one weighted sum over the node set.
+        """E[integrand(B)] as the node set's weighted sum over its weights' total.
 
         ``integrand`` maps an array of gains to an array (or a constant).
         ``singularities`` lists the locations of any integrable blow-ups of
@@ -289,7 +284,33 @@ class ActuationDistribution:
                 f"innermost panels carry {tail!r} of {total!r}; divergent "
                 "integrand or misdeclared singularity"
             )
-        return total
+        return total / float(weights.sum())
+
+    def mean_log_abs(self, shift, d):
+        """E ln|shift + B d| for d != 0 by :meth:`expect`: -inf when an atom is
+        hit exactly, ahead of overflow (+inf past the float range)."""
+        if any(loc == -shift / d for loc, _ in self.support().atoms):
+            return NEG_INF
+        return self.expect(lambda b: self._log_abs(shift, d, b), (-shift / d,))
+
+    def log_abs_moment(self, shift, d, eta):
+        """ln E|shift + B d|^eta for d != 0, eta > 0: a log-sum-exp, no overflow."""
+        nodes, weights, _ = self.quadrature_nodes((-shift / d,), eta)
+        return _log_mean_exp(eta * self._log_abs(shift, d, nodes), weights)
+
+    def _log_abs(self, shift, d, b):
+        """ln|shift + b d| at the nodes b, -shift/d being a break point."""
+        bd = b * d
+        t = np.abs(shift + bd)
+        if not t.all():
+            # cancellation can zero |shift + b d| at a density node a hair
+            # from the singular point: it reads one ulp of the products, its
+            # true size (0 costs |t|^eta a unit at tiny eta); atoms keep 0
+            atoms = {loc for loc, _ in self.support().atoms}
+            lost = [i for i in np.flatnonzero(t == 0.0) if b[i] not in atoms]
+            t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(bd[lost]))
+        with np.errstate(divide="ignore"):
+            return np.log(t)
 
 
 @dataclass(frozen=True)
@@ -317,6 +338,8 @@ class Uniform(ActuationDistribution):
         # bit for bit what rng.uniform(b1, b2) computes from the same word
         return self.b1 + (self.b2 - self.b1) * u
 
+    objective_route = "closed_form"
+
     # t = shift + B d is uniform between the ends t1, t2; with s <= g their
     # magnitudes, rho = s / g, w = |d| (b2 - b1) and r = w / s, the
     # antiderivatives t ln|t| - t and sign(t) |t|^(eta+1) / (eta+1) give
@@ -341,7 +364,7 @@ class Uniform(ActuationDistribution):
         width = abs(d) * (self.b2 - self.b1)
         return small, big or width, width, min(ta, tb) < 0.0 < max(ta, tb)
 
-    def _mean_log_abs(self, shift, d):
+    def mean_log_abs(self, shift, d):
         small, big, width, changes_sign = self._ends(shift, d)
         if big == POS_INF:
             return POS_INF
@@ -353,7 +376,7 @@ class Uniform(ActuationDistribution):
             part = math.log1p(r) / r if r < POS_INF else 0.0
         return math.log(big) - 1.0 + part
 
-    def _log_abs_moment(self, shift, d, eta):
+    def log_abs_moment(self, shift, d, eta):
         small, big, width, changes_sign = self._ends(shift, d)
         if big == POS_INF:
             return POS_INF
@@ -534,11 +557,13 @@ class FiniteMixture(ActuationDistribution):
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
         _require_finite(self, *(w for w, _ in comps))
+        # zero-weight components are never evaluated; sample() draws them
+        object.__setattr__(self, "_positive", tuple(c for c in comps if c[0] > 0.0))
 
     def support(self):
-        infos = [d.support() for _, d in self.components]
+        infos = [d.support() for _, d in self._positive]
         merged = Counter()
-        for (w, _), info in zip(self.components, infos):
+        for (w, _), info in zip(self._positive, infos):
             for loc, mass in info.atoms:
                 merged[loc] += w * mass
         return SupportInfo.build(
@@ -553,11 +578,13 @@ class FiniteMixture(ActuationDistribution):
         return mean, second - mean * mean, second
 
     def std(self):
-        parts = [(w, d.moments()[0], d.std()) for w, d in self.components]
+        # within- plus between-component variance, where nothing cancels
+        parts = [(w, d.moments()[0], d.std()) for w, d in self._positive]
         scale = _pow2_scale(max(max(abs(m), s) for _, m, s in parts))
         mean = sum(w * (m / scale) for w, m, _ in parts)
-        second = sum(w * ((m / scale) ** 2 + (s / scale) ** 2) for w, m, s in parts)
-        return scale * math.sqrt(max(second - mean * mean, 0.0))
+        var = sum(w * ((s / scale) ** 2 + (m / scale - mean) ** 2)
+                  for w, m, s in parts)
+        return scale * math.sqrt(var)
 
     def sample(self, rng, size):
         weights = np.array([w for w, _ in self.components])
@@ -585,12 +612,28 @@ class FiniteMixture(ActuationDistribution):
             return total, kept[0][1]
         return total, FiniteMixture(tuple((w / total, d) for w, d in kept))
 
-    def quadrature_nodes(self, singularities=(), eta=0.0):
-        nodes, weights, inner = zip(*(d.quadrature_nodes(singularities, eta)
-                                      for _, d in self.components))
-        return (np.concatenate(nodes),
-                np.concatenate([w * x for (w, _), x in zip(self.components, weights)]),
-                np.concatenate(inner))
+    def _density_pieces(self, eta=0.0):
+        return tuple((lo, hi, lambda b, w=w, pdf=pdf: w * pdf(b))
+                     for w, d in self._positive
+                     for lo, hi, pdf in d._density_pieces(eta))
+
+    @property
+    def objective_route(self):
+        """The objectives below compose the components' own, normalised by
+        the weights' total, so a uniform component takes its closed form."""
+        routes = {d.objective_route for _, d in self._positive}
+        return "closed_form" if routes == {"closed_form"} else "node_set"
+
+    def mean_log_abs(self, shift, d):
+        parts = [w * law.mean_log_abs(shift, d) for w, law in self._positive]
+        if NEG_INF in parts:  # an atom cancelled exactly, ahead of overflow
+            return NEG_INF
+        return sum(parts) / sum(w for w, _ in self._positive)
+
+    def log_abs_moment(self, shift, d, eta):
+        weights, logs = np.array([(w, law.log_abs_moment(shift, d, eta))
+                                  for w, law in self._positive]).T
+        return _log_mean_exp(logs, weights)
 
 
 @dataclass(frozen=True)
@@ -634,6 +677,23 @@ class Empirical(ActuationDistribution):
         if not kept:
             raise EmptyCell(f"cell [{lo}, {hi}) contains no samples")
         return len(kept) / len(self.samples), Empirical(kept)
+
+
+def _log_mean_exp(logs, weights):
+    """ln(sum(weights * exp(logs)) / sum(weights)) from the largest term (an
+    infinite one is returned).  While the mean stays above 1/2 it is log1p of
+    the mean expm1 term: at small eta every term is near 1, and the rounding
+    of the weights' total would swamp a logarithm then divided by eta."""
+    top = float(logs.max())
+    if math.isinf(top):
+        return top
+    logs = logs - top
+    mass = float(weights.sum())
+    excess = float(weights @ np.expm1(logs)) / mass
+    if excess > -0.5:
+        return top + math.log1p(excess)
+    total = float(weights @ np.exp(logs)) / mass
+    return top + math.log(total) if total > 0.0 else NEG_INF
 
 
 def _sample_moments(arr):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _log_eta_moment, eta_capacity, eta_objective, shannon_capacity
+from .capacity import eta_capacity, eta_objective, shannon_capacity
 from .distributions import ActuationDistribution, path_streams, path_words
 
 __all__ = [
@@ -525,7 +525,7 @@ def _moment_ceiling_log2(dist, a, eta, d, w_std, v_std):
     log2_m = max(
         _log2_abs_gauss_moment(w_std, eta),
         _log2_abs_gauss_moment(v_std, eta),
-        _log_eta_moment(dist, 0.0, 1.0, eta) / _LN2,
+        dist.log_abs_moment(0.0, 1.0, eta) / _LN2,
         0.0,  # |x0|^eta
     )
     p = max(eta, 1.0)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -19,6 +19,7 @@ from actcap.capacity import (
     zero_error_capacity,
 )
 from actcap.distributions import (
+    ActuationDistribution,
     Empirical,
     FiniteMixture,
     Gaussian,
@@ -97,14 +98,19 @@ def node_set_mean_log(dist, shift, d):
 
 def node_set_log_moment(dist, shift, d, eta):
     """ln E|shift + B d|^eta over the node set, as log1p of the mean expm1
-    term below the largest, so tiny eta keeps its digits."""
+    term below the largest, so tiny eta keeps its digits.  Where the largest
+    term carries little weight (a far Gaussian node at high eta) that mean
+    nears -1 and log1p loses it, so the mean exp term is summed instead."""
     logs, weights = node_set_logs(dist, shift, d, eta)
     logs *= eta
     top = float(logs.max())
     if math.isinf(top):
         return top
     excess = float(weights @ np.expm1(logs - top)) / float(weights.sum())
-    return top + math.log1p(excess)
+    if excess > -0.5:
+        return top + math.log1p(excess)
+    return top + math.log(float(weights @ np.exp(logs - top))
+                          / float(weights.sum()))
 
 
 def quad_mean(dist, shift, d, g):
@@ -222,6 +228,10 @@ def test_objectives_zero_at_zero_gain():
 
 def test_shannon_objective_atom_hit_is_infinite():
     assert shannon_objective(ScaledBernoulli(2, 0.5), -0.5) == math.inf
+    # -1/d is the atom exactly, though 1 + b d rounds to 1.1e-16, not 0
+    beta = 1.3265940902021773
+    assert 1.0 + beta * (-1.0 / beta) != 0.0
+    assert shannon_objective(ScaledBernoulli(beta, 0.5), -1.0 / beta) == math.inf
 
 
 def test_eta_objective_erasure_two_point():
@@ -302,7 +312,7 @@ def test_uniform_closed_form_matches_node_set_and_quad(law, gains, quad_only):
     cases = ([(1.0, d, True) for d in gains] + [(1.0, d, False) for d in quad_only]
              + [(0.0, d, True) for d in (1.0, -3.0, 1e-12, 1e12)])
     for shift, d, node_set in cases:
-        got = law._mean_log_abs(shift, d)
+        got = law.mean_log_abs(shift, d)
         assert got == pytest.approx(quad_mean_log(law, shift, d),
                                     abs=1e-9 * LOG2), (shift, d)
         if node_set:
@@ -311,7 +321,7 @@ def test_uniform_closed_form_matches_node_set_and_quad(law, gains, quad_only):
         if shift == 1.0:
             assert shannon_objective(law, d) == -got / LOG2
         for eta in CLOSED_FORM_ETAS:
-            got = law._log_abs_moment(shift, d, eta)
+            got = law.log_abs_moment(shift, d, eta)
             assert got == pytest.approx(quad_log_moment(law, shift, d, eta),
                                         abs=1e-9 * eta * LOG2), (shift, d, eta)
             if node_set:
@@ -342,8 +352,8 @@ def test_uniform_closed_form_with_both_ends_rounded_to_zero():
     law, d = Uniform(b1, float(np.nextafter(b1, np.inf))), -0.697074310422987
     assert 1.0 + law.b1 * d == 1.0 + law.b2 * d == 0.0
     width = abs(d) * (law.b2 - law.b1)
-    assert law._mean_log_abs(1.0, d) == math.log(width) - 1.0
-    assert law._log_abs_moment(1.0, d, 2.0) == 2.0 * math.log(width) - math.log(3.0)
+    assert law.mean_log_abs(1.0, d) == math.log(width) - 1.0
+    assert law.log_abs_moment(1.0, d, 2.0) == 2.0 * math.log(width) - math.log(3.0)
 
 
 def test_node_set_matches_gaussian_closed_forms():
@@ -414,6 +424,121 @@ def test_gaussian_window_stops_at_the_float_range(eta):
 def test_mixture_with_gaussian_component_finite_at_high_eta():
     mix = FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1))))
     assert 0.0 < eta_capacity(mix, 1000.0).value_bits < 0.02
+
+
+# --- objectives each law evaluates, mixtures by composition ------------------
+
+def quad_cell_mean_log(law, d):
+    """E ln|1 + B d| for a TruncatedGaussian cell that -1/d misses, by quad
+    over x = (B - lo) / (hi - lo) against the normalised density, with
+    t = (1 - x) t1 + x t2, which never cancels there."""
+    t1, t2 = 1.0 + law.lo * d, 1.0 + law.hi * d
+
+    def density(x):
+        b = law.lo + (law.hi - law.lo) * x
+        return math.exp(-0.5 * ((b - law.mu) / law.sigma) ** 2)
+
+    def weighted_log(x):
+        return math.log(abs((1.0 - x) * t1 + x * t2)) * density(x)
+
+    num, den = (integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+                for f in (weighted_log, density))
+    return num / den
+
+
+@pytest.mark.parametrize("d", [1e9, -1e10, 1e12])
+def test_narrow_truncated_gaussian_cell_matches_quad(d):
+    # on a 2e-6-wide cell the node set's panel widths round to the ulps of
+    # b, so its weights' total is off by about 2e-10; the unnormalised sum
+    # read 7.5e-9 to 9.9e-9 bits off here, the normalised one is not
+    law = TruncatedGaussian(2.0, 1.0, 2.0, 2.000002)
+    assert shannon_objective(law, d) == pytest.approx(
+        -quad_cell_mean_log(law, d) / LOG2, abs=1e-11)
+
+
+def test_mixture_composes_a_narrow_uniform_in_closed_form():
+    # the mixture takes the 0.5/0.5 composition of its components' own
+    # objectives; summing the narrow uniform's node set with -1/d inside
+    # its support read the Shannon objective 8.1e-9 bits off
+    narrow, wide = Uniform(2.0, 2.000002), Gaussian(4.0, 1.0)
+    mix = FiniteMixture(((0.5, narrow), (0.5, wide)))
+    d = -1.0 / 2.000001
+    assert shannon_objective(narrow, d) == pytest.approx(
+        -quad_mean_log(narrow, 1.0, d) / LOG2, abs=1e-10)
+    assert shannon_objective(mix, d) == pytest.approx(
+        0.5 * shannon_objective(narrow, d) + 0.5 * shannon_objective(wide, d),
+        abs=1e-12)
+    for eta in CLOSED_FORM_ETAS:
+        assert eta_objective(narrow, d, eta) == pytest.approx(
+            -quad_log_moment(narrow, 1.0, d, eta) / (eta * LOG2), abs=1e-10)
+        parts = [-eta * LOG2 * eta_objective(law, d, eta)
+                 for law in (narrow, wide)]
+        want = -(np.logaddexp(*parts) + math.log(0.5)) / (eta * LOG2)
+        assert eta_objective(mix, d, eta) == pytest.approx(want, abs=1e-12), eta
+
+
+def test_zero_weight_component_is_never_evaluated(monkeypatch):
+    # the CLI spec reaches FiniteMixture with the zero-weight Gaussian; the
+    # composed log-sum-exp must not take log(0), and the mixture must read
+    # its lone uniform law bit for bit
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a node set was built")
+
+    monkeypatch.setattr(ActuationDistribution, "quadrature_nodes", refuse)
+    mix = parse_spec("mixture:1*uniform:1,3|0*gaussian:4,1")
+    lone = Uniform(1.0, 3.0)
+    for d in (-0.9, -0.5, -0.4175588664696743, 0.3, 1e12):
+        assert shannon_objective(mix, d) == shannon_objective(lone, d)
+        for eta in (0.5, 2.0):
+            assert eta_objective(mix, d, eta) == eta_objective(lone, d, eta)
+    pairs = [(shannon_capacity(mix), shannon_capacity(lone))]
+    pairs += [(eta_capacity(mix, eta), eta_capacity(lone, eta))
+              for eta in (0.5, 2.0)]
+    for got, want in pairs:
+        assert (got.value_bits, got.optimal_d) == (want.value_bits,
+                                                   want.optimal_d)
+        assert got.diagnostics == want.diagnostics
+
+
+def test_atom_cancelled_exactly_reads_ahead_of_overflow():
+    # d = -2^1000 cancels the atom at 2^-1000 exactly, and 2^30 d passes
+    # the float range; the cancelled atom decides the log mean
+    atoms = Empirical((2.0 ** -1000, 2.0 ** 30))
+    d = -(2.0 ** 1000)
+    with np.errstate(over="ignore"):
+        for law in (atoms, FiniteMixture(((0.5, atoms), (0.5, Uniform(1, 3))))):
+            assert law.mean_log_abs(1.0, d) == -math.inf
+            assert shannon_objective(law, d) == math.inf
+            assert law.log_abs_moment(1.0, d, 2.0) == math.inf
+
+
+_MIXTURE_PARTS = st.one_of(
+    st.builds(lambda b1, w: Uniform(b1, b1 + w), st.floats(-4.0, 4.0),
+              st.floats(2.0 ** -4, 8.0)),
+    st.builds(Gaussian, st.floats(-4.0, 4.0), st.floats(2.0 ** -4, 4.0)),
+    st.builds(ScaledBernoulli, st.sampled_from([-3.0, -0.5, 0.75, 2.0, 3.5]),
+              st.floats(0.0, 1.0)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(first=_MIXTURE_PARTS, second=_MIXTURE_PARTS, w=st.floats(0.05, 0.95),
+       d=st.floats(1e-3, 8.0), negative=st.booleans())
+def test_composed_mixture_objectives_match_the_node_set(first, second, w, d,
+                                                        negative):
+    # the concatenated node set of FiniteMixture.quadrature_nodes stays the
+    # oracle; a uniform component wider than 2^-4 keeps it sound there
+    d = -d if negative else d
+    mix = FiniteMixture(((w, first), (1.0 - w, second)))
+    # a gain that hits an atom reads -inf in the log mean, and the oracle
+    # floors it
+    assume(all(1.0 + loc * d != 0.0 and loc != -1.0 / d
+               for loc, _ in mix.support().atoms))
+    assert mix.mean_log_abs(1.0, d) == pytest.approx(
+        node_set_mean_log(mix, 1.0, d), abs=1e-9)
+    for eta in (0.01, 0.5, 2.0, 64.0):
+        assert mix.log_abs_moment(1.0, d, eta) == pytest.approx(
+            node_set_log_moment(mix, 1.0, d, eta), abs=1e-9), eta
 
 
 # --- maximizer ----------------------------------------------------------------
@@ -747,18 +872,26 @@ def test_convex_search_resolves_sharp_peaks(law):
 
 def test_uniform_objectives_build_no_node_set(monkeypatch):
     # every uniform evaluation takes the closed form: capacities, side
-    # information cells and the additive-noise moment ceiling
+    # information cells and the additive-noise moment ceiling, and so does
+    # a mixture of uniform laws, whose cells are mixtures of uniform laws
     def refuse(self, *args, **kwargs):
         raise AssertionError("a uniform objective summed its node set")
 
     monkeypatch.setattr(Uniform, "quadrature_nodes", refuse)
-    law = Uniform(1.0, 3.0)
-    results = [shannon_capacity(law), eta_capacity(law, 0.5),
-               eta_capacity(law, 2.0)]
-    assert [r.diagnostics["objective"] for r in results] == ["closed_form"] * 3
+    monkeypatch.setattr(FiniteMixture, "quadrature_nodes", refuse)
+    mix = FiniteMixture(((0.3, Uniform(0.0, 4.0)), (0.7, Uniform(1.0, 3.0))))
+    for law in (Uniform(1.0, 3.0), mix):
+        results = [shannon_capacity(law), eta_capacity(law, 0.5),
+                   eta_capacity(law, 2.0)]
+        assert [r.diagnostics["objective"] for r in results] == ["closed_form"] * 3
+        d = results[2].optimal_d
+        assert math.isfinite(_moment_ceiling_log2(law, 2.0, 2.0, d, 1.0, 1.0))
     assert len(si_value_curve(Uniform(0.0, 4.0), 3)) == 4
-    d = results[2].optimal_d
-    assert math.isfinite(_moment_ceiling_log2(law, 2.0, 2.0, d, 1.0, 1.0))
+    _, cell = mix.restrict(0.0, 2.0)
+    assert isinstance(cell, FiniteMixture)
+    assert cell.objective_route == "closed_form"
+    assert len(si_value_curve(mix, 3)) == 4
+    assert len(si_value_curve(mix, 2, sense="eta", eta=2.0)) == 3
 
 
 def test_near_zero_mean_searches_at_the_scale_of_the_spread():
@@ -859,12 +992,16 @@ def test_scan_finds_the_global_peak_of_mixtures(mix, sense, want):
 def test_both_searches_fill_one_diagnostics_shape():
     keys = {"method", "evaluations", "grid_evaluations", "refine_iterations",
             "objective_at_d", "flat", "bound_hit", "halfwidth", "objective"}
+    mixed = FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1))))
     results = {
         "scan": [shannon_capacity(Uniform(1, 3)), eta_capacity(Uniform(1, 3), 0.5)],
         "convex": [eta_capacity(Uniform(1, 3), 2.0),
                    eta_capacity(Uniform(-1, 1), 2.0),  # E[B] = 0: no search
-                   eta_capacity(Empirical((2.0,)), 2.0)],  # cancelled: inf
+                   eta_capacity(Empirical((2.0,)), 2.0),  # cancelled: inf
+                   eta_capacity(mixed, 2.0)],
     }
+    results["scan"].append(shannon_capacity(mixed))
+    node_set = [results["convex"][2], results["convex"][3], results["scan"][2]]
     for method, group in results.items():
         for res in group:
             diag = res.diagnostics
@@ -872,8 +1009,9 @@ def test_both_searches_fill_one_diagnostics_shape():
             assert diag["method"] == method
             assert diag["evaluations"] == (diag["grid_evaluations"]
                                            + diag["refine_iterations"])
-            # uniform laws evaluate their closed forms, atomic ones the nodes
-            assert diag["objective"] == ("node_set" if res is results["convex"][2]
+            # uniform laws evaluate their closed forms; atomic laws and a
+            # mixture with a Gaussian component sum node sets
+            assert diag["objective"] == ("node_set" if any(res is r for r in node_set)
                                          else "closed_form")
     zero_mean = results["convex"][1]
     assert (zero_mean.value_bits, zero_mean.optimal_d) == (0.0, 0.0)

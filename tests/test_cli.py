@@ -48,6 +48,27 @@ def test_capacity_of_point_mass_at_zero(capsys):
         "c_sh,0.0,0.0", "c_ze,0.0,0.0", "c_2,0.0,0.0"]
 
 
+def test_eta_capacity_of_point_mass_at_zero_reads_plus_zero(capsys):
+    # the scan's objective is the negated log moment of a law that d does
+    # not move, -0.0; the capacity used to print it as -0.0
+    code, out = run_cli(["curve", "--dist", "erasure:0.5,0", "--etas", "0.5,2"],
+                        capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["0.5,0.0", "2.0,0.0"]
+
+
+@pytest.mark.parametrize("args", [["capacity"], ["curve", "--etas", "0.5,2,64"]],
+                         ids=["capacity", "curve"])
+def test_zero_weight_mixture_component_prints_the_lone_law(args, capsys):
+    # a component of weight 0 is never evaluated and does not widen the
+    # support, so the mixture prints the rows of its lone uniform law
+    code, out = run_cli([args[0], "--dist", "mixture:1*uniform:1,3|0*gaussian:4,1",
+                         *args[1:]], capsys)
+    assert code == 0
+    assert run_cli([args[0], "--dist", "uniform:1,3", *args[1:]],
+                   capsys) == (0, out)
+
+
 def test_curve_monotone_rows(capsys):
     code, out = run_cli(
         ["curve", "--dist", "uniform:1,3", "--etas", "0.01,1,2,8,64"], capsys)
