@@ -288,8 +288,9 @@ class ActuationDistribution:
 
     def mean_log_abs(self, shift, d):
         """E ln|shift + B d| for d != 0 by :meth:`expect`: -inf when an atom is
-        hit exactly, ahead of overflow (+inf past the float range)."""
-        if any(loc == -shift / d for loc, _ in self.support().atoms):
+        cancelled (:meth:`_cancelled`), ahead of overflow (+inf past the
+        float range)."""
+        if self._atom_nodes and self._cancelled(shift, d).any():
             return NEG_INF
         return self.expect(lambda b: self._log_abs(shift, d, b), (-shift / d,))
 
@@ -298,10 +299,22 @@ class ActuationDistribution:
         nodes, weights, _ = self.quadrature_nodes((-shift / d,), eta)
         return _log_mean_exp(eta * self._log_abs(shift, d, nodes), weights)
 
+    def _cancelled(self, shift, d):
+        """Mask over the atoms that shift + B d cancels: where d is the kink
+        -shift/loc as the capacity search computes it, though shift + loc d
+        can round to 1e-16 there, or where shift + loc d is exactly 0."""
+        locs = self._atom_nodes[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return (d == -shift / locs) | (shift + locs * d == 0.0)
+
     def _log_abs(self, shift, d, b):
         """ln|shift + b d| at the nodes b, -shift/d being a break point."""
         bd = b * d
         t = np.abs(shift + bd)
+        if self._atom_nodes:
+            gone = self._atom_nodes[0][self._cancelled(shift, d)]
+            if gone.size:
+                t[np.isin(b, gone)] = 0.0
         if not t.all():
             # cancellation can zero |shift + b d| at a density node a hair
             # from the singular point: it reads one ulp of the products, its

@@ -13,9 +13,12 @@ by (seed, p).  Short rows of one-word draws (no noise rows, at most
 ``path_words`` on the same keys, a block of paths at once; other runs
 re-key one generator for each path.  Either way the stream layout is the
 same, and so are the draws.
-Each step sums a block's paths pairwise (numpy's summation along a
-contiguous axis), and blocks are folded in path order, so reports are
-bitwise reproducible.
+A block holds whole sub-blocks of ``_BLOCK`` paths: one at long horizons,
+more at short ones, so that draws and evolution run over many paths per
+numpy call while no block array outgrows that of one sub-block at
+``_TILE`` steps.  Each step sums a sub-block's paths pairwise (numpy's
+summation along a contiguous axis), and sub-blocks are folded in path
+order, so reports are bitwise reproducible whatever the block width.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ __all__ = [
 INF = float("inf")
 _LN2 = math.log(2.0)
 _BLOCK = 512
+# A block takes max(1, _WIDE_STEPS // max(horizon, 4)) sub-blocks of _BLOCK
+# paths: at most 8, and one from 32 steps up, so no block array holds more
+# than one sub-block's at _TILE steps
+_WIDE_STEPS = 32
 # Rows of at most this many one-word draws per path come from the Philox
 # kernel, whose cost grows with the words; from about 100 words per path
 # re-keying one generator per path is faster (table in CHANGES.md)
@@ -163,27 +170,53 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     log2_x0 = math.log2(abs(spec.x0))
     cutoffs = {m: math.log2(m) - log2_x0 for m in thresholds}
 
-    # each step sums a block's paths pairwise, along the slab's contiguous
-    # axis, and blocks fold in index order: the result is bitwise reproducible
+    # each step sums a sub-block's paths pairwise, along the slab's
+    # contiguous axis, and sub-blocks fold in index order: the result is
+    # bitwise reproducible
     total_sum = np.zeros(horizon + 1)
     total_counts = {m: np.zeros(horizon + 1, dtype=np.int64) for m in thresholds}
     total_lse = {e: np.full(horizon + 1, -INF) for e in eta_list}
     overflow = 0
-    block = _Block(spec, strategy, horizon, min(paths, _BLOCK))
+    width = _BLOCK * max(1, _WIDE_STEPS // max(horizon, 4))
+    block = _Block(spec, strategy, horizon, min(paths, width))
 
     def fold(first, dl):
-        cols = slice(first, first + len(dl))
-        total_sum[cols] += dl.sum(axis=1)
-        mask = block.mask[:len(dl), :dl.shape[1]]
+        steps, bs = dl.shape
+        cols = slice(first, first + steps)
+        mask = block.mask[:steps, :bs]
         for m in thresholds:
             np.greater_equal(dl, cutoffs[m], out=mask)
             total_counts[m][cols] += mask.sum(axis=1)
-        for e in eta_list:
-            lse = total_lse[e][cols]
-            np.logaddexp2(lse, block.log2_sum_exp2(dl, e, first), out=lse)
+        # whole sub-blocks, then a narrower remainder: (steps, sub-block, path)
+        full = bs - bs % _BLOCK
+        for lo, hi in ((0, full), (full, bs)):
+            if hi == lo:
+                continue
+            run = min(hi - lo, _BLOCK)
+            sub = dl[:, lo:hi].reshape(steps, -1, run)
+            z = block.work[:steps, lo:hi].reshape(steps, -1, run)
+            sums = sub.sum(axis=2)
+            for j in range(sums.shape[1]):
+                total_sum[cols] += sums[:, j]
+            for e in eta_list:
+                # log2 sum_paths 2^(e dl), in the block's work array
+                try:
+                    with np.errstate(over="raise"):
+                        np.multiply(e, sub, out=z)
+                except FloatingPointError:
+                    _raise_eta_overflow(sub, eta_list, first)
+                top = z.max(axis=2)
+                with np.errstate(invalid="ignore"):
+                    np.subtract(z, top[:, :, None], out=z)
+                    np.exp2(z, out=z)
+                    lses = top + np.log2(z.sum(axis=2))
+                lses = np.where(np.isfinite(top), lses, top)
+                lse = total_lse[e][cols]
+                for j in range(lses.shape[1]):
+                    np.logaddexp2(lse, lses[:, j], out=lse)
 
-    for lo in range(0, paths, _BLOCK):
-        hi = min(lo + _BLOCK, paths)
+    for lo in range(0, paths, width):
+        hi = min(lo + width, paths)
         block.draw(seed, lo, hi)
         overflow += block.evolve(hi - lo, fold)
 
@@ -208,9 +241,12 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
 
 class _Block:
     """Work arrays for one block of paths, allocated once per run and
-    overwritten in place by each block.  Only the draw rows span the
-    horizon; every other array holds one time-major tile of at most
-    ``_TILE`` steps, on either route.
+    overwritten in place by each block.  A block is a whole number of
+    ``_BLOCK``-path sub-blocks (the run's last block may be narrower), wide
+    only at horizons short enough that every array stays within one
+    sub-block's at ``_TILE`` steps.  Only the draw rows span the horizon;
+    every other array holds one time-major tile of at most ``_TILE`` steps,
+    on either route.
     """
 
     def __init__(self, spec, strategy, horizon, rows):
@@ -252,14 +288,19 @@ class _Block:
                 self.d[:hi - lo] = (strategy.d_low + (strategy.d_high - strategy.d_low)
                                     * u[:, horizon:])
             return
+        noise = [(rows[:hi - lo], std) for rows, std in
+                 ((self.v, spec.obs_noise_std), (self.w, spec.process_noise_std))
+                 if rows is not None]
         for i, rng in enumerate(path_streams(seed, lo, hi)):
             self.b[i] = spec.dist.sample(rng, horizon)
             if self.d is not None:
                 self.d[i] = rng.uniform(strategy.d_low, strategy.d_high, horizon)
-            if self.v is not None:
-                self.v[i] = rng.normal(0.0, spec.obs_noise_std, horizon)
-            if self.w is not None:
-                self.w[i] = rng.normal(0.0, spec.process_noise_std, horizon)
+            for rows, _ in noise:
+                rng.standard_normal(out=rows[i])
+        for rows, std in noise:
+            # what rng.normal(0.0, std) makes of the same normals: 0.0 + std z
+            rows *= std
+            rows += 0.0
 
     def evolve(self, bs, fold):
         """Call ``fold(first step, slab)`` on time-major (steps, paths) slabs
@@ -322,25 +363,21 @@ class _Block:
             dl[0] = dl[steps]
         return int(overflowed.sum())
 
-    def log2_sum_exp2(self, dl, eta, first):
-        """Per-step log2 sum_paths 2^(eta dl); ``ArithmeticError`` where
-        eta dl passes the float range for a finite dl."""
-        z = self.work[:len(dl), :dl.shape[1]]
-        try:
-            with np.errstate(over="raise"):
-                np.multiply(eta, dl, out=z)
-        except FloatingPointError:
-            with np.errstate(over="ignore"):
+
+def _raise_eta_overflow(sub, eta_list, first):
+    """Raise ``ArithmeticError`` at the first sub-block of ``sub`` (steps,
+    sub-blocks, paths), then eta, then step where eta dl passes the float
+    range for a finite dl: the order of a fold one sub-block at a time."""
+    with np.errstate(over="ignore"):
+        for j in range(sub.shape[1]):
+            for eta in eta_list:
+                dl = sub[:, j]
                 over = (np.isinf(eta * dl) > np.isinf(dl)).any(axis=1)
-            raise ArithmeticError(
-                f"eta = {eta!r} times log2|X/x0| passes the float range at "
-                f"step {first + int(np.argmax(over))}") from None
-        m = z.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            np.subtract(z, m[:, None], out=z)
-            np.exp2(z, out=z)
-            lse = m + np.log2(z.sum(axis=1))
-        return np.where(np.isfinite(m), lse, m)
+                if over.any():
+                    raise ArithmeticError(
+                        f"eta = {eta!r} times log2|X/x0| passes the float "
+                        f"range at step {first + int(np.argmax(over))}"
+                    ) from None
 
 
 def _step_tile(a, x, bd, v, w):

@@ -242,6 +242,22 @@ def test_eta_objective_erasure_two_point():
             assert got == pytest.approx(-math.log2(1 - p) / eta, abs=1e-12)
 
 
+_ROUNDING_ATOM = 1.3265940902021773  # 1 + beta (-1/beta) is 1.1e-16, not 0
+
+
+@pytest.mark.parametrize("law,miss", [
+    (ScaledBernoulli(_ROUNDING_ATOM, 0.7), 0.3),
+    (Empirical((0.0, _ROUNDING_ATOM, _ROUNDING_ATOM)), 1.0 / 3.0),
+], ids=["erasure", "empirical"])
+def test_eta_capacity_cancels_an_atom_at_its_kink(law, miss):
+    # the search evaluates the kink d = -1/beta, where the atom at beta
+    # cancels as in exact arithmetic: only the miss mass at 0 is left.  A
+    # residual |1.1e-16|^eta would keep most of the mass at small eta
+    for eta in (0.01, 0.5, 2.0):
+        got = eta_capacity(law, eta).value_bits
+        assert got == pytest.approx(-math.log2(miss) / eta, abs=1e-12)
+
+
 def test_eta_objective_gaussian_second_moment_optimum():
     mu, sig = 4.0, 1.0
     d = -mu / (mu * mu + sig * sig)
@@ -521,7 +537,7 @@ _MIXTURE_PARTS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(first=_MIXTURE_PARTS, second=_MIXTURE_PARTS, w=st.floats(0.05, 0.95),
        d=st.floats(1e-3, 8.0), negative=st.booleans())
 def test_composed_mixture_objectives_match_the_node_set(first, second, w, d,
@@ -830,7 +846,7 @@ def test_capacities_are_scale_free(family):
         assert got == pytest.approx(want, abs=1e-12), k
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(b1=st.floats(-8.0, 8.0), width=st.floats(2.0 ** -8, 16.0),
        k=st.integers(-60, 60))
 def test_uniform_capacity_properties(b1, width, k):

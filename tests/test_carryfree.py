@@ -399,7 +399,7 @@ def assert_lanes_equal(degrees, windows, items):
             assert (d, w) == (s.degree, s.window)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(-300, 300), raw_windows()),
                 min_size=1, max_size=8))
 def test_lane_normalize_matches_bit_length(cases):
@@ -409,7 +409,7 @@ def test_lane_normalize_matches_bit_length(cases):
     assert_lanes_equal(degrees, windows, [_normalize(d, r, W) for d, r in cases])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(lane_series(), lane_series(),
                           st.integers(0, 80), st.booleans()),
                 min_size=1, max_size=8))

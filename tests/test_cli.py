@@ -324,7 +324,7 @@ _PARAM_PAIRS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(["uniform", "gaussian"]), _PARAM_PAIRS)
 def test_capacity_at_any_magnitude_exits_cleanly(family, pair):
     p, q = sorted(pair) if family == "uniform" else (pair[0], abs(pair[1]))
@@ -342,7 +342,7 @@ def _shannon_bits(spec):
     return shannon_capacity(parse_spec(spec)).value_bits
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.sampled_from(["uniform:1,3", "uniform:-1,3", "gaussian:4,1"]),
        st.builds(lambda m, e: m * 10.0 ** e, st.integers(1, 9),
                  st.integers(-300, 308)))

@@ -38,7 +38,7 @@ def _key(rng):
     return [int(w) for w in rng.bit_generator.state["state"]["key"]]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_WORDS, _WORDS, st.integers(1, 4))
 def test_path_key_is_the_seed_path_pair(seed, path, count):
     assert _key(make_rng(seed, path)) == [seed, path]
@@ -62,7 +62,7 @@ def test_negative_seed_rejected_like_make_rng():
         assert str(words.value) == str(streams.value)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_WORDS, _WORDS, st.integers(1, 3), st.integers(1, 40))
 def test_path_words_are_the_raw_streams(seed, path, count, n):
     lo = min(path, 2**64 - count)
@@ -497,7 +497,7 @@ _SPEC = st.one_of(_LEAF, st.builds(
     lambda w, a, b: f"mixture:{w!r}*{a}|{1 - w!r}*{b}", _NUMBER, _LEAF, _LEAF))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(_SPEC, st.floats(-1e3, 1e3))
 def test_parse_spec_yields_finite_law_or_rejects(spec, singular):
     try:

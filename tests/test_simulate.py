@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from actcap.capacity import eta_objective, shannon_capacity, shannon_objective
@@ -19,11 +21,13 @@ from actcap.distributions import (
 from actcap.simulate import (
     _KERNEL_WORDS,
     _TILE,
+    _WIDE_STEPS,
     ScanPoint,
     StrategySpec,
     SystemSpec,
     _log2_abs_gauss_moment,
     _moment_ceiling_log2,
+    _raise_eta_overflow,
     additive_noise_check,
     scaling_equivalence_check,
     simulate,
@@ -292,6 +296,77 @@ def test_memory_beyond_the_draws_does_not_grow_with_the_horizon(noise, rows):
     assert traced_peak(3000) - traced_peak(1000) <= draw_rows + 2**20
 
 
+# horizons at the kernel, wide-block and tile edges; path counts at the
+# sub-block edges and at the widths of wide blocks (2, 4 and 8 sub-blocks)
+_EDGE_HORIZONS = [1, 4, 8, 16, _WIDE_STEPS - 1, _WIDE_STEPS, _WIDE_STEPS + 1,
+                  _TILE, _TILE + 1]
+_EDGE_PATHS = [1, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4095,
+               4096, 4097, 4200]
+
+
+@st.composite
+def _mc_runs(draw):
+    # blocks are wide only below _WIDE_STEPS steps: short runs draw up to
+    # 4,200 paths, longer ones (slower to check) up to 1,100
+    if draw(st.booleans()):
+        edges = [h for h in _EDGE_HORIZONS if h < _WIDE_STEPS]
+        horizon = draw(st.sampled_from(edges) | st.integers(1, _WIDE_STEPS - 1))
+        most = 4200
+    else:
+        edges = [h for h in _EDGE_HORIZONS if h >= _WIDE_STEPS]
+        horizon = draw(st.sampled_from(edges) | st.integers(_WIDE_STEPS, 300))
+        most = 1100
+    paths = draw(st.sampled_from([p for p in _EDGE_PATHS if p <= most])
+                 | st.integers(1, most))
+    noise = draw(st.sampled_from([0.0, 0.5]))
+    x0 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.25, 8.0))
+    spec = SystemSpec(1.5, draw(st.sampled_from(_LAWS)), x0=x0,
+                      process_noise_std=noise, obs_noise_std=noise)
+    if draw(st.booleans()):
+        strategy = StrategySpec("linear", d=draw(st.floats(-0.8, 0.3)))
+    else:
+        low = draw(st.floats(-0.8, 0.0))
+        strategy = StrategySpec("random_linear", d_low=low,
+                                d_high=low + draw(st.floats(0.0, 0.8)))
+    return spec, strategy, horizon, paths, draw(st.integers(0, 2**64 - 1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@settings(max_examples=80)
+@given(_mc_runs())
+def test_simulate_equals_oracle_on_random_runs(run):
+    spec, strategy, horizon, paths, seed = run
+    args = (spec, strategy, horizon, paths)
+    kwargs = dict(eta_list=(1.0, 4.0), threshold=(3.0, 1e3), seed=seed)
+    assert_matches_reference(simulate(*args, **kwargs),
+                             reference_simulate(*args, **kwargs))
+
+
+# a generator per path is slow under tracemalloc: those routes run 4,200
+# paths, past the widest block of 8 sub-blocks
+@pytest.mark.parametrize("law,noise,paths", [(Uniform(1, 3), 0.0, 20_000),
+                                             (Uniform(1, 3), 1.0, 4_200),
+                                             (Gaussian(4, 1), 0.0, 4_200)],
+                         ids=["kernel", "noisy", "generator"])
+def test_wide_blocks_stay_within_one_sub_block_at_a_tile(law, noise, paths):
+    spec = SystemSpec(1.5, law, process_noise_std=noise, obs_noise_std=noise)
+
+    def traced_peak(horizon, paths):
+        tracemalloc.start()
+        try:
+            simulate(spec, StrategySpec("linear", d=-0.4), horizon, paths,
+                     seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # short runs take many sub-blocks per block, but no more memory than
+    # one sub-block takes at a full tile
+    ceiling = traced_peak(_TILE, 512)
+    for horizon in (1, 4, 8, 16):
+        assert traced_peak(horizon, paths) <= ceiling
+
+
 @pytest.mark.parametrize("horizon", [3, 100, 2 * _TILE + 1])
 @pytest.mark.parametrize("strategy", [
     StrategySpec("linear", d=1e308),
@@ -396,6 +471,17 @@ def test_moments_past_the_float_range_raise():
     with pytest.raises(ArithmeticError, match=rf"eta = 1e\+307 .* at step {step}$"):
         simulate(spec, strategy, horizon=300, paths=40, eta_list=(2.0, 1e307),
                  seed=0)
+
+
+def test_eta_overflow_names_the_first_sub_block_then_eta_then_step():
+    # (steps, sub-blocks, paths): sub-block 0 passes the float range only at
+    # the larger eta, at step 2; sub-block 1 at both etas, at step 1.  A fold
+    # of one sub-block at a time meets sub-block 0 first
+    sub = np.zeros((3, 2, 2))
+    sub[2, 0, 1] = 2.0
+    sub[1, 1, 0] = 1e9
+    with pytest.raises(ArithmeticError, match=r"eta = 1e\+308 .* at step 7$"):
+        _raise_eta_overflow(sub, (1e300, 1e308), 5)
 
 
 def test_moment_collapse_reads_as_full_decay():
