@@ -353,7 +353,7 @@ def shannon_capacity(dist: ActuationDistribution) -> CapacityResult:
         return CapacityResult(INF, None, "shannon",
                               diagnostics={"atom_rule": True})
     d_star, val, diag = _search(lambda d: shannon_objective(dist, d), dist)
-    diag["objective"] = dist.objective_route
+    diag["objective"] = dist.objective_route("shannon")
     if math.isinf(val):
         return CapacityResult(INF, None, "shannon", diagnostics=diag)
     # 0.0 first, so it wins a tie with -0.0 (a law that d does not move)
@@ -373,7 +373,7 @@ def eta_capacity(dist: ActuationDistribution, eta: float) -> CapacityResult:
             d_star, val, diag = _maximize_convex(objective, dist)
     else:
         d_star, val, diag = _search(objective, dist)
-    diag["objective"] = dist.objective_route
+    diag["objective"] = dist.objective_route("eta")
     if math.isinf(val):
         return CapacityResult(INF, None, "eta", eta, diagnostics=diag)
     return CapacityResult(max(0.0, val), d_star, "eta", eta, diagnostics=diag)

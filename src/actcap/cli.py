@@ -10,6 +10,7 @@ invocations with the same seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -222,6 +223,7 @@ _COMMANDS = {
 # parsing and output
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="actcap",

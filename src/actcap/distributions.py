@@ -6,10 +6,11 @@ their mass, density pieces covered by the graded pattern of
 :mod:`actcap.quadrature` around declared singular points), and how to
 condition on an interval cell.  Every expectation is one weighted sum over
 that node set, the two that the capacity objectives read included, unless
-a law overrides them (the uniform law in closed form, a mixture by
-composition).  Constructors reject non-finite parameters and laws whose
-moments overflow.  Values are immutable and safe for concurrent reads;
-sampling always goes through an explicit generator.
+a law overrides them (the uniform law in closed form, the Gaussian log mean
+by its Poisson series, a truncated Gaussian's moment in the log domain, a
+mixture by composition).  Constructors reject non-finite parameters and
+laws whose moments overflow.  Values are immutable and safe for concurrent
+reads; sampling always goes through an explicit generator.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ POS_INF = float("inf")
 # Beyond 10 sigma the Gaussian density is below e^-50 of its peak, far below
 # the 1e-9 quadrature target.  An integrand growing like |b|^eta moves the
 # peak of its product with the density out by about sqrt(eta) sigma, so the
-# window reaches 10 + sqrt(eta) sigma, up to 36.5 sigma.  Past that the
-# density is below e^-666 of its peak, and the graded panels at the window
-# end would carry subnormal weights (zero weights past about 38.6 sigma).
+# window reaches 10 + sqrt(eta) sigma.  Past about 38.6 sigma (eta about
+# 820) the density itself underflows, so the moment reads its node weights
+# from the log-density.
 _GAUSS_TAIL_SIGMAS = 10.0
-_GAUSS_MAX_SIGMAS = 36.5
 
 _ATOM_MASS_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
@@ -218,7 +218,10 @@ class ActuationDistribution:
 
     _from_uniform = None
 
-    objective_route = "node_set"  # or "closed_form", for the diagnostics
+    def objective_route(self, sense):
+        """How this law evaluates the ``sense`` ("shannon" or "eta")
+        objective, for the diagnostics: "closed_form" or "node_set"."""
+        return "node_set"
 
     def restrict(self, lo, hi, *, include_upper=False):
         """Condition on the cell [lo, hi) (or [lo, hi] for a closing cell).
@@ -351,7 +354,8 @@ class Uniform(ActuationDistribution):
         # bit for bit what rng.uniform(b1, b2) computes from the same word
         return self.b1 + (self.b2 - self.b1) * u
 
-    objective_route = "closed_form"
+    def objective_route(self, sense):
+        return "closed_form"
 
     # t = shift + B d is uniform between the ends t1, t2; with s <= g their
     # magnitudes, rho = s / g, w = |d| (b2 - b1) and r = w / s, the
@@ -486,15 +490,40 @@ class TruncatedGaussian(ActuationDistribution):
         cond = TruncatedGaussian(self.mu, self.sigma, nlo, nhi)
         return cond.cell_probability / self.cell_probability, cond
 
+    def _window(self, eta):
+        """The cell cut, infinite ends included, 10 + sqrt(eta) sigma beyond
+        the nearer of mu and the opposite end."""
+        reach = (_GAUSS_TAIL_SIGMAS + math.sqrt(eta)) * self.sigma
+        return (max(self.lo, min(self.mu, self.hi) - reach),
+                min(self.hi, max(self.mu, self.lo) + reach))
+
     def _density_pieces(self, eta=0.0):
-        # cut the window, infinite ends included, 10 + sqrt(eta) sigma (at
-        # most 36.5 sigma) beyond the nearer of mu and the opposite end
-        reach = min(_GAUSS_TAIL_SIGMAS + math.sqrt(eta), _GAUSS_MAX_SIGMAS) * self.sigma
-        lo = max(self.lo, min(self.mu, self.hi) - reach)
-        hi = min(self.hi, max(self.mu, self.lo) + reach)
+        lo, hi = self._window(eta)
         mu, sigma = self.mu, self.sigma
         norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * self.cell_probability)
         return ((lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)),)
+
+    def log_abs_moment(self, shift, d, eta):
+        """One log-sum-exp of ln w + eta ln|t| over the node set, ln w read
+        from the log-density: at large eta the window reaches past where
+        the density leaves the floats, and the mass of |t|^eta lies there.
+
+        With t = d sigma (z + lam), the log-integrand eta ln|t| - z^2 / 2
+        peaks on each side of z = -lam where z^2 + lam z = eta.  A peak more
+        than 10 sigma from -shift/d is a break point too: the graded panels
+        are coarse that far from a break, and at large eta nearly all the
+        mass lies within a few sigma of a peak."""
+        lo, hi = self._window(eta)
+        lam = (self.mu + shift / d) / self.sigma
+        far = -0.5 * (lam + math.copysign(math.sqrt(lam * lam + 4.0 * eta), lam))
+        peaks = [self.mu + self.sigma * z for z in (far, -eta / far)
+                 if abs(z + lam) > _GAUSS_TAIL_SIGMAS]
+        breaks = {lo, hi, *(min(max(b, lo), hi) for b in (-shift / d, *peaks))}
+        nodes, panels, _ = panel_nodes(sorted(breaks))
+        log_w = np.log(panels) - 0.5 * ((nodes - self.mu) / self.sigma) ** 2
+        log_w -= log_w.max()
+        return _log_mean_exp(eta * self._log_abs(shift, d, nodes),
+                             np.exp(log_w), log_w)
 
 
 @dataclass(frozen=True)
@@ -508,6 +537,49 @@ class Gaussian(TruncatedGaussian):
 
     def sample(self, rng, size):
         return rng.normal(self.mu, self.sigma, size)
+
+    def objective_route(self, sense):
+        return "closed_form" if sense == "shannon" else "node_set"
+
+    # With lam = (mu + shift/d) / sigma, shift + B d = d sigma (Z + lam) for
+    # Z standard normal, and (Z + lam)^2 is a Poisson(lam^2 / 2) mixture of
+    # central chi-squares with 1 + 2k degrees of freedom, whose log means
+    # are ln 2 + digamma(k + 1/2).  So
+    #   E ln|shift + B d| = ln|d sigma| + (S - gamma - ln 2) / 2,
+    #   S = sum_k Pois(k; lam^2 / 2) H_k,  H_k = sum_{j<=k} 2 / (2j - 1).
+    # The Poisson weights are m^k / k!, m = lam^2 / 2, over their own total,
+    # so no e^-m is formed.  For |lam| >= 8 the asymptotic series
+    #   E ln|shift + B d| = ln|shift + d mu| - sum_k (2k - 1)!! / (2k lam^2k)
+    # is summed to its smallest term, about 3e-16 at |lam| = 8: it needs no
+    # more terms as |lam| grows, and it does not add ln|d sigma| to ln|lam|
+    # where they cancel (small |d|).  Past the float range either form
+    # reads +inf, as the node set does.
+
+    def mean_log_abs(self, shift, d):
+        lam = (self.mu + shift / d) / self.sigma
+        if abs(lam) < _ASYMPTOTIC_LAM:
+            total, mass = ((0.5 * lam * lam) ** _POISSON_K @ _HARMONIC).tolist()
+            return math.log(abs(d) * self.sigma) + 0.5 * (total / mass - _EULER_LN2)
+        x = 1.0 / (lam * lam)
+        term, tail = 0.5 * x, 0.0
+        for k in range(1, _ASYMPTOTIC_TERMS + 1):
+            tail += term
+            if term < 1e-17:
+                break
+            term *= (2 * k + 1) * x * k / (k + 1)
+        return math.log(abs(shift + d * self.mu)) - tail
+
+
+_ASYMPTOTIC_LAM = 8.0
+_ASYMPTOTIC_TERMS = 32  # the smallest term at |lam| = 8
+# k = 0..96 and the columns (H_k / k!, 1 / k!): times m^k they sum to e^m S
+# and e^m.  Poisson(32) carries below 1e-19 past k = 96.
+_POISSON_K = np.arange(97.0)
+_HARMONIC = np.array([
+    (math.fsum(2.0 / (2 * j - 1) for j in range(1, k + 1)) / math.factorial(k),
+     1 / math.factorial(k))
+    for k in range(97)])
+_EULER_LN2 = 0.5772156649015329 + math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -630,11 +702,10 @@ class FiniteMixture(ActuationDistribution):
                      for w, d in self._positive
                      for lo, hi, pdf in d._density_pieces(eta))
 
-    @property
-    def objective_route(self):
+    def objective_route(self, sense):
         """The objectives below compose the components' own, normalised by
-        the weights' total, so a uniform component takes its closed form."""
-        routes = {d.objective_route for _, d in self._positive}
+        the weights' total, so each component takes its own route."""
+        routes = {d.objective_route(sense) for _, d in self._positive}
         return "closed_form" if routes == {"closed_form"} else "node_set"
 
     def mean_log_abs(self, shift, d):
@@ -692,11 +763,13 @@ class Empirical(ActuationDistribution):
         return len(kept) / len(self.samples), Empirical(kept)
 
 
-def _log_mean_exp(logs, weights):
+def _log_mean_exp(logs, weights, log_weights=None):
     """ln(sum(weights * exp(logs)) / sum(weights)) from the largest term (an
     infinite one is returned).  While the mean stays above 1/2 it is log1p of
     the mean expm1 term: at small eta every term is near 1, and the rounding
-    of the weights' total would swamp a logarithm then divided by eta."""
+    of the weights' total would swamp a logarithm then divided by eta.
+    Below that, given ``log_weights`` (the logs of ``weights``), the sum
+    runs in the log domain, so a term whose weight underflows still counts."""
     top = float(logs.max())
     if math.isinf(top):
         return top
@@ -705,6 +778,10 @@ def _log_mean_exp(logs, weights):
     excess = float(weights @ np.expm1(logs)) / mass
     if excess > -0.5:
         return top + math.log1p(excess)
+    if log_weights is not None:
+        logs += log_weights
+        peak = float(logs.max())
+        return top + peak + math.log(float(np.exp(logs - peak).sum()) / mass)
     total = float(weights @ np.exp(logs)) / mass
     return top + math.log(total) if total > 0.0 else NEG_INF
 

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from actcap import distributions
 from actcap.capacity import (
     _build_grid,
     capacity_curve,
@@ -375,7 +376,8 @@ def test_uniform_closed_form_with_both_ends_rounded_to_zero():
 def test_node_set_matches_gaussian_closed_forms():
     # the Shannon window cuts the law at mu +- 10 sigma: -1/d at mu, at a
     # cut, 1 ulp outside a cut, and between; below |d| = 1e-2 the Poisson sum
-    # itself loses digits
+    # itself loses digits.  The Gaussian's own log mean is a closed form, so
+    # the base class sums the node set here.
     mu, sigma = 3.5, 1.0
     dist = Gaussian(mu, sigma)
     hits = [mu, 4.0, -6.5, 13.5, np.nextafter(-6.5, -np.inf)]
@@ -384,8 +386,10 @@ def test_node_set_matches_gaussian_closed_forms():
         second = (1 + mu * d) ** 2 + (sigma * d) ** 2
         assert eta_objective(dist, d, 2.0) == pytest.approx(
             -0.5 * math.log2(second), abs=1e-10)
-        assert shannon_objective(dist, d) == pytest.approx(
-            gaussian_log_objective(mu, sigma, d), abs=1e-9)
+        node_set = -ActuationDistribution.mean_log_abs(dist, 1.0, d) / LOG2
+        assert node_set == pytest.approx(gaussian_log_objective(mu, sigma, d),
+                                         abs=1e-9)
+        assert shannon_objective(dist, d) == pytest.approx(node_set, abs=1e-12)
 
 
 def gaussian_eta_objective_kummer(mu, sigma, d, eta):
@@ -435,6 +439,121 @@ def test_gaussian_window_stops_at_the_float_range(eta):
     cap = eta_capacity(Gaussian(4, 1), eta)
     assert cap.value_bits == pytest.approx(
         gaussian_eta_objective_quad(4.0, 1.0, cap.optimal_d, eta), abs=1e-9)
+
+
+def gaussian_log_abs_moment(mu, sigma, eta):
+    """ln E|B|^eta for B ~ N(mu, sigma^2) in the log domain: (B / sigma)^2 is
+    a Poisson(m) mixture of central chi-squares with 1 + 2k degrees of
+    freedom, m = mu^2 / 2 sigma^2, whose eta/2-th moments are
+    2^(eta/2) Gamma(k + 1/2 + eta/2) / Gamma(k + 1/2)."""
+    m = 0.5 * (mu / sigma) ** 2
+    k = np.arange(2000.0)
+    terms = (-m + k * math.log(m) - special.gammaln(k + 1.0) + 0.5 * eta * LOG2
+             + special.gammaln(k + 0.5 + 0.5 * eta) - special.gammaln(k + 0.5))
+    return eta * math.log(sigma) + float(special.logsumexp(terms))
+
+
+@pytest.mark.parametrize("eta", [500.0, 2000.0, 5000.0])
+def test_gaussian_moment_reaches_past_the_float_range_of_its_density(eta):
+    # the mass of |b|^eta lies near sqrt(eta) sigma; a window stopped at
+    # 36.5 sigma, with weights from the linear density, read 61 bits low at
+    # eta = 2000 and 1,780 bits low at 5000
+    assert Gaussian(4, 1).log_abs_moment(0.0, 1.0, eta) == pytest.approx(
+        gaussian_log_abs_moment(4.0, 1.0, eta), rel=1e-13)
+
+
+def gaussian_mean_log(mu, sigma, shift, d):
+    """E ln|shift + B d| for B ~ N(mu, sigma^2), where shift + B d =
+    d sigma (Z + lam).  Below |lam| = 16 by the Poisson mixture of central
+    chi-squares, ln|d sigma| + (ln 2 + sum_k Pois(k; lam^2 / 2)
+    digamma(k + 1/2)) / 2; beyond, where that sum loses digits, as
+    ln|shift + d mu| + E ln|1 + Z / lam|, the latter folded onto Z >= 0 as
+    E ln|1 - Z^2 / lam^2| (the odd part would cancel in quad), by quad
+    split at |lam|."""
+    lam = (mu + shift / d) / sigma
+    if abs(lam) < 16.0:
+        m = 0.5 * lam * lam
+        k = np.arange(int(m + 40.0 * math.sqrt(m) + 40.0))
+        mixture = float(np.sum(stats.poisson.pmf(k, m) * special.digamma(0.5 + k)))
+        return math.log(abs(d) * sigma) + 0.5 * (LOG2 + mixture)
+
+    def weighted(z):
+        u = (z / lam) ** 2
+        log_t = math.log1p(-u) if u < 1.0 else math.log(u - 1.0)
+        return log_t * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    cuts = sorted({0.0, 40.0, min(abs(lam), 40.0)})
+    part = sum(integrate.quad(weighted, lo, hi, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
+    return math.log(abs(shift + d * mu)) + part
+
+
+def _gain_for(lam):
+    """(mu, sigma, 1, d) with (mu + 1/d) / sigma near lam."""
+    return st.builds(lambda mu, sigma: (mu, sigma, 1.0, 1.0 / (sigma * lam - mu)),
+                     st.floats(-8.0, 8.0), st.floats(2.0 ** -4, 4.0)).filter(
+        lambda case: math.isfinite(case[3]))
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+_GAUSSIAN_CASES = st.one_of(
+    # lam exactly 0: mu a power of two, d = -1/mu
+    st.builds(lambda sign, j, sigma: (sign * 2.0 ** j, sigma, 1.0, -sign * 2.0 ** -j),
+              _SIGN, st.integers(-6, 6), st.floats(2.0 ** -4, 4.0)),
+    # |lam| on either side of the switch to the asymptotic series at 8
+    st.tuples(_SIGN, st.floats(6.0, 10.0)).flatmap(
+        lambda pair: _gain_for(pair[0] * pair[1])),
+    # tiny |d|, where ln|d sigma| and ln|lam| would cancel
+    st.builds(lambda mu, sigma, sign, e: (mu, sigma, 1.0, sign * 10.0 ** e),
+              st.floats(-8.0, 8.0), st.floats(2.0 ** -4, 4.0), _SIGN,
+              st.floats(-300.0, -6.0)),
+    # |d sigma| = 2^1023 r, which passes the float range from r = 2
+    st.builds(lambda mu, sigma, sign, r: (mu, sigma, 1.0,
+                                          sign * 2.0 ** 1023 / sigma * r),
+              st.floats(-8.0, 8.0), st.floats(4.0, 8.0), _SIGN,
+              st.floats(0.25, 4.0)),
+    # anything else, with shifts other than 1
+    st.builds(lambda mu, sigma, shift, sign, e: (mu, sigma, shift, sign * 10.0 ** e),
+              st.floats(-8.0, 8.0), st.floats(2.0 ** -6, 4.0),
+              st.sampled_from([1.0, -3.0, 0.125]), _SIGN, st.floats(-4.0, 4.0)),
+)
+
+
+@settings(max_examples=150)
+@given(case=_GAUSSIAN_CASES, k=st.integers(-20, 20))
+@example(case=(4.0, 1.0, 1.0, -0.25), k=3)  # lam = 0
+@example(case=(0.0, 1.0, 1.0, 0.125), k=-5)  # lam = 8, the first asymptotic
+@example(case=(0.0, 1.0, 1.0, 0.12500000000000003), k=5)  # the last series
+@example(case=(4.0, 1.0, 1.0, 5e-324), k=0)  # 1/d overflows: lam = inf
+@example(case=(4.0, 1.0, 1.0, 2.0 ** 1022), k=1)  # d sigma just below overflow
+@example(case=(4.0, 4.0, 1.0, -(2.0 ** 1022)), k=-1)  # and past it: +inf
+def test_gaussian_log_mean_matches_the_poisson_sum_and_quad(case, k):
+    mu, sigma, shift, d = case
+    law = Gaussian(mu, sigma)
+    got = law.mean_log_abs(shift, d)
+    assert got == pytest.approx(gaussian_mean_log(mu, sigma, shift, d),
+                                rel=1e-13, abs=1e-13)
+    # B -> 2^k B is absorbed by d -> d / 2^k
+    scaled = d * 2.0 ** -k
+    if 2.0 ** -1022 <= abs(scaled) < math.inf:
+        twin = Gaussian(mu * 2.0 ** k, sigma * 2.0 ** k).mean_log_abs(shift, scaled)
+        assert twin == pytest.approx(got, abs=1e-12)
+
+
+def test_gaussian_shannon_searches_build_no_node_set(monkeypatch):
+    # the Gaussian log mean is a closed form, so its Shannon search, and a
+    # mixture's with uniform and Gaussian components, build no node set
+    def refuse(*args, **kwargs):
+        raise AssertionError("a node set was built")
+
+    monkeypatch.setattr(ActuationDistribution, "quadrature_nodes", refuse)
+    monkeypatch.setattr(distributions, "panel_nodes", refuse)
+    mix = FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1))))
+    assert shannon_capacity(mix).diagnostics["objective"] == "closed_form"
+    res = shannon_capacity(Gaussian(4, 1))
+    assert res.diagnostics["objective"] == "closed_form"
+    assert res.value_bits == pytest.approx(
+        gaussian_log_objective(4.0, 1.0, res.optimal_d), abs=1e-12)
 
 
 def test_mixture_with_gaussian_component_finite_at_high_eta():
@@ -905,7 +1024,8 @@ def test_uniform_objectives_build_no_node_set(monkeypatch):
     assert len(si_value_curve(Uniform(0.0, 4.0), 3)) == 4
     _, cell = mix.restrict(0.0, 2.0)
     assert isinstance(cell, FiniteMixture)
-    assert cell.objective_route == "closed_form"
+    assert {cell.objective_route(sense) for sense in ("shannon", "eta")} == {
+        "closed_form"}
     assert len(si_value_curve(mix, 3)) == 4
     assert len(si_value_curve(mix, 2, sense="eta", eta=2.0)) == 3
 
@@ -1010,14 +1130,14 @@ def test_both_searches_fill_one_diagnostics_shape():
             "objective_at_d", "flat", "bound_hit", "halfwidth", "objective"}
     mixed = FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1))))
     results = {
-        "scan": [shannon_capacity(Uniform(1, 3)), eta_capacity(Uniform(1, 3), 0.5)],
+        "scan": [shannon_capacity(Uniform(1, 3)), eta_capacity(Uniform(1, 3), 0.5),
+                 shannon_capacity(mixed), shannon_capacity(Gaussian(4, 1))],
         "convex": [eta_capacity(Uniform(1, 3), 2.0),
                    eta_capacity(Uniform(-1, 1), 2.0),  # E[B] = 0: no search
                    eta_capacity(Empirical((2.0,)), 2.0),  # cancelled: inf
-                   eta_capacity(mixed, 2.0)],
+                   eta_capacity(mixed, 2.0), eta_capacity(Gaussian(4, 1), 2.0)],
     }
-    results["scan"].append(shannon_capacity(mixed))
-    node_set = [results["convex"][2], results["convex"][3], results["scan"][2]]
+    node_set = results["convex"][2:]
     for method, group in results.items():
         for res in group:
             diag = res.diagnostics
@@ -1025,8 +1145,9 @@ def test_both_searches_fill_one_diagnostics_shape():
             assert diag["method"] == method
             assert diag["evaluations"] == (diag["grid_evaluations"]
                                            + diag["refine_iterations"])
-            # uniform laws evaluate their closed forms; atomic laws and a
-            # mixture with a Gaussian component sum node sets
+            # uniform laws evaluate both objectives in closed form, and a
+            # Gaussian its log mean; atomic laws and the Gaussian moment
+            # sum node sets, and a mixture takes its components' routes
             assert diag["objective"] == ("node_set" if any(res is r for r in node_set)
                                          else "closed_form")
     zero_mean = results["convex"][1]

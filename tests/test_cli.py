@@ -114,6 +114,35 @@ def test_output_file_and_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_reused_parser_prints_what_a_fresh_one_prints():
+    # the parser is built once per process; a run after a malformed command
+    # or after other commands must print the bytes it prints on its own
+    import actcap.cli as cli_mod
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    simulate = ["simulate", "--dist", "uniform:1,3", "--a", "2", "--d", "-0.4",
+                "--horizon", "20", "--paths", "50", "--format", "json"]
+    malformed = ["capacity", "--dist", "uniform:1,3", "--format", "xml"]
+    capacity = ["capacity", "--dist", "mixture:0.5*uniform:1,3|0.5*gaussian:4,1"]
+    alone = {}
+    for argv in (simulate, malformed, capacity):
+        cli_mod._build_parser.cache_clear()
+        alone[tuple(argv)] = run(argv)
+    assert alone[tuple(malformed)][0] == 2
+    parser = cli_mod._build_parser()
+    for argv in (simulate, malformed, capacity, simulate):
+        assert run(argv) == alone[tuple(argv)], argv
+    assert cli_mod._build_parser() is parser
+
+
 def test_sideinfo_command(capsys):
     code, out = run_cli(
         ["sideinfo", "--dist", "uniform:0,4", "--si-bits", "2"], capsys)
