@@ -1,19 +1,21 @@
 """Capacity objectives and the one-dimensional search over the control gain d.
 
 All reported values are in bits.  Both objectives read one functional of
-the gain law, which the law evaluates itself: the Shannon objective is
--E log2|1 + B d| from ``mean_log_abs``, the eta-th-moment objective is
--(1/eta) log2 E|1 + B d|^eta from ``log_abs_moment``, free of overflow for
-every eta (see :mod:`actcap.distributions`).  Two searches over d, chosen
-by the objective's structure, give the capacities.  For
-eta >= 1, E|1 + B d|^eta is convex in d: bounded Brent runs on the smooth
-pieces between the exactly evaluated atom-cancelling gains.  For the Shannon
-sense and eta < 1, a coarse grid scan (log-densified near d = 0 and near
--1/mean, where the closed-form optimizers live) is followed by bounded Brent
-refinement of every grid-local maximum.  The window, the densification floor
-and the refinement stop are all set in a power-of-two unit of the law, so
-rescaling the law by 2^k moves no bit count.  The zero-error capacity has an
-exact minimax closed form over the support interval.
+the gain law, which the law evaluates itself, at one gain or at each gain
+of a 1-D array: the Shannon objective is -E log2|1 + B d| from
+``mean_log_abs``, the eta-th-moment objective is -(1/eta) log2 E|1 + B d|^eta
+from ``log_abs_moment``, free of overflow for every eta (see
+:mod:`actcap.distributions`).  Two searches over d, chosen by the
+objective's structure, give the capacities.  For eta >= 1, E|1 + B d|^eta
+is convex in d: bounded Brent runs on the smooth pieces between the exactly
+evaluated atom-cancelling gains.  For the Shannon sense and eta < 1, a
+coarse grid scan (log-densified near d = 0 and near -1/mean, where the
+closed-form optimizers live), evaluated in one call, is followed by bounded
+Brent refinement of every grid-local maximum.  The window, the
+densification floor and the refinement stop are all set in a power-of-two
+unit of the law, so rescaling the law by 2^k moves no bit count.  The
+zero-error capacity has an exact minimax closed form over the support
+interval.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ActuationDistribution, FiniteMixture, _pow2_scale
+from .distributions import ActuationDistribution, FiniteMixture, _many, _pow2_scale
 
 __all__ = [
     "CapacityResult",
@@ -62,19 +64,31 @@ class CapacityResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def shannon_objective(dist: ActuationDistribution, d: float) -> float:
-    """E[-log2 |1 + B d|]; +inf when an atom of the law is cancelled exactly."""
-    if d == 0.0:
-        return 0.0
-    return -dist.mean_log_abs(1.0, d) / _LOG2
+def shannon_objective(dist: ActuationDistribution, d):
+    """E[-log2 |1 + B d|]; +inf when an atom of the law is cancelled
+    exactly.  At a gain d, or at each gain of a 1-D array d."""
+    if _many(d):
+        return _off_zero(dist.mean_log_abs, (), _LOG2, d)
+    return 0.0 if d == 0.0 else -dist.mean_log_abs(1.0, d) / _LOG2
 
 
-def eta_objective(dist: ActuationDistribution, d: float, eta: float) -> float:
-    """-(1/eta) log2 E[|1 + B d|^eta], as a log-sum-exp for every eta."""
+def eta_objective(dist: ActuationDistribution, d, eta: float):
+    """-(1/eta) log2 E[|1 + B d|^eta], as a log-sum-exp for every eta.  At
+    a gain d, or at each gain of a 1-D array d."""
     _check_eta(eta)
-    if d == 0.0:
-        return 0.0
-    return -dist.log_abs_moment(1.0, d, eta) / (eta * _LOG2)
+    if _many(d):
+        return _off_zero(dist.log_abs_moment, (eta,), eta * _LOG2, d)
+    return 0.0 if d == 0.0 else -dist.log_abs_moment(1.0, d, eta) / (eta * _LOG2)
+
+
+def _off_zero(functional, args, scale, d):
+    """-functional(1, d, *args) / scale at the gains d != 0 of the array d,
+    and 0 at d = 0, as each objective reads for one gain."""
+    values = np.zeros(len(d))
+    moved = d != 0.0
+    if moved.any():
+        values[moved] = -functional(1.0, d[moved], *args) / scale
+    return values
 
 
 def _check_eta(eta):
@@ -89,8 +103,12 @@ def _build_grid(halfwidth, centers):
     side = np.linspace(0.0, h, _BACKBONE + 1)[1:]
     pts = [-side, np.array([0.0]), side]
     for c in centers:
-        offs = np.geomspace(max(abs(c), halfwidth / _WINDOW) * 1e-12, h,
-                            _PER_CENTER)
+        # offsets as fractions of h, so rescaling the law by 2^k rescales
+        # every grid point by 2^-k exactly; past the float range of those
+        # fractions (|c| beyond about 1e294 halfwidths) the floor rises
+        floor = max(abs(c), halfwidth / _WINDOW) * 1e-12 / h
+        offs = h * np.geomspace(max(floor, sys.float_info.min), 1.0,
+                                _PER_CENTER)
         pts.append(np.clip(c + offs, -h, h))
         pts.append(np.clip(c - offs, -h, h))
         pts.append(np.array([c]))  # exact cusp optima must be evaluable
@@ -101,11 +119,18 @@ def _build_grid(halfwidth, centers):
 
 
 def _counted(objective):
-    """``objective`` with NaN read as -inf, and a list holding its call
-    count."""
+    """``objective`` with NaN read as -inf, and a list holding the number
+    of gains it was evaluated at."""
     calls = [0]
 
     def f(d):
+        if _many(d):
+            calls[0] += len(d)
+            values = np.asarray(objective(d), dtype=float)
+            if values.shape != d.shape:
+                raise ValueError("the objective must map a 1-D array of gains "
+                                 f"to one value each, got shape {values.shape}")
+            return np.where(np.isnan(values), -INF, values)
         calls[0] += 1
         value = float(objective(d))
         return -INF if math.isnan(value) else value
@@ -139,6 +164,10 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
     1e-12 of max(|c|, halfwidth / 100) outward.  Refinement stops within
     1e-12 of max(halfwidth, |d|), so no step depends on the units of d.
 
+    ``objective`` maps a 1-D array of gains to an array of their values:
+    the grid is evaluated in one call.  Brent refinement passes it one gain
+    at a time, as a float.
+
     Returns ``(d_star, value, diagnostics)``.  A +inf objective value on the
     grid wins immediately; -inf (|b d| past the float range) and NaN lose
     like any other value.  ``diagnostics['bound_hit']`` flags an argmax on
@@ -149,7 +178,7 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     grid = _build_grid(halfwidth, centers)
     f, calls = _counted(objective)
-    vals = np.array([f(d) for d in grid])
+    vals = f(grid)
     n = len(grid)
 
     if np.isposinf(vals).any():

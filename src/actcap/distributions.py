@@ -5,7 +5,8 @@ to draw reproducible samples, its quadrature node set (atoms weighted by
 their mass, density pieces covered by the graded pattern of
 :mod:`actcap.quadrature` around declared singular points), and how to
 condition on an interval cell.  Every expectation is one weighted sum over
-that node set, the two that the capacity objectives read included, unless
+that node set, the two that the capacity objectives read included (at one
+gain or, row by row, at a 1-D array of gains), unless
 a law overrides them (the uniform law in closed form, the Gaussian log mean
 by its Poisson series, a truncated Gaussian's moment in the log domain, a
 mixture by composition).  Constructors reject non-finite parameters and
@@ -23,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import FAIL_REL, NonIntegrable, panel_nodes
+from .quadrature import (FAIL_REL, HALF_GAP_NODES, NonIntegrable, panel_nodes,
+                         panel_rows)
 
 __all__ = [
     "ActuationDistribution",
@@ -56,6 +58,11 @@ _GAUSS_TAIL_SIGMAS = 10.0
 
 _ATOM_MASS_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
+# node values per chunk of an array of gains: a temporary of 8k doubles
+# (64 KB) stays in cache and under glibc's mmap threshold, where building
+# 150k nodes at once cost about 5x their arithmetic
+_CHUNK = 1 << 13
+_MEMO_SIZE = 16  # per-eta values a law keeps
 
 
 class EmptyCell(ValueError):
@@ -190,6 +197,37 @@ class SupportInfo:
         return self.lower > NEG_INF and self.upper < POS_INF
 
 
+def _many(d):
+    """Whether d is an array of gains rather than one gain."""
+    return isinstance(d, np.ndarray) and d.ndim > 0
+
+
+def _each(method, shift, d, *args):
+    """``method(shift, x, *args)``, written for one gain x, at each gain of
+    the 1-D array d in turn, so every value keeps the bits of its scalar
+    call."""
+    return np.array([method(shift, x, *args)
+                     for x in np.asarray(d, dtype=float).tolist()], dtype=float)
+
+
+def _chunks(index, width):
+    """Slices of ``index`` holding at most about _CHUNK values of ``width``
+    nodes each."""
+    step = max(1, _CHUNK // width)
+    return (index[i:i + step] for i in range(0, len(index), step))
+
+
+def _frozen(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _divergent(tail, total):
+    return NonIntegrable(f"innermost panels carry {tail!r} of {total!r}; "
+                         "divergent integrand or misdeclared singularity")
+
+
 class ActuationDistribution:
     """Base class for gain laws; subclasses provide a support (with its
     atoms) and density pieces."""
@@ -245,10 +283,21 @@ class ActuationDistribution:
         covered by the graded pattern of :func:`panel_nodes` between its
         ends and the ``singularities`` clipped into it; ``inner`` marks the
         innermost graded panels.  ``eta`` is the growth exponent of f,
-        which sets how far an unbounded piece reaches.
+        which sets how far an unbounded piece reaches.  Where no
+        singularity lies inside a piece the node set depends on the law and
+        ``eta`` alone; it is then built once and kept, read-only.
         """
+        pieces = self._density_pieces(eta)
+        if not pieces:
+            return self._atom_nodes
+        if not any(lo < s < hi for s in singularities for lo, hi, _ in pieces):
+            return self._remember(("nodes", eta),
+                                  lambda: _frozen(self._node_set((), pieces)))
+        return self._node_set(singularities, pieces)
+
+    def _node_set(self, singularities, pieces):
         parts = [self._atom_nodes] if self._atom_nodes else []
-        for lo, hi, pdf in self._density_pieces(eta):
+        for lo, hi, pdf in pieces:
             breaks = sorted({lo, hi, *(min(max(s, lo), hi) for s in singularities)})
             nodes, weights, inner = panel_nodes(breaks)
             parts.append((nodes, weights * pdf(nodes), inner))
@@ -263,10 +312,24 @@ class ActuationDistribution:
         atoms = self.support().atoms
         if not atoms:
             return ()
-        table = np.array(atoms, dtype=float)
-        table.flags.writeable = False
-        locs, masses = table.T
-        return locs, masses, np.zeros(len(atoms), dtype=bool)
+        locs, masses = np.array(atoms, dtype=float).T
+        return _frozen((locs, masses, np.zeros(len(atoms), dtype=bool)))
+
+    @cached_property
+    def _memo(self):
+        return {}
+
+    def _remember(self, key, build):
+        """``build()``, kept on the law under ``key`` (such as ("nodes",
+        eta)); a law keeps at most _MEMO_SIZE of them, so nothing grows
+        with the number of etas asked."""
+        memo = self._memo
+        value = memo.get(key)
+        if value is None:
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            value = memo[key] = build()
+        return value
 
     def expect(self, integrand, singularities=(), eta=0.0):
         """E[integrand(B)] as the node set's weighted sum over its weights' total.
@@ -283,24 +346,108 @@ class ActuationDistribution:
         total = float(terms.sum())
         tail = float(np.abs(terms[inner]).sum())
         if not tail <= FAIL_REL * np.maximum(1.0, abs(total)):
-            raise NonIntegrable(
-                f"innermost panels carry {tail!r} of {total!r}; divergent "
-                "integrand or misdeclared singularity"
-            )
+            raise _divergent(tail, total)
         return total / float(weights.sum())
+
+    # Both objectives below take a gain d or a 1-D array of gains.  An
+    # array is evaluated in chunks of gains that share one node set (their
+    # breaks -shift/d lying outside every density piece) or whose graded
+    # panels come from one broadcast (one density piece, no atoms), as one
+    # (gains x nodes) array each; any other gain takes its scalar route.
+    # Each row is summed along its own contiguous nodes, so every value
+    # keeps the bits of its scalar call.
 
     def mean_log_abs(self, shift, d):
         """E ln|shift + B d| for d != 0 by :meth:`expect`: -inf when an atom is
         cancelled (:meth:`_cancelled`), ahead of overflow (+inf past the
-        float range)."""
+        float range).  Over an array of gains, the :class:`NonIntegrable`
+        raised is that of the first failing gain."""
+        if _many(d):
+            return self._mean_log_abs_each(shift, np.asarray(d, dtype=float))
         if self._atom_nodes and self._cancelled(shift, d).any():
             return NEG_INF
         return self.expect(lambda b: self._log_abs(shift, d, b), (-shift / d,))
 
     def log_abs_moment(self, shift, d, eta):
         """ln E|shift + B d|^eta for d != 0, eta > 0: a log-sum-exp, no overflow."""
+        if _many(d):
+            values = np.empty(len(d))
+            d = np.asarray(d, dtype=float)
+            for i, logs, weights, _ in self._node_set_rows(shift, d, eta):
+                logs *= eta
+                values[i] = [_log_mean_exp(row, w) for row, w
+                             in zip(logs, np.broadcast_to(weights, logs.shape))]
+            return values
         nodes, weights, _ = self.quadrature_nodes((-shift / d,), eta)
         return _log_mean_exp(eta * self._log_abs(shift, d, nodes), weights)
+
+    def _mean_log_abs_each(self, shift, d):
+        values = np.full(len(d), NEG_INF)
+        live = np.ones(len(d), dtype=bool)
+        if self._atom_nodes:
+            live = ~self._cancelled(shift, d[:, None]).any(axis=1)
+        totals = np.zeros(len(d))
+        tails = np.zeros(len(d))
+        index = np.flatnonzero(live)
+        for i, logs, weights, inner in self._node_set_rows(shift, d[live], 0.0):
+            terms = weights * logs
+            i = index[i]
+            totals[i] = terms.sum(axis=1)
+            tails[i] = np.abs(np.compress(inner, terms, axis=1)).sum(axis=1)
+            values[i] = totals[i] / weights.sum(axis=-1)
+        bad = np.flatnonzero(~(tails <= FAIL_REL * np.maximum(1.0, np.abs(totals))))
+        if bad.size:
+            raise _divergent(float(tails[bad[0]]), float(totals[bad[0]]))
+        return values
+
+    def _node_set_rows(self, shift, d, eta):
+        """Yield ``(index, logs, weights, inner)`` over chunks of the gains
+        d (a 1-D array, no 0): ln|shift + b d| at the nodes b of each gain
+        d[index], one row each, with the weights (one row shared by every
+        gain, or one row each) and the innermost-panel mask.  No chunk
+        holds much more than _CHUNK node values."""
+        cut = -shift / d
+        pieces = self._density_pieces(eta)
+        inside = np.zeros(len(d), dtype=bool)
+        for lo, hi, _ in pieces:
+            inside |= (lo < cut) & (cut < hi)
+        shared = np.flatnonzero(~inside)
+        if shared.size:
+            nodes, weights, inner = self.quadrature_nodes((), eta)
+            for i in _chunks(shared, nodes.size):
+                yield i, self._log_abs_rows(shift, d[i], nodes), weights, inner
+        inside = np.flatnonzero(inside)
+        if len(pieces) != 1 or self._atom_nodes:
+            for i in inside:
+                nodes, weights, inner = self.quadrature_nodes((cut[i],), eta)
+                yield [i], self._log_abs(shift, d[i], nodes)[None], weights, inner
+            return
+        (lo, hi, pdf), = pieces
+        for index in _chunks(inside, 4 * HALF_GAP_NODES):
+            ends = np.broadcast_to([[lo], [hi]], (2, len(index)))
+            breaks = np.stack((ends[0], cut[index], ends[1]), axis=1)
+            for start, stop, nodes, weights, inner in panel_rows(breaks):
+                i = index[start:stop]
+                yield (i, self._log_abs_rows(shift, d[i], nodes),
+                       weights * pdf(nodes), inner)
+
+    def _log_abs_rows(self, shift, d, nodes):
+        """:meth:`_log_abs` at each gain of the 1-D array d, one row each,
+        over one shared row of nodes or one row of nodes per gain."""
+        bd = nodes * d[:, None]
+        t = np.abs(shift + bd)
+        redo = ()
+        if self._atom_nodes:  # rows that cancel an atom or zero a node
+            redo = np.flatnonzero(~t.all(axis=1)
+                                  | self._cancelled(shift, d[:, None]).any(axis=1))
+        elif not t.all():  # as _log_abs does, with no atom to keep at 0
+            lost = t == 0.0
+            t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(bd[lost]))
+        with np.errstate(divide="ignore"):
+            logs = np.log(t)
+        for i in redo:
+            logs[i] = self._log_abs(shift, d[i], nodes if nodes.ndim == 1 else nodes[i])
+        return logs
 
     def _cancelled(self, shift, d):
         """Mask over the atoms that shift + B d cancels: where d is the kink
@@ -382,6 +529,8 @@ class Uniform(ActuationDistribution):
         return small, big or width, width, min(ta, tb) < 0.0 < max(ta, tb)
 
     def mean_log_abs(self, shift, d):
+        if _many(d):
+            return _each(self.mean_log_abs, shift, d)
         small, big, width, changes_sign = self._ends(shift, d)
         if big == POS_INF:
             return POS_INF
@@ -394,6 +543,8 @@ class Uniform(ActuationDistribution):
         return math.log(big) - 1.0 + part
 
     def log_abs_moment(self, shift, d, eta):
+        if _many(d):
+            return _each(self.log_abs_moment, shift, d, eta)
         small, big, width, changes_sign = self._ends(shift, d)
         if big == POS_INF:
             return POS_INF
@@ -448,7 +599,7 @@ class TruncatedGaussian(ActuationDistribution):
         a, b = (self.lo - self.mu) / self.sigma, (self.hi - self.mu) / self.sigma
         return (-b, -a, -1.0) if a > 0.0 else (a, b, 1.0)
 
-    @property
+    @cached_property
     def cell_probability(self):
         a, b, _ = self._lower_side()
         if b <= 0.0:
@@ -492,10 +643,12 @@ class TruncatedGaussian(ActuationDistribution):
 
     def _window(self, eta):
         """The cell cut, infinite ends included, 10 + sqrt(eta) sigma beyond
-        the nearer of mu and the opposite end."""
-        reach = (_GAUSS_TAIL_SIGMAS + math.sqrt(eta)) * self.sigma
-        return (max(self.lo, min(self.mu, self.hi) - reach),
-                min(self.hi, max(self.mu, self.lo) + reach))
+        the nearer of mu and the opposite end; kept per eta."""
+        def build():
+            reach = (_GAUSS_TAIL_SIGMAS + math.sqrt(eta)) * self.sigma
+            return (max(self.lo, min(self.mu, self.hi) - reach),
+                    min(self.hi, max(self.mu, self.lo) + reach))
+        return self._remember(("window", eta), build)
 
     def _density_pieces(self, eta=0.0):
         lo, hi = self._window(eta)
@@ -513,6 +666,8 @@ class TruncatedGaussian(ActuationDistribution):
         than 10 sigma from -shift/d is a break point too: the graded panels
         are coarse that far from a break, and at large eta nearly all the
         mass lies within a few sigma of a peak."""
+        if _many(d):
+            return _each(self.log_abs_moment, shift, d, eta)
         lo, hi = self._window(eta)
         lam = (self.mu + shift / d) / self.sigma
         far = -0.5 * (lam + math.copysign(math.sqrt(lam * lam + 4.0 * eta), lam))
@@ -556,6 +711,8 @@ class Gaussian(TruncatedGaussian):
     # reads +inf, as the node set does.
 
     def mean_log_abs(self, shift, d):
+        if _many(d):
+            return _each(self.mean_log_abs, shift, d)
         lam = (self.mu + shift / d) / self.sigma
         if abs(lam) < _ASYMPTOTIC_LAM:
             total, mass = ((0.5 * lam * lam) ** _POISSON_K @ _HARMONIC).tolist()
@@ -708,15 +865,38 @@ class FiniteMixture(ActuationDistribution):
         routes = {d.objective_route(sense) for _, d in self._positive}
         return "closed_form" if routes == {"closed_form"} else "node_set"
 
+    # Over an array of gains each component evaluates the whole array, and
+    # the parts combine gain by gain as for one gain, keeping its bits.
+
     def mean_log_abs(self, shift, d):
-        parts = [w * law.mean_log_abs(shift, d) for w, law in self._positive]
+        return self._combine(self._mean_of, d,
+                             lambda law, x: law.mean_log_abs(shift, x))
+
+    def log_abs_moment(self, shift, d, eta):
+        return self._combine(self._moment_of, d,
+                             lambda law, x: law.log_abs_moment(shift, x, eta))
+
+    def _combine(self, combine, d, evaluate):
+        if not _many(d):
+            return combine([evaluate(law, d) for _, law in self._positive])
+        try:
+            values = [evaluate(law, d) for _, law in self._positive]
+        except NonIntegrable:
+            # raise the error of the first failing gain, in the gains' order
+            for x in np.asarray(d, dtype=float).tolist():
+                self._combine(combine, x, evaluate)
+            raise
+        return np.array([combine(gain) for gain in zip(*values)], dtype=float)
+
+    def _mean_of(self, values):
+        parts = [w * v for (w, _), v in zip(self._positive, values)]
         if NEG_INF in parts:  # an atom cancelled exactly, ahead of overflow
             return NEG_INF
         return sum(parts) / sum(w for w, _ in self._positive)
 
-    def log_abs_moment(self, shift, d, eta):
-        weights, logs = np.array([(w, law.log_abs_moment(shift, d, eta))
-                                  for w, law in self._positive]).T
+    def _moment_of(self, values):
+        weights, logs = np.array([(w, v) for (w, _), v
+                                  in zip(self._positive, values)]).T
         return _log_mean_exp(logs, weights)
 
 

@@ -46,21 +46,50 @@ def _half_pattern():
 
 
 _U, _W, _INNER = _half_pattern()
+HALF_GAP_NODES = len(_U)  # nodes in each half of a gap
+
+
+def _pattern(breaks):
+    """Nodes, weights and keep mask of every half gap, shape (..., 2 gaps,
+    nodes per half): the graded pattern mapped by one affine broadcast
+    toward its own break point, over the last axis of ``breaks``."""
+    lower, upper = breaks[..., :-1], breaks[..., 1:]
+    near = np.concatenate((lower, upper), axis=-1)[..., None]
+    far = np.concatenate((upper, lower), axis=-1)[..., None]
+    step = 0.5 * (far - near)
+    nodes = near + step * _U
+    return nodes, np.abs(step) * _W, (nodes != near) & (nodes != far)
 
 
 def panel_nodes(breaks):
     """``(nodes, weights, inner)`` covering [breaks[0], breaks[-1]].
 
     ``breaks`` is strictly increasing.  Each half of every gap carries the
-    graded pattern, mapped by one affine broadcast toward its own break
-    point; ``inner`` marks the innermost panels.  Nodes that round onto a
-    break point are dropped, so no integrand is evaluated at one.
+    graded pattern, mapped toward its own break point; ``inner`` marks the
+    innermost panels.  Nodes that round onto a break point are dropped, so
+    no integrand is evaluated at one; when none does, the raveled arrays
+    are returned unfiltered.
     """
-    gaps = list(zip(breaks[:-1], breaks[1:]))
-    rows = [(a, b, 0.5 * (b - a)) for a, b in gaps]
-    rows += [(b, a, 0.5 * (a - b)) for a, b in gaps]
-    near, far, step = np.array(rows, dtype=float).T[:, :, None]
-    nodes = near + step * _U
-    keep = (nodes != near) & (nodes != far)
-    weights = np.abs(step) * _W
+    nodes, weights, keep = _pattern(np.asarray(breaks, dtype=float))
+    if keep.all():
+        return nodes.ravel(), weights.ravel(), np.tile(_INNER, len(nodes))
     return nodes[keep], weights[keep], (keep & _INNER)[keep]
+
+
+def panel_rows(breaks):
+    """:func:`panel_nodes` of every row of the 2-D array ``breaks``, in runs
+    of consecutive rows that drop the same nodes.  Yields ``(start, stop,
+    nodes, weights, inner)``: one row of nodes and of weights for each row
+    of ``breaks[start:stop]``, and one ``inner`` mask for them all.  Row by
+    row these are the arrays :func:`panel_nodes` returns."""
+    nodes, weights, keep = (a.reshape(len(breaks), -1) for a in _pattern(breaks))
+    inner = np.tile(_INNER, 2 * (breaks.shape[1] - 1))
+    bounds = [0, *((keep[1:] != keep[:-1]).any(axis=1).nonzero()[0] + 1).tolist(),
+              len(breaks)]
+    for start, stop in zip(bounds, bounds[1:]):
+        kept = keep[start]
+        if kept.all():
+            yield start, stop, nodes[start:stop], weights[start:stop], inner
+        else:  # compress keeps the rows contiguous, as each row's sum needs
+            yield (start, stop, np.compress(kept, nodes[start:stop], axis=1),
+                   np.compress(kept, weights[start:stop], axis=1), inner[kept])

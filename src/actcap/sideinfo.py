@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityResult, eta_capacity, shannon_capacity
+from .capacity import CapacityResult, _unit, eta_capacity, shannon_capacity
 from .distributions import ActuationDistribution, EmptyCell
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 INF = float("inf")
 
 _PROB_TOL = 1e-10
-_CONSISTENCY_TOL = 1e-7
+_CONSISTENCY_TOL = 1e-7  # in the base law's power-of-two unit
 MAX_BITS = 20
 
 
@@ -64,15 +64,22 @@ class SideInformationModel:
             raise ValueError(f"cell probabilities sum to {total}, expected 1")
 
     def validate_against(self, base: ActuationDistribution):
-        """Check the mixture of conditionals reproduces the base mean/variance."""
-        mean = sum(c.probability * c.conditional.moments()[0] for c in self.cells)
-        second = sum(c.probability * c.conditional.moments()[2] for c in self.cells)
+        """Check the mixture of conditionals reproduces the base mean/variance.
+
+        Both are compared in the base law's power-of-two unit (the one the
+        capacity search uses), so rescaling the law by 2^k moves nothing."""
+        unit = _unit(base)
+        mean = sum(c.probability * (c.conditional.moments()[0] / unit)
+                   for c in self.cells)
+        second = sum(c.probability * (c.conditional.moments()[2] / unit / unit)
+                     for c in self.cells)
         bmean, bvar, _ = base.moments()
-        if (abs(mean - bmean) > _CONSISTENCY_TOL
-                or abs(second - mean * mean - bvar) > _CONSISTENCY_TOL):
+        if (abs(mean - bmean / unit) > _CONSISTENCY_TOL
+                or abs(second - mean * mean - bvar / unit / unit) > _CONSISTENCY_TOL):
             raise ValueError(
                 "partition inconsistent with the base law: "
-                f"mean {mean} vs {bmean}, var {second - mean * mean} vs {bvar}"
+                f"mean {mean * unit} vs {bmean}, "
+                f"var {(second - mean * mean) * unit * unit} vs {bvar}"
             )
 
 

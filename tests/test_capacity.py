@@ -10,6 +10,7 @@ from scipy import integrate, special, stats
 from actcap import distributions
 from actcap.capacity import (
     _build_grid,
+    _unit,
     capacity_curve,
     eta_capacity,
     eta_objective,
@@ -29,7 +30,7 @@ from actcap.distributions import (
     Uniform,
     parse_spec,
 )
-from actcap.sideinfo import si_value_curve
+from actcap.sideinfo import model_from_boundaries, si_value_curve
 from actcap.simulate import _moment_ceiling_log2
 
 LOG2 = math.log(2.0)
@@ -678,27 +679,58 @@ def test_composed_mixture_objectives_match_the_node_set(first, second, w, d,
 
 # --- maximizer ----------------------------------------------------------------
 
+def each_gain(objective):
+    """A scalar objective as maximize_over_d takes one: an array of gains
+    in, an array of values out."""
+    return np.vectorize(objective, otypes=[float])
+
+
 def test_maximize_matches_brute_force_uniform_2_6():
     # frozen from a 1e6-point closed-form grid scan plus local refinement:
     # d* = -0.20877943..., value = 2.58704615... bits
     d_star, val, diag = maximize_over_d(
-        lambda d: uniform_log_objective(2, 6, d), 2.0, centers=(0.0, -0.25)
-    )
+        each_gain(lambda d: uniform_log_objective(2, 6, d)), 2.0,
+        centers=(0.0, -0.25))
     assert val == pytest.approx(2.5870461584325, abs=1e-9)
     assert d_star == pytest.approx(-0.2087794, abs=1e-5)
     assert val > uniform_log_objective(2, 6, -0.25)  # beats the minimax start
     assert not diag["bound_hit"]
 
 
+def test_each_cell_scans_its_grid_in_one_objective_call(monkeypatch):
+    # the cells of `sideinfo --dist gaussian:4,1 --si-cells=-10,4,14` sum
+    # node sets; each search hands its whole scan grid (0 aside, where the
+    # objective reads 0) to one array call, and Brent one gain at a time
+    calls = []
+    node_set = ActuationDistribution.mean_log_abs
+
+    def spy(law, shift, d):
+        calls.append(np.shape(d))
+        return node_set(law, shift, d)
+
+    monkeypatch.setattr(ActuationDistribution, "mean_log_abs", spy)
+    model = model_from_boundaries(Gaussian(4.0, 1.0), [-10.0, 4.0, 14.0])
+    for cell in model.cells:
+        calls.clear()
+        diag = shannon_capacity(cell.conditional).diagnostics
+        assert diag["objective"] == "node_set"
+        assert calls[0] == (diag["grid_evaluations"] - 1,)
+        assert calls[1:] == [()] * diag["refine_iterations"]
+
+
+def test_maximize_rejects_a_scalar_only_objective():
+    with pytest.raises(ValueError, match="one value each"):
+        maximize_over_d(lambda d: 0.0, 1.0)
+
+
 def test_maximize_flags_boundary():
     _, _, diag = maximize_over_d(
-        lambda d: uniform_log_objective(2, 6, d), 0.05
-    )
+        each_gain(lambda d: uniform_log_objective(2, 6, d)), 0.05)
     assert diag["bound_hit"]
 
 
 def test_maximize_tie_breaks_toward_small_d():
-    d_star, val, diag = maximize_over_d(lambda d: 0.0, 1.0)
+    d_star, val, diag = maximize_over_d(np.zeros_like, 1.0)
     assert val == 0.0
     assert d_star == 0.0
     assert diag["flat"]
@@ -720,10 +752,11 @@ def test_maximize_reads_nan_as_a_loss():
     # a NaN objective value loses like -inf, away from the optimum or next
     # to it; it used to raise "attempt to get argmin of an empty sequence"
     d_star, val, _ = maximize_over_d(
-        lambda d: math.nan if abs(d - 0.5) < 1e-3 else -d * d, 1.0)
+        each_gain(lambda d: math.nan if abs(d - 0.5) < 1e-3 else -d * d), 1.0)
     assert d_star == 0.0 and val == 0.0
     d_star, val, _ = maximize_over_d(
-        lambda d: math.nan if abs(d) < 1e-3 else -(d - 0.3) ** 2, 1.0)
+        each_gain(lambda d: math.nan if abs(d) < 1e-3 else -(d - 0.3) ** 2),
+        1.0)
     assert d_star == pytest.approx(0.3, abs=1e-6)
     assert val == pytest.approx(0.0, abs=1e-12)
 
@@ -992,6 +1025,76 @@ def test_uniform_capacity_properties(b1, width, k):
         twin = (shannon_capacity(scaled) if eta is None
                 else eta_capacity(scaled, eta))
         assert twin.value_bits == pytest.approx(res.value_bits, abs=1e-12)
+
+
+def _node_set_law(kind):
+    """One regime of node-set laws, each drawn as a function of its scale
+    s (B -> s B), with every parameter scaled exactly: none is so near 0
+    that 2^-40 of it leaves the normal floats."""
+
+    def floats(lo, hi):
+        return st.floats(lo, hi).filter(lambda x: x == 0.0 or abs(x) >= 2.0 ** -20)
+
+    cell = st.builds(
+        lambda mu, sigma, a, w: lambda s: Gaussian(mu * s, sigma * s).restrict(
+            (mu + a * sigma) * s, (mu + (a + w) * sigma) * s)[1],
+        floats(0.5, 4.0), floats(0.25, 2.0), floats(-3.0, 2.0),
+        floats(0.25, 4.0))
+    gaussian = st.builds(lambda mu, sigma: lambda s: Gaussian(mu * s, sigma * s),
+                         floats(-4.0, 4.0), floats(0.25, 4.0))
+    erasure = st.builds(lambda beta, p: lambda s: ScaledBernoulli(beta * s, p),
+                        st.sampled_from([-3.0, -0.5, 0.75, 2.0]),
+                        floats(0.05, 0.95))
+    empirical = st.builds(
+        lambda xs: lambda s: Empirical(tuple(x * s for x in xs)),
+        st.lists(floats(-1.0, 4.0), min_size=1, max_size=30))
+    uniform = st.builds(lambda b1, w: lambda s: Uniform(b1 * s, (b1 + w) * s),
+                        floats(-1.0, 4.0), floats(0.25, 4.0))
+    regimes = {"cell": cell, "gaussian": gaussian, "erasure": erasure,
+               "empirical": empirical}
+    if kind != "mixture":
+        return regimes[kind]
+    part = st.one_of(uniform, *regimes.values())
+    return st.builds(
+        lambda w, f, g: lambda s: FiniteMixture(((w, f(s)), (1.0 - w, g(s)))),
+        floats(0.1, 0.9), part, part)
+
+
+def _objective(law, eta):
+    if eta is None:
+        return lambda d: shannon_objective(law, d)
+    return lambda d: eta_objective(law, d, eta)
+
+
+def _capacity(law, eta):
+    return shannon_capacity(law) if eta is None else eta_capacity(law, eta)
+
+
+@pytest.mark.parametrize("regime", ["cell", "gaussian", "erasure",
+                                    "empirical", "mixture"])
+@settings(max_examples=6)
+@given(data=st.data(), k=st.sampled_from([-40, -7, 3, 20]))
+def test_node_set_capacity_properties(regime, data, k):
+    # one budget per regime: drawn from one strategy, the derandomized
+    # examples were two thirds truncated-Gaussian cells
+    law = data.draw(_node_set_law(regime))
+    results = {eta: _capacity(law(1.0), eta) for eta in (None, 0.5, 2.0, 8.0)}
+    value = {eta: res.value_bits for eta, res in results.items()}
+    # C_ze <= C_eta <= C_sh, C_eta nonincreasing in eta
+    assert zero_error_capacity(law(1.0)).value_bits <= value[8.0] + 1e-9
+    assert value[8.0] <= value[2.0] + 1e-9
+    assert value[2.0] <= value[0.5] + 1e-9
+    assert value[0.5] <= value[None] + 1e-9
+    assert value[2.0] == pytest.approx(
+        second_moment_closed_form(law(1.0)).value_bits, abs=1e-9)
+    # no gain on a dense grid, spaced 1/10 of the law's unit, beats a
+    # capacity; B -> 2^k B is absorbed by d -> d / 2^k
+    dense = np.linspace(-16.0, 16.0, 321) / _unit(law(1.0))
+    for eta in (None, 0.5, 2.0):
+        if math.isfinite(value[eta]):
+            assert _objective(law(1.0), eta)(dense).max() <= value[eta] + 1e-9
+        twin = _capacity(law(2.0 ** k), eta).value_bits
+        assert twin == pytest.approx(value[eta], abs=1e-12), eta
 
 
 @pytest.mark.parametrize("law", [Uniform(7.0, 7.0 + 2.0 ** -8),

@@ -163,6 +163,16 @@ def test_sideinfo_explicit_cells(capsys):
     assert int(rows[1].split(",")[0]) == 2
 
 
+def test_sideinfo_at_a_power_of_two_scale(capsys):
+    # uniform:1048576,3145728 exited 2 as "partition inconsistent with the
+    # base law"; it is uniform:1,3 scaled by 2^20 and prints its staircase
+    outputs = [run_cli(["sideinfo", "--dist", spec, "--si-bits", "4"], capsys)
+               for spec in ("uniform:1,3", "uniform:1048576,3145728")]
+    assert outputs[0] == outputs[1]
+    assert outputs[1][0] == 0
+    assert outputs[1][1].strip().splitlines()[-1] == "4,6.378691889131663"
+
+
 def test_sweep_families(capsys):
     code, out = run_cli(
         ["sweep", "--ratios", "4", "--families", "uniform,gaussian,erasure"],

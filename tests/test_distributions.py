@@ -508,3 +508,136 @@ def test_parse_spec_yields_finite_law_or_rejects(spec, singular):
     for singularities in ((), (singular,)):
         nodes, weights, _ = dist.quadrature_nodes(singularities)
         assert np.isfinite(nodes).all() and np.isfinite(weights).all()
+
+
+# --- array-valued objectives -------------------------------------------------
+
+_ARRAY_REGIMES = {
+    "uniform": st.builds(lambda b1, w: Uniform(b1, b1 + w),
+                         st.floats(-4.0, 4.0), st.floats(2.0 ** -4, 8.0)),
+    "gaussian": st.builds(Gaussian, st.floats(-4.0, 4.0),
+                          st.floats(2.0 ** -4, 4.0)),
+    # a cell of N(mu, sigma) from restrict, from 6 sigma below mu to 4 above
+    "cell": st.builds(lambda mu, sigma, a, w: Gaussian(mu, sigma).restrict(
+                          mu + a * sigma, mu + (a + w) * sigma)[1],
+                      st.floats(-4.0, 4.0), st.floats(2.0 ** -4, 4.0),
+                      st.floats(-6.0, 4.0), st.floats(0.1, 8.0)),
+    "erasure": st.builds(ScaledBernoulli,
+                         st.sampled_from([-3.0, -0.5, 0.75, 2.0, 3.5]),
+                         st.floats(0.05, 0.95)),
+    "empirical": st.builds(lambda xs: Empirical(tuple(xs)),
+                           st.lists(st.floats(-4.0, 4.0), min_size=1,
+                                    max_size=30)),
+}
+_ARRAY_REGIMES["mixture"] = st.builds(
+    lambda w, a, b: FiniteMixture(((w, a), (1.0 - w, b))),
+    st.floats(0.05, 0.95), st.one_of(*_ARRAY_REGIMES.values()),
+    st.one_of(*_ARRAY_REGIMES.values()))
+
+
+def straddling_grid(law):
+    """The law's capacity scan grid without 0, plus every kink -1/loc of
+    an atom and -1/end of a support or node-window end with its float
+    neighbours, and two gains past the float range."""
+    from actcap.capacity import _WINDOW, _build_grid, _grid_centers, _unit
+
+    ends = [loc for loc, _ in law.support().atoms]
+    parts = [law] + [part for _, part in getattr(law, "components", ())]
+    for part in parts:
+        info = part.support()
+        ends += [info.lower, info.upper]
+        if isinstance(part, TruncatedGaussian):
+            ends += list(part._window(0.0))
+    kinks = [-1.0 / e for e in ends if e != 0.0 and math.isfinite(e)]
+    with np.errstate(all="ignore"):  # a mean near 0 puts -1/mean past the range
+        grid = [*_build_grid(_WINDOW / _unit(law), _grid_centers(law)),
+                *kinks, *np.nextafter(kinks, math.inf),
+                *np.nextafter(kinks, -math.inf), 1.7e308, -1.7e308]
+    return np.array([d for d in grid if d != 0.0 and math.isfinite(d)])
+
+
+@pytest.mark.parametrize("regime", sorted(_ARRAY_REGIMES))
+@settings(max_examples=10)
+@given(data=st.data(), eta=st.sampled_from([0.01, 0.5, 2.0, 64.0]))
+def test_array_objectives_equal_their_scalar_calls(regime, data, eta):
+    # every law maps a 1-D array of gains to the values of its scalar
+    # calls, bit for bit: one shared node set for gains whose break lies
+    # outside the density, stacked graded panels for the others, and
+    # closed forms and mixtures gain by gain
+    law = data.draw(_ARRAY_REGIMES[regime])
+    grid = straddling_grid(law)
+    # past the float range |b d| overflows, and a break at a subnormal
+    # -1/d leaves a gap whose panel weights underflow
+    with np.errstate(over="ignore", divide="ignore"):
+        for method, args in (("mean_log_abs", ()), ("log_abs_moment", (eta,))):
+            got = getattr(law, method)(1.0, grid, *args)
+            want = [getattr(law, method)(1.0, float(d), *args) for d in grid]
+            assert got.shape == grid.shape and got.dtype == float
+            assert got.tobytes() == np.array(want).tobytes(), method
+
+
+def test_laws_keep_what_they_derive_per_eta():
+    cell = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]
+    assert cell.cell_probability is cell.cell_probability
+    assert cell._window(2.0) is cell._window(2.0)
+    # a break outside the cell leaves one node set, built once, read-only
+    first = cell.quadrature_nodes((-3.0,))
+    again = cell.quadrature_nodes((20.0,))
+    assert all(a is b for a, b in zip(first, again))
+    assert not any(a.flags.writeable for a in first)
+    fresh = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]
+    for a, b in zip(first, fresh._node_set((), fresh._density_pieces(0.0))):
+        np.testing.assert_array_equal(a, b)
+    # and no law keeps more than a few of them, however many etas it sees
+    for eta in range(100):
+        cell._window(float(eta))
+        cell.quadrature_nodes((), float(eta))
+    assert len(cell._memo) <= distributions._MEMO_SIZE
+
+
+def test_array_objectives_reach_both_infinities():
+    # a gain past the float range reads +inf, a cancelled atom -inf, and an
+    # array call reads both as its scalar calls do
+    law = FiniteMixture(((0.5, Empirical((0.5, 2.0))),
+                         (0.5, Gaussian(4.0, 1.0).restrict(3.0, 6.0)[1])))
+    grid = np.array([-1.7e308, -2.0, -0.5, 1.7e308])
+    with np.errstate(over="ignore"):
+        got = law.mean_log_abs(1.0, grid)
+    assert got.tolist() == [math.inf, -math.inf, -math.inf, math.inf]
+
+
+class _Spiked(distributions.ActuationDistribution):
+    """A density on [1, 3] with a spike |b - 2|^-0.9 that is not declared,
+    and 0 above 2.5.  At d = -1/2 the innermost panels of the break meet
+    the spike; past the float range a node of weight 0 reads 0 * inf."""
+
+    def support(self):
+        return distributions.SupportInfo.build(1.0, 3.0)
+
+    def moments(self):
+        return 2.0, 1.0 / 3.0, 13.0 / 3.0
+
+    def _density_pieces(self, eta=0.0):
+        return ((1.0, 3.0,
+                 lambda b: np.where(b < 2.5, np.abs(b - 2.0) ** -0.9, 0.0)),)
+
+
+@pytest.mark.parametrize("law", [_Spiked(), FiniteMixture(((0.5, _Spiked()),
+                                                           (0.5, Uniform(1, 3))))],
+                         ids=["node_set", "mixture"])
+def test_array_objective_raises_for_the_first_failing_gain(law):
+    # -0.5 (break inside the density) and 1e308 (the shared node set) both
+    # fail; whichever comes first in the grid gives the message
+    with np.errstate(all="ignore"):
+        messages = {}
+        for d in (-0.5, 1e308, -1e308):
+            with pytest.raises(NonIntegrable) as err:
+                law.mean_log_abs(1.0, d)
+            messages[d] = str(err.value)
+        assert messages[-0.5] != messages[1e308]
+        for grid in ([-0.4, -0.5, 0.3, 1e308], [0.3, 1e308, -0.5],
+                     [-1e308, -0.5]):
+            with pytest.raises(NonIntegrable) as err:
+                law.mean_log_abs(1.0, np.array(grid))
+            first = next(d for d in grid if d in messages)
+            assert str(err.value) == messages[first]

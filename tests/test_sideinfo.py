@@ -65,6 +65,31 @@ def test_inconsistent_partition_rejected():
         model.validate_against(Uniform(0, 4))
 
 
+@pytest.mark.parametrize("k", [-20, 0, 20, 40])
+@pytest.mark.parametrize("sense, eta", [("shannon", None), ("eta", 2.0)])
+def test_staircase_is_scale_free(k, sense, eta):
+    # the consistency check compared mean and variance with an absolute
+    # 1e-7, so Uniform(2^20, 3 * 2^20) was rejected as inconsistent; it
+    # now compares in the law's power-of-two unit, and the scan grid scales
+    # with the law, so every rung keeps its bits
+    scale = 2.0 ** k
+    want = si_value_curve(Uniform(1.0, 3.0), 4, sense, eta)
+    assert si_value_curve(Uniform(scale, 3.0 * scale), 4, sense, eta) == want
+
+
+@pytest.mark.parametrize("k", [-20, 20, 40])
+def test_gaussian_cells_are_scale_free(k):
+    # a truncated-Gaussian cell's node set scales with the law exactly
+    def cells(s):
+        model = model_from_boundaries(Gaussian(4.0 * s, s),
+                                      [-10.0 * s, 4.0 * s, 14.0 * s])
+        res = shannon_capacity_with_si(model)
+        return res.value_bits, [(r.value_bits, r.optimal_d * s)
+                                for r in res.per_cell]
+
+    assert cells(2.0 ** k) == cells(1.0)
+
+
 def test_single_cell_reproduces_base():
     dist = Uniform(1, 3)
     model = uniform_bit_partition(dist, 0)
