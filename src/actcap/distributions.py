@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import (FAIL_REL, HALF_GAP_NODES, NonIntegrable, panel_nodes,
+from .quadrature import (FAIL_REL, GAP_NODES, NonIntegrable, panel_nodes,
                          panel_rows)
 
 __all__ = [
@@ -62,7 +62,7 @@ _WEIGHT_TOL = 1e-12
 # (64 KB) stays in cache and under glibc's mmap threshold, where building
 # 150k nodes at once cost about 5x their arithmetic
 _CHUNK = 1 << 13
-_MEMO_SIZE = 16  # per-eta values a law keeps
+_MEMO_SIZE = 16  # node sets a law keeps
 
 
 class EmptyCell(ValueError):
@@ -223,6 +223,16 @@ def _frozen(arrays):
     return arrays
 
 
+def _checked_sums(terms, inner):
+    """``(total, tail, bad)`` along the last axis of ``terms``: each row's
+    sum over its own contiguous nodes, the absolute sum over its innermost
+    panels (the mask ``inner``), and whether that tail exceeds
+    ``FAIL_REL * max(1, |total|)`` or the sum is NaN."""
+    total = terms.sum(axis=-1)
+    tail = abs(terms.compress(inner, axis=-1)).sum(axis=-1)
+    return total, tail, ~(tail <= FAIL_REL * np.maximum(1.0, abs(total)))
+
+
 def _divergent(tail, total):
     return NonIntegrable(f"innermost panels carry {tail!r} of {total!r}; "
                          "divergent integrand or misdeclared singularity")
@@ -290,10 +300,14 @@ class ActuationDistribution:
         pieces = self._density_pieces(eta)
         if not pieces:
             return self._atom_nodes
-        if not any(lo < s < hi for s in singularities for lo, hi, _ in pieces):
-            return self._remember(("nodes", eta),
-                                  lambda: _frozen(self._node_set((), pieces)))
-        return self._node_set(singularities, pieces)
+        if any(lo < s < hi for s in singularities for lo, hi, _ in pieces):
+            return self._node_set(singularities, pieces)
+        kept = self._node_sets
+        if eta not in kept:
+            if len(kept) >= _MEMO_SIZE:  # nothing grows with the etas asked
+                kept.clear()
+            kept[eta] = _frozen(self._node_set((), pieces))
+        return kept[eta]
 
     def _node_set(self, singularities, pieces):
         parts = [self._atom_nodes] if self._atom_nodes else []
@@ -316,20 +330,9 @@ class ActuationDistribution:
         return _frozen((locs, masses, np.zeros(len(atoms), dtype=bool)))
 
     @cached_property
-    def _memo(self):
+    def _node_sets(self):
+        """The node sets built with no singularity inside, by eta."""
         return {}
-
-    def _remember(self, key, build):
-        """``build()``, kept on the law under ``key`` (such as ("nodes",
-        eta)); a law keeps at most _MEMO_SIZE of them, so nothing grows
-        with the number of etas asked."""
-        memo = self._memo
-        value = memo.get(key)
-        if value is None:
-            if len(memo) >= _MEMO_SIZE:
-                memo.clear()
-            value = memo[key] = build()
-        return value
 
     def expect(self, integrand, singularities=(), eta=0.0):
         """E[integrand(B)] as the node set's weighted sum over its weights' total.
@@ -342,62 +345,56 @@ class ActuationDistribution:
         carry more than ``FAIL_REL * max(1, |total|)``, or the sum is NaN.
         """
         nodes, weights, inner = self.quadrature_nodes(singularities, eta)
-        terms = weights * integrand(nodes)
-        total = float(terms.sum())
-        tail = float(np.abs(terms[inner]).sum())
-        if not tail <= FAIL_REL * np.maximum(1.0, abs(total)):
-            raise _divergent(tail, total)
-        return total / float(weights.sum())
+        total, tail, bad = _checked_sums(weights * integrand(nodes), inner)
+        if bad:
+            raise _divergent(float(tail), float(total))
+        return float(total) / float(weights.sum())
 
     # Both objectives below take a gain d or a 1-D array of gains.  An
-    # array is evaluated in chunks of gains that share one node set (their
-    # breaks -shift/d lying outside every density piece) or whose graded
-    # panels come from one broadcast (one density piece, no atoms), as one
-    # (gains x nodes) array each; any other gain takes its scalar route.
-    # Each row is summed along its own contiguous nodes, so every value
-    # keeps the bits of its scalar call.
+    # array is evaluated in chunks, as one (gains x nodes) array each: gains
+    # whose breaks -shift/d lie outside every density piece share one node
+    # set, and the graded panels of the others come from one broadcast when
+    # the law is one density piece with no atoms; any other gain gets its
+    # own node set.  Each row is summed along its own contiguous nodes, so
+    # every value keeps the bits of its scalar call.
 
     def mean_log_abs(self, shift, d):
         """E ln|shift + B d| for d != 0 by :meth:`expect`: -inf when an atom is
         cancelled (:meth:`_cancelled`), ahead of overflow (+inf past the
         float range).  Over an array of gains, the :class:`NonIntegrable`
         raised is that of the first failing gain."""
-        if _many(d):
-            return self._mean_log_abs_each(shift, np.asarray(d, dtype=float))
-        if self._atom_nodes and self._cancelled(shift, d).any():
-            return NEG_INF
-        return self.expect(lambda b: self._log_abs(shift, d, b), (-shift / d,))
-
-    def log_abs_moment(self, shift, d, eta):
-        """ln E|shift + B d|^eta for d != 0, eta > 0: a log-sum-exp, no overflow."""
-        if _many(d):
-            values = np.empty(len(d))
-            d = np.asarray(d, dtype=float)
-            for i, logs, weights, _ in self._node_set_rows(shift, d, eta):
-                logs *= eta
-                values[i] = [_log_mean_exp(row, w) for row, w
-                             in zip(logs, np.broadcast_to(weights, logs.shape))]
-            return values
-        nodes, weights, _ = self.quadrature_nodes((-shift / d,), eta)
-        return _log_mean_exp(eta * self._log_abs(shift, d, nodes), weights)
-
-    def _mean_log_abs_each(self, shift, d):
+        if not _many(d):
+            if self._atom_nodes and self._cancelled(shift, d).any():
+                return NEG_INF
+            return self.expect(lambda b: self._log_abs(shift, d, b), (-shift / d,))
+        d = np.asarray(d, dtype=float)
         values = np.full(len(d), NEG_INF)
         live = np.ones(len(d), dtype=bool)
         if self._atom_nodes:
             live = ~self._cancelled(shift, d[:, None]).any(axis=1)
-        totals = np.zeros(len(d))
-        tails = np.zeros(len(d))
+        totals, tails = np.zeros(len(d)), np.zeros(len(d))
+        bad = np.zeros(len(d), dtype=bool)
         index = np.flatnonzero(live)
         for i, logs, weights, inner in self._node_set_rows(shift, d[live], 0.0):
-            terms = weights * logs
             i = index[i]
-            totals[i] = terms.sum(axis=1)
-            tails[i] = np.abs(np.compress(inner, terms, axis=1)).sum(axis=1)
+            totals[i], tails[i], bad[i] = _checked_sums(weights * logs, inner)
             values[i] = totals[i] / weights.sum(axis=-1)
-        bad = np.flatnonzero(~(tails <= FAIL_REL * np.maximum(1.0, np.abs(totals))))
-        if bad.size:
-            raise _divergent(float(tails[bad[0]]), float(totals[bad[0]]))
+        if bad.any():
+            first = bad.argmax()
+            raise _divergent(float(tails[first]), float(totals[first]))
+        return values
+
+    def log_abs_moment(self, shift, d, eta):
+        """ln E|shift + B d|^eta for d != 0, eta > 0: a log-sum-exp, no overflow."""
+        if not _many(d):
+            nodes, weights, _ = self.quadrature_nodes((-shift / d,), eta)
+            return _log_mean_exp(eta * self._log_abs(shift, d, nodes), weights)
+        d = np.asarray(d, dtype=float)
+        values = np.empty(len(d))
+        for i, logs, weights, _ in self._node_set_rows(shift, d, eta):
+            logs *= eta
+            values[i] = [_log_mean_exp(row, w) for row, w
+                         in zip(logs, np.broadcast_to(weights, logs.shape))]
         return values
 
     def _node_set_rows(self, shift, d, eta):
@@ -415,39 +412,22 @@ class ActuationDistribution:
         if shared.size:
             nodes, weights, inner = self.quadrature_nodes((), eta)
             for i in _chunks(shared, nodes.size):
-                yield i, self._log_abs_rows(shift, d[i], nodes), weights, inner
+                yield i, self._log_abs(shift, d[i, None], nodes), weights, inner
         inside = np.flatnonzero(inside)
         if len(pieces) != 1 or self._atom_nodes:
             for i in inside:
                 nodes, weights, inner = self.quadrature_nodes((cut[i],), eta)
                 yield [i], self._log_abs(shift, d[i], nodes)[None], weights, inner
             return
+        # one density piece: the graded panels of a chunk of gains come
+        # from one broadcast, a row of nodes for each gain
         (lo, hi, pdf), = pieces
-        for index in _chunks(inside, 4 * HALF_GAP_NODES):
-            ends = np.broadcast_to([[lo], [hi]], (2, len(index)))
-            breaks = np.stack((ends[0], cut[index], ends[1]), axis=1)
+        for index in _chunks(inside, 2 * GAP_NODES):
+            breaks = np.stack(np.broadcast_arrays(lo, cut[index], hi), axis=1)
             for start, stop, nodes, weights, inner in panel_rows(breaks):
                 i = index[start:stop]
-                yield (i, self._log_abs_rows(shift, d[i], nodes),
+                yield (i, self._log_abs(shift, d[i, None], nodes),
                        weights * pdf(nodes), inner)
-
-    def _log_abs_rows(self, shift, d, nodes):
-        """:meth:`_log_abs` at each gain of the 1-D array d, one row each,
-        over one shared row of nodes or one row of nodes per gain."""
-        bd = nodes * d[:, None]
-        t = np.abs(shift + bd)
-        redo = ()
-        if self._atom_nodes:  # rows that cancel an atom or zero a node
-            redo = np.flatnonzero(~t.all(axis=1)
-                                  | self._cancelled(shift, d[:, None]).any(axis=1))
-        elif not t.all():  # as _log_abs does, with no atom to keep at 0
-            lost = t == 0.0
-            t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(bd[lost]))
-        with np.errstate(divide="ignore"):
-            logs = np.log(t)
-        for i in redo:
-            logs[i] = self._log_abs(shift, d[i], nodes if nodes.ndim == 1 else nodes[i])
-        return logs
 
     def _cancelled(self, shift, d):
         """Mask over the atoms that shift + B d cancels: where d is the kink
@@ -458,19 +438,25 @@ class ActuationDistribution:
             return (d == -shift / locs) | (shift + locs * d == 0.0)
 
     def _log_abs(self, shift, d, b):
-        """ln|shift + b d| at the nodes b, -shift/d being a break point."""
+        """ln|shift + b d| at the nodes b, -shift/d being a break point: one
+        gain d, or a column of gains d[:, None], one row each, over one row
+        of nodes or (with no atoms) one row of nodes per gain."""
         bd = b * d
         t = np.abs(shift + bd)
         if self._atom_nodes:
-            gone = self._atom_nodes[0][self._cancelled(shift, d)]
-            if gone.size:
-                t[np.isin(b, gone)] = 0.0
+            locs = self._atom_nodes[0]
+            gone = self._cancelled(shift, d).ravel().nonzero()[0]
+            if gone.size:  # a cancelled atom's nodes read 0, row by row
+                rows = t.reshape(-1, b.size)
+                for row, atom in zip(*divmod(gone, locs.size)):
+                    rows[row, b == locs[atom]] = 0.0
         if not t.all():
             # cancellation can zero |shift + b d| at a density node a hair
             # from the singular point: it reads one ulp of the products, its
             # true size (0 costs |t|^eta a unit at tiny eta); atoms keep 0
-            atoms = {loc for loc, _ in self.support().atoms}
-            lost = [i for i in np.flatnonzero(t == 0.0) if b[i] not in atoms]
+            lost = t == 0.0
+            if self._atom_nodes:
+                lost &= ~np.isin(b, locs)
             t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(bd[lost]))
         with np.errstate(divide="ignore"):
             return np.log(t)
@@ -643,12 +629,10 @@ class TruncatedGaussian(ActuationDistribution):
 
     def _window(self, eta):
         """The cell cut, infinite ends included, 10 + sqrt(eta) sigma beyond
-        the nearer of mu and the opposite end; kept per eta."""
-        def build():
-            reach = (_GAUSS_TAIL_SIGMAS + math.sqrt(eta)) * self.sigma
-            return (max(self.lo, min(self.mu, self.hi) - reach),
-                    min(self.hi, max(self.mu, self.lo) + reach))
-        return self._remember(("window", eta), build)
+        the nearer of mu and the opposite end."""
+        reach = (_GAUSS_TAIL_SIGMAS + math.sqrt(eta)) * self.sigma
+        return (max(self.lo, min(self.mu, self.hi) - reach),
+                min(self.hi, max(self.mu, self.lo) + reach))
 
     def _density_pieces(self, eta=0.0):
         lo, hi = self._window(eta)

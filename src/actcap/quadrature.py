@@ -46,7 +46,7 @@ def _half_pattern():
 
 
 _U, _W, _INNER = _half_pattern()
-HALF_GAP_NODES = len(_U)  # nodes in each half of a gap
+GAP_NODES = 2 * len(_U)  # nodes of one gap before any is dropped
 
 
 def _pattern(breaks):
@@ -67,12 +67,9 @@ def panel_nodes(breaks):
     ``breaks`` is strictly increasing.  Each half of every gap carries the
     graded pattern, mapped toward its own break point; ``inner`` marks the
     innermost panels.  Nodes that round onto a break point are dropped, so
-    no integrand is evaluated at one; when none does, the raveled arrays
-    are returned unfiltered.
+    no integrand is evaluated at one.
     """
     nodes, weights, keep = _pattern(np.asarray(breaks, dtype=float))
-    if keep.all():
-        return nodes.ravel(), weights.ravel(), np.tile(_INNER, len(nodes))
     return nodes[keep], weights[keep], (keep & _INNER)[keep]
 
 
@@ -84,12 +81,10 @@ def panel_rows(breaks):
     row these are the arrays :func:`panel_nodes` returns."""
     nodes, weights, keep = (a.reshape(len(breaks), -1) for a in _pattern(breaks))
     inner = np.tile(_INNER, 2 * (breaks.shape[1] - 1))
-    bounds = [0, *((keep[1:] != keep[:-1]).any(axis=1).nonzero()[0] + 1).tolist(),
+    bounds = [0, *(np.flatnonzero((keep[1:] != keep[:-1]).any(axis=1)) + 1).tolist(),
               len(breaks)]
     for start, stop in zip(bounds, bounds[1:]):
+        # compress keeps the rows contiguous, as each row's sum needs
         kept = keep[start]
-        if kept.all():
-            yield start, stop, nodes[start:stop], weights[start:stop], inner
-        else:  # compress keeps the rows contiguous, as each row's sum needs
-            yield (start, stop, np.compress(kept, nodes[start:stop], axis=1),
-                   np.compress(kept, weights[start:stop], axis=1), inner[kept])
+        yield (start, stop, np.compress(kept, nodes[start:stop], axis=1),
+               np.compress(kept, weights[start:stop], axis=1), inner[kept])

@@ -579,7 +579,6 @@ def test_array_objectives_equal_their_scalar_calls(regime, data, eta):
 def test_laws_keep_what_they_derive_per_eta():
     cell = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]
     assert cell.cell_probability is cell.cell_probability
-    assert cell._window(2.0) is cell._window(2.0)
     # a break outside the cell leaves one node set, built once, read-only
     first = cell.quadrature_nodes((-3.0,))
     again = cell.quadrature_nodes((20.0,))
@@ -590,9 +589,8 @@ def test_laws_keep_what_they_derive_per_eta():
         np.testing.assert_array_equal(a, b)
     # and no law keeps more than a few of them, however many etas it sees
     for eta in range(100):
-        cell._window(float(eta))
         cell.quadrature_nodes((), float(eta))
-    assert len(cell._memo) <= distributions._MEMO_SIZE
+    assert len(cell._node_sets) <= distributions._MEMO_SIZE
 
 
 def test_array_objectives_reach_both_infinities():
