@@ -5,11 +5,11 @@ to draw reproducible samples, its quadrature node set (atoms weighted by
 their mass, density pieces covered by the graded pattern of
 :mod:`actcap.quadrature` around declared singular points), and how to
 condition on an interval cell.  Every expectation is one weighted sum over
-that node set, the two that the capacity objectives read included (at one
-gain or, row by row, at a 1-D array of gains), unless
-a law overrides them (the uniform law in closed form, the Gaussian log mean
-by its Poisson series, a truncated Gaussian's moment in the log domain, a
-mixture by composition).  Constructors reject non-finite parameters and
+that node set.  Of the two the capacity objectives read (at one gain or,
+row by row, at a 1-D array of gains), atomic laws sum their atoms exactly,
+the uniform law and the Gaussian log mean take closed forms, a mixture
+composes its components, and a truncated Gaussian sums its node set (the
+moment in the log domain).  Constructors reject non-finite parameters and
 laws whose moments overflow.  Values are immutable and safe for concurrent
 reads; sampling always goes through an explicit generator.
 """
@@ -350,33 +350,18 @@ class ActuationDistribution:
             raise _divergent(float(tail), float(total))
         return float(total) / float(weights.sum())
 
-    # Both objectives below take a gain d or a 1-D array of gains.  An
-    # array is evaluated in chunks, as one (gains x nodes) array each: gains
-    # whose breaks -shift/d lie outside every density piece share one node
-    # set, and the graded panels of the others come from one broadcast when
-    # the law is one density piece with no atoms; any other gain gets its
-    # own node set.  Each row is summed along its own contiguous nodes, so
-    # every value keeps the bits of its scalar call.
-
     def mean_log_abs(self, shift, d):
-        """E ln|shift + B d| for d != 0 by :meth:`expect`: -inf when an atom is
-        cancelled (:meth:`_cancelled`), ahead of overflow (+inf past the
-        float range).  Over an array of gains, the :class:`NonIntegrable`
+        """E ln|shift + B d| for d != 0 by :meth:`expect` (+inf past the
+        float range), at one gain or at each gain of a 1-D array (see
+        :meth:`_node_set_rows`).  Over an array, the :class:`NonIntegrable`
         raised is that of the first failing gain."""
         if not _many(d):
-            if self._atom_nodes and self._cancelled(shift, d).any():
-                return NEG_INF
             return self.expect(lambda b: self._log_abs(shift, d, b), (-shift / d,))
         d = np.asarray(d, dtype=float)
-        values = np.full(len(d), NEG_INF)
-        live = np.ones(len(d), dtype=bool)
-        if self._atom_nodes:
-            live = ~self._cancelled(shift, d[:, None]).any(axis=1)
+        values = np.empty(len(d))
         totals, tails = np.zeros(len(d)), np.zeros(len(d))
         bad = np.zeros(len(d), dtype=bool)
-        index = np.flatnonzero(live)
-        for i, logs, weights, inner in self._node_set_rows(shift, d[live], 0.0):
-            i = index[i]
+        for i, logs, weights, inner in self._node_set_rows(shift, d):
             totals[i], tails[i], bad[i] = _checked_sums(weights * logs, inner)
             values[i] = totals[i] / weights.sum(axis=-1)
         if bad.any():
@@ -385,43 +370,27 @@ class ActuationDistribution:
         return values
 
     def log_abs_moment(self, shift, d, eta):
-        """ln E|shift + B d|^eta for d != 0, eta > 0: a log-sum-exp, no overflow."""
-        if not _many(d):
-            nodes, weights, _ = self.quadrature_nodes((-shift / d,), eta)
-            return _log_mean_exp(eta * self._log_abs(shift, d, nodes), weights)
-        d = np.asarray(d, dtype=float)
-        values = np.empty(len(d))
-        for i, logs, weights, _ in self._node_set_rows(shift, d, eta):
-            logs *= eta
-            values[i] = [_log_mean_exp(row, w) for row, w
-                         in zip(logs, np.broadcast_to(weights, logs.shape))]
-        return values
+        """ln E|shift + B d|^eta for d != 0 and eta > 0."""
+        raise NotImplementedError
 
-    def _node_set_rows(self, shift, d, eta):
+    def _node_set_rows(self, shift, d):
         """Yield ``(index, logs, weights, inner)`` over chunks of the gains
-        d (a 1-D array, no 0): ln|shift + b d| at the nodes b of each gain
-        d[index], one row each, with the weights (one row shared by every
-        gain, or one row each) and the innermost-panel mask.  No chunk
-        holds much more than _CHUNK node values."""
+        d (a 1-D array, no 0) of a law of one density piece and no atoms:
+        ln|shift + b d| at the nodes b of each gain d[index], one row each,
+        with the weights and the innermost-panel mask.  Gains whose break
+        -shift/d lies outside the piece share one node set; the graded
+        panels of the others come from one broadcast, a row of nodes each.
+        No chunk holds much more than _CHUNK node values, and each row is
+        summed along its own contiguous nodes, as the scalar call's is."""
+        (lo, hi, pdf), = self._density_pieces()
         cut = -shift / d
-        pieces = self._density_pieces(eta)
-        inside = np.zeros(len(d), dtype=bool)
-        for lo, hi, _ in pieces:
-            inside |= (lo < cut) & (cut < hi)
+        inside = (lo < cut) & (cut < hi)
         shared = np.flatnonzero(~inside)
         if shared.size:
-            nodes, weights, inner = self.quadrature_nodes((), eta)
+            nodes, weights, inner = self.quadrature_nodes()
             for i in _chunks(shared, nodes.size):
                 yield i, self._log_abs(shift, d[i, None], nodes), weights, inner
         inside = np.flatnonzero(inside)
-        if len(pieces) != 1 or self._atom_nodes:
-            for i in inside:
-                nodes, weights, inner = self.quadrature_nodes((cut[i],), eta)
-                yield [i], self._log_abs(shift, d[i], nodes)[None], weights, inner
-            return
-        # one density piece: the graded panels of a chunk of gains come
-        # from one broadcast, a row of nodes for each gain
-        (lo, hi, pdf), = pieces
         for index in _chunks(inside, 2 * GAP_NODES):
             breaks = np.stack(np.broadcast_arrays(lo, cut[index], hi), axis=1)
             for start, stop, nodes, weights, inner in panel_rows(breaks):
@@ -429,37 +398,64 @@ class ActuationDistribution:
                 yield (i, self._log_abs(shift, d[i, None], nodes),
                        weights * pdf(nodes), inner)
 
-    def _cancelled(self, shift, d):
-        """Mask over the atoms that shift + B d cancels: where d is the kink
-        -shift/loc as the capacity search computes it, though shift + loc d
-        can round to 1e-16 there, or where shift + loc d is exactly 0."""
-        locs = self._atom_nodes[0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return (d == -shift / locs) | (shift + locs * d == 0.0)
-
     def _log_abs(self, shift, d, b):
         """ln|shift + b d| at the nodes b, -shift/d being a break point: one
         gain d, or a column of gains d[:, None], one row each, over one row
-        of nodes or (with no atoms) one row of nodes per gain."""
+        of nodes or one row of nodes per gain."""
         bd = b * d
         t = np.abs(shift + bd)
-        if self._atom_nodes:
-            locs = self._atom_nodes[0]
-            gone = self._cancelled(shift, d).ravel().nonzero()[0]
-            if gone.size:  # a cancelled atom's nodes read 0, row by row
-                rows = t.reshape(-1, b.size)
-                for row, atom in zip(*divmod(gone, locs.size)):
-                    rows[row, b == locs[atom]] = 0.0
         if not t.all():
-            # cancellation can zero |shift + b d| at a density node a hair
-            # from the singular point: it reads one ulp of the products, its
-            # true size (0 costs |t|^eta a unit at tiny eta); atoms keep 0
+            # cancellation can zero |shift + b d| at a node a hair from the
+            # singular point: it reads one ulp of the products, its true
+            # size (0 costs |t|^eta a unit at tiny eta)
             lost = t == 0.0
-            if self._atom_nodes:
-                lost &= ~np.isin(b, locs)
             t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(bd[lost]))
         with np.errstate(divide="ignore"):
             return np.log(t)
+
+
+class _Atoms(ActuationDistribution):
+    """A law of atoms (loc, m) alone, whose objectives are exact sums over
+    them; an array of gains takes a row each, in chunks of ~_CHUNK terms."""
+
+    def objective_route(self, sense):
+        return "closed_form"
+
+    def mean_log_abs(self, shift, d):
+        """sum m ln|shift + loc d| / sum m: -inf when an atom is cancelled,
+        ahead of overflow (+inf past the float range)."""
+        masses = self._atom_nodes[1]
+        return self._atom_sums(shift, d, lambda logs, gone: np.where(
+            gone.any(axis=-1), NEG_INF,
+            (masses * logs).sum(axis=-1) / masses.sum()))
+
+    def log_abs_moment(self, shift, d, eta):
+        """The log-sum-exp of ln m + eta ln|shift + loc d| over sum m, to
+        which a cancelled atom adds nothing."""
+        masses = self._atom_nodes[1]
+        return self._atom_sums(shift, d, lambda logs, _: [
+            _log_mean_exp(eta * row, masses) for row in logs])
+
+    def _atom_sums(self, shift, d, total):
+        """``total(logs, gone)`` over chunks of the gains x of d, a row each:
+        ln|shift + loc x| at the atoms, -inf at those cancelled (``gone``),
+        where x is the kink -shift/loc as the capacity search computes it
+        (shift + loc x may round to 1e-16 there) or shift + loc x is 0.0."""
+        locs = self._atom_nodes[0]
+        gains = np.asarray(d, dtype=float).reshape(-1)
+        values = np.empty(len(gains))
+        # no warning where the kink of an atom at 0 is infinite, |loc x|
+        # passes the float range, a cancelled atom's log is -inf or that
+        # -inf meets +inf in the log mean (which then reads -inf)
+        with np.errstate(all="ignore"):
+            kinks = -shift / locs
+            for chunk in _chunks(range(len(gains)), locs.size):
+                i = slice(chunk.start, chunk.stop)
+                x = gains[i, None]
+                t = shift + locs * x
+                gone = (x == kinks) | (t == 0.0)
+                values[i] = total(np.log(np.where(gone, 0.0, np.abs(t))), gone)
+        return values if _many(d) else float(values[0])
 
 
 @dataclass(frozen=True)
@@ -659,7 +655,8 @@ class TruncatedGaussian(ActuationDistribution):
                  if abs(z + lam) > _GAUSS_TAIL_SIGMAS]
         breaks = {lo, hi, *(min(max(b, lo), hi) for b in (-shift / d, *peaks))}
         nodes, panels, _ = panel_nodes(sorted(breaks))
-        log_w = np.log(panels) - 0.5 * ((nodes - self.mu) / self.sigma) ** 2
+        with np.errstate(divide="ignore"):  # a panel whose weight underflows
+            log_w = np.log(panels) - 0.5 * ((nodes - self.mu) / self.sigma) ** 2
         log_w -= log_w.max()
         return _log_mean_exp(eta * self._log_abs(shift, d, nodes),
                              np.exp(log_w), log_w)
@@ -724,7 +721,7 @@ _EULER_LN2 = 0.5772156649015329 + math.log(2.0)
 
 
 @dataclass(frozen=True)
-class ScaledBernoulli(ActuationDistribution):
+class ScaledBernoulli(_Atoms):
     """Gain beta with probability p, else 0 (the erasure actuation channel)."""
 
     beta: float
@@ -885,7 +882,7 @@ class FiniteMixture(ActuationDistribution):
 
 
 @dataclass(frozen=True)
-class Empirical(ActuationDistribution):
+class Empirical(_Atoms):
     """Pure atom set with mass count/n at each distinct sample value."""
 
     samples: tuple[float, ...]
@@ -928,14 +925,14 @@ class Empirical(ActuationDistribution):
 
 
 def _log_mean_exp(logs, weights, log_weights=None):
-    """ln(sum(weights * exp(logs)) / sum(weights)) from the largest term (an
-    infinite one is returned).  While the mean stays above 1/2 it is log1p of
+    """ln(sum(weights * exp(logs)) / sum(weights)) from the largest term,
+    returned if not finite.  While the mean stays above 1/2 it is log1p of
     the mean expm1 term: at small eta every term is near 1, and the rounding
     of the weights' total would swamp a logarithm then divided by eta.
     Below that, given ``log_weights`` (the logs of ``weights``), the sum
     runs in the log domain, so a term whose weight underflows still counts."""
     top = float(logs.max())
-    if math.isinf(top):
+    if not math.isfinite(top):
         return top
     logs = logs - top
     mass = float(weights.sum())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from actcap.distributions import (
     ScaledBernoulli,
     TruncatedGaussian,
     Uniform,
+    make_rng,
     parse_spec,
 )
 from actcap.sideinfo import model_from_boundaries, si_value_curve
@@ -648,6 +650,34 @@ def test_atom_cancelled_exactly_reads_ahead_of_overflow():
             assert law.log_abs_moment(1.0, d, 2.0) == math.inf
 
 
+@pytest.mark.parametrize("law", [
+    ScaledBernoulli(1.0, 0.5), Empirical((0.5, 2.0, 2.0)),
+    FiniteMixture(((0.5, ScaledBernoulli(1.0, 0.5)), (0.5, Uniform(1, 3)))),
+], ids=["erasure", "empirical", "mixture"])
+def test_atomic_objectives_read_nan_at_a_nan_gain(law):
+    # as the closed forms do; the eta objective used to read +inf, a false
+    # infinite capacity
+    grid = np.array([math.nan, 0.3])
+    for got in (shannon_objective(law, math.nan), shannon_objective(law, grid),
+                eta_objective(law, math.nan, 2.0), eta_objective(law, grid, 0.5)):
+        got = np.atleast_1d(got)
+        assert math.isnan(got[0]) and np.isfinite(got[1:]).all()
+
+
+def test_atomic_search_memory_stays_bounded():
+    # the scan grid of a 1,000-atom law, 14,127 gains, is summed in chunks
+    # of about 8k (gain, atom) terms, not as one array of 113 MB
+    law = Empirical(tuple(Uniform(1, 3).sample(make_rng(0), 1000)))
+    tracemalloc.start()
+    try:
+        diag = eta_capacity(law, 0.5).diagnostics
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag["grid_evaluations"] > 10_000
+    assert peak < 16 * 2**20
+
+
 _MIXTURE_PARTS = st.one_of(
     st.builds(lambda b1, w: Uniform(b1, b1 + w), st.floats(-4.0, 4.0),
               st.floats(2.0 ** -4, 8.0)),
@@ -1240,7 +1270,7 @@ def test_both_searches_fill_one_diagnostics_shape():
                    eta_capacity(Empirical((2.0,)), 2.0),  # cancelled: inf
                    eta_capacity(mixed, 2.0), eta_capacity(Gaussian(4, 1), 2.0)],
     }
-    node_set = results["convex"][2:]
+    node_set = results["convex"][3:]
     for method, group in results.items():
         for res in group:
             diag = res.diagnostics
@@ -1248,9 +1278,10 @@ def test_both_searches_fill_one_diagnostics_shape():
             assert diag["method"] == method
             assert diag["evaluations"] == (diag["grid_evaluations"]
                                            + diag["refine_iterations"])
-            # uniform laws evaluate both objectives in closed form, and a
-            # Gaussian its log mean; atomic laws and the Gaussian moment
-            # sum node sets, and a mixture takes its components' routes
+            # uniform laws evaluate both objectives in closed form, atomic
+            # laws as exact sums, and a Gaussian its log mean; the Gaussian
+            # moment sums node sets, and a mixture takes its components'
+            # routes
             assert diag["objective"] == ("node_set" if any(res is r for r in node_set)
                                          else "closed_form")
     zero_mean = results["convex"][1]

@@ -566,9 +566,8 @@ def test_array_objectives_equal_their_scalar_calls(regime, data, eta):
     # closed forms and mixtures gain by gain
     law = data.draw(_ARRAY_REGIMES[regime])
     grid = straddling_grid(law)
-    # past the float range |b d| overflows, and a break at a subnormal
-    # -1/d leaves a gap whose panel weights underflow
-    with np.errstate(over="ignore", divide="ignore"):
+    # past the float range |b d| overflows
+    with np.errstate(over="ignore"):
         for method, args in (("mean_log_abs", ()), ("log_abs_moment", (eta,))):
             got = getattr(law, method)(1.0, grid, *args)
             want = [getattr(law, method)(1.0, float(d), *args) for d in grid]
@@ -602,6 +601,61 @@ def test_array_objectives_reach_both_infinities():
     with np.errstate(over="ignore"):
         got = law.mean_log_abs(1.0, grid)
     assert got.tolist() == [math.inf, -math.inf, -math.inf, math.inf]
+
+
+def atom_sums(law, d, eta=None):
+    """E ln|1 + B d| (eta None) or ln E|1 + B d|^eta by math.fsum over the
+    law's atoms, an atom cancelled where d is its kink -1/loc or 1 + loc d
+    is exactly 0."""
+    atoms = law.support().atoms
+    logs = [(m, -math.inf if (loc and d == -1.0 / loc) or 1.0 + loc * d == 0.0
+             else math.log(abs(1.0 + loc * d))) for loc, m in atoms]
+    mass = math.fsum(m for m, _ in logs)
+    if eta is None:
+        if any(log == -math.inf for _, log in logs):
+            return -math.inf
+        return math.fsum(m * log for m, log in logs) / mass
+    top = max(eta * log for _, log in logs)
+    if math.isinf(top):
+        return top
+    return top + math.log(math.fsum(m * math.exp(eta * log - top)
+                                    for m, log in logs) / mass)
+
+
+@pytest.mark.parametrize("law", [
+    *(ScaledBernoulli(beta, p) for beta in (1.3265940902021773, -0.5)
+      for p in (0.0, 0.3, 1.0)),
+    Empirical((0.5, 2.0, 2.0, -1.5, 0.0, 2.0, 1e-3, 0.5)),
+], ids=repr)
+def test_atomic_objectives_are_exact_finite_sums(law):
+    # at each kink, its float neighbours, past the float range and between;
+    # a cancelled atom reads -inf in the log mean, though 1 + beta (-1/beta)
+    # rounds to 1.1e-16 at the first beta
+    locs = {1.3265940902021773, -0.5, *(loc for loc, _ in law.support().atoms)}
+    kinks = [-1.0 / loc for loc in locs if loc]
+    grid = np.array([*kinks, *np.nextafter(kinks, math.inf),
+                     *np.nextafter(kinks, -math.inf), 1.7e308, -1.7e308,
+                     -0.4, 0.7, 3.0])
+    with np.errstate(over="ignore"):
+        for eta in (None, 0.01, 0.5, 2.0, 64.0):
+            if eta is None:
+                got = law.mean_log_abs(1.0, grid)
+                one = [law.mean_log_abs(1.0, float(d)) for d in grid]
+            else:
+                got = law.log_abs_moment(1.0, grid, eta)
+                one = [law.log_abs_moment(1.0, float(d), eta) for d in grid]
+            assert got.tolist() == one
+            for d, value in zip(grid.tolist(), one):
+                assert value == pytest.approx(atom_sums(law, d, eta),
+                                              rel=1e-14, abs=1e-14), (d, eta)
+
+
+def test_truncated_gaussian_moment_with_an_underflowing_panel():
+    # -1/d = 5.9e-309 is a subnormal break inside the cell [0, 1]: the gap's
+    # panel weight underflows to 0, whose log -inf adds nothing, and no
+    # divide-by-zero warning is raised
+    cell = Gaussian(0, 1).restrict(0, 1)[1]
+    assert cell.log_abs_moment(1.0, -1.7e308, 2.0) == 1418.2196715612188
 
 
 class _Spiked(distributions.ActuationDistribution):
