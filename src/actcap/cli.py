@@ -29,7 +29,6 @@ from .distributions import (
     DistSpecError,
     EmptyCell,
     Gaussian,
-    NonIntegrable,
     ScaledBernoulli,
     Uniform,
     parse_spec,
@@ -52,7 +51,7 @@ def main(argv=None):
     except (DistSpecError, EmptyCell, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonIntegrable, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     _emit(args, header, rows, diagnostics)

@@ -5,13 +5,15 @@ to draw reproducible samples, its quadrature node set (atoms weighted by
 their mass, density pieces covered by the graded pattern of
 :mod:`actcap.quadrature` around declared singular points), and how to
 condition on an interval cell.  Every expectation is one weighted sum over
-that node set.  Of the two the capacity objectives read (at one gain or,
-row by row, at a 1-D array of gains), atomic laws sum their atoms exactly,
-the uniform law and the Gaussian log mean take closed forms, a mixture
-composes its components, and a truncated Gaussian sums its node set (the
-moment in the log domain).  Constructors reject non-finite parameters and
-laws whose moments overflow.  Values are immutable and safe for concurrent
-reads; sampling always goes through an explicit generator.
+that node set, checked for a divergent integrand; a law keeps the node set
+at eta = 0 that no singularity splits.  Of the two functionals the capacity
+objectives read (at one gain or, row by row, at a 1-D array of gains),
+atomic laws sum their atoms exactly, the uniform law and the Gaussian log
+mean take closed forms, a mixture composes its components, and a truncated
+Gaussian sums its node set (the moment in the log domain) in its own
+kernel, with no divergence check.  Constructors reject non-finite
+parameters and laws whose moments overflow.  Values are immutable and safe
+for concurrent reads; sampling always goes through an explicit generator.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ _WEIGHT_TOL = 1e-12
 # (64 KB) stays in cache and under glibc's mmap threshold, where building
 # 150k nodes at once cost about 5x their arithmetic
 _CHUNK = 1 << 13
-_MEMO_SIZE = 16  # node sets a law keeps
 
 
 class EmptyCell(ValueError):
@@ -223,21 +224,6 @@ def _frozen(arrays):
     return arrays
 
 
-def _checked_sums(terms, inner):
-    """``(total, tail, bad)`` along the last axis of ``terms``: each row's
-    sum over its own contiguous nodes, the absolute sum over its innermost
-    panels (the mask ``inner``), and whether that tail exceeds
-    ``FAIL_REL * max(1, |total|)`` or the sum is NaN."""
-    total = terms.sum(axis=-1)
-    tail = abs(terms.compress(inner, axis=-1)).sum(axis=-1)
-    return total, tail, ~(tail <= FAIL_REL * np.maximum(1.0, abs(total)))
-
-
-def _divergent(tail, total):
-    return NonIntegrable(f"innermost panels carry {tail!r} of {total!r}; "
-                         "divergent integrand or misdeclared singularity")
-
-
 class ActuationDistribution:
     """Base class for gain laws; subclasses provide a support (with its
     atoms) and density pieces."""
@@ -293,21 +279,17 @@ class ActuationDistribution:
         covered by the graded pattern of :func:`panel_nodes` between its
         ends and the ``singularities`` clipped into it; ``inner`` marks the
         innermost graded panels.  ``eta`` is the growth exponent of f,
-        which sets how far an unbounded piece reaches.  Where no
-        singularity lies inside a piece the node set depends on the law and
-        ``eta`` alone; it is then built once and kept, read-only.
+        which sets how far an unbounded piece reaches.  At ``eta`` = 0 with
+        no singularity inside a piece the node set depends on the law
+        alone; it is then built once and kept, read-only.
         """
         pieces = self._density_pieces(eta)
         if not pieces:
             return self._atom_nodes
-        if any(lo < s < hi for s in singularities for lo, hi, _ in pieces):
-            return self._node_set(singularities, pieces)
-        kept = self._node_sets
-        if eta not in kept:
-            if len(kept) >= _MEMO_SIZE:  # nothing grows with the etas asked
-                kept.clear()
-            kept[eta] = _frozen(self._node_set((), pieces))
-        return kept[eta]
+        if eta == 0.0 and not any(lo < s < hi for s in singularities
+                                  for lo, hi, _ in pieces):
+            return self._shared_nodes
+        return self._node_set(singularities, pieces)
 
     def _node_set(self, singularities, pieces):
         parts = [self._atom_nodes] if self._atom_nodes else []
@@ -330,9 +312,9 @@ class ActuationDistribution:
         return _frozen((locs, masses, np.zeros(len(atoms), dtype=bool)))
 
     @cached_property
-    def _node_sets(self):
-        """The node sets built with no singularity inside, by eta."""
-        return {}
+    def _shared_nodes(self):
+        """The node set at eta = 0 with no singularity inside, built once."""
+        return _frozen(self._node_set((), self._density_pieces()))
 
     def expect(self, integrand, singularities=(), eta=0.0):
         """E[integrand(B)] as the node set's weighted sum over its weights' total.
@@ -345,73 +327,21 @@ class ActuationDistribution:
         carry more than ``FAIL_REL * max(1, |total|)``, or the sum is NaN.
         """
         nodes, weights, inner = self.quadrature_nodes(singularities, eta)
-        total, tail, bad = _checked_sums(weights * integrand(nodes), inner)
-        if bad:
-            raise _divergent(float(tail), float(total))
-        return float(total) / float(weights.sum())
+        terms = weights * integrand(nodes)
+        total, tail = float(terms.sum()), float(abs(terms[inner]).sum())
+        if not tail <= FAIL_REL * max(1.0, abs(total)):
+            raise NonIntegrable(f"innermost panels carry {tail!r} of {total!r}; "
+                                "divergent integrand or misdeclared singularity")
+        return total / float(weights.sum())
 
     def mean_log_abs(self, shift, d):
-        """E ln|shift + B d| for d != 0 by :meth:`expect` (+inf past the
-        float range), at one gain or at each gain of a 1-D array (see
-        :meth:`_node_set_rows`).  Over an array, the :class:`NonIntegrable`
-        raised is that of the first failing gain."""
-        if not _many(d):
-            return self.expect(lambda b: self._log_abs(shift, d, b), (-shift / d,))
-        d = np.asarray(d, dtype=float)
-        values = np.empty(len(d))
-        totals, tails = np.zeros(len(d)), np.zeros(len(d))
-        bad = np.zeros(len(d), dtype=bool)
-        for i, logs, weights, inner in self._node_set_rows(shift, d):
-            totals[i], tails[i], bad[i] = _checked_sums(weights * logs, inner)
-            values[i] = totals[i] / weights.sum(axis=-1)
-        if bad.any():
-            first = bad.argmax()
-            raise _divergent(float(tails[first]), float(totals[first]))
-        return values
+        """E ln|shift + B d| for d != 0, at one gain or at each gain of a
+        1-D array."""
+        raise NotImplementedError
 
     def log_abs_moment(self, shift, d, eta):
         """ln E|shift + B d|^eta for d != 0 and eta > 0."""
         raise NotImplementedError
-
-    def _node_set_rows(self, shift, d):
-        """Yield ``(index, logs, weights, inner)`` over chunks of the gains
-        d (a 1-D array, no 0) of a law of one density piece and no atoms:
-        ln|shift + b d| at the nodes b of each gain d[index], one row each,
-        with the weights and the innermost-panel mask.  Gains whose break
-        -shift/d lies outside the piece share one node set; the graded
-        panels of the others come from one broadcast, a row of nodes each.
-        No chunk holds much more than _CHUNK node values, and each row is
-        summed along its own contiguous nodes, as the scalar call's is."""
-        (lo, hi, pdf), = self._density_pieces()
-        cut = -shift / d
-        inside = (lo < cut) & (cut < hi)
-        shared = np.flatnonzero(~inside)
-        if shared.size:
-            nodes, weights, inner = self.quadrature_nodes()
-            for i in _chunks(shared, nodes.size):
-                yield i, self._log_abs(shift, d[i, None], nodes), weights, inner
-        inside = np.flatnonzero(inside)
-        for index in _chunks(inside, 2 * GAP_NODES):
-            breaks = np.stack(np.broadcast_arrays(lo, cut[index], hi), axis=1)
-            for start, stop, nodes, weights, inner in panel_rows(breaks):
-                i = index[start:stop]
-                yield (i, self._log_abs(shift, d[i, None], nodes),
-                       weights * pdf(nodes), inner)
-
-    def _log_abs(self, shift, d, b):
-        """ln|shift + b d| at the nodes b, -shift/d being a break point: one
-        gain d, or a column of gains d[:, None], one row each, over one row
-        of nodes or one row of nodes per gain."""
-        bd = b * d
-        t = np.abs(shift + bd)
-        if not t.all():
-            # cancellation can zero |shift + b d| at a node a hair from the
-            # singular point: it reads one ulp of the products, its true
-            # size (0 costs |t|^eta a unit at tiny eta)
-            lost = t == 0.0
-            t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(bd[lost]))
-        with np.errstate(divide="ignore"):
-            return np.log(t)
 
 
 class _Atoms(ActuationDistribution):
@@ -636,6 +566,62 @@ class TruncatedGaussian(ActuationDistribution):
         norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * self.cell_probability)
         return ((lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)),)
 
+    def mean_log_abs(self, shift, d):
+        """E ln|shift + B d| for d != 0: the weighted sum of the node set
+        with -shift/d as a break point, over its weights' total (+inf past
+        the float range, NaN at a NaN gain), at one gain or each gain of a
+        1-D array (see :meth:`_node_set_rows`).  The break point resolves
+        the blow-up, so, unlike :meth:`expect`, no divergence check runs."""
+        if not _many(d):
+            nodes, weights, _ = self.quadrature_nodes((-shift / d,))
+            logs = self._log_abs(shift, d, nodes)
+            return float((weights * logs).sum()) / float(weights.sum())
+        d = np.asarray(d, dtype=float)
+        values = np.empty(len(d))
+        for i, logs, weights in self._node_set_rows(shift, d):
+            values[i] = (weights * logs).sum(axis=-1) / weights.sum(axis=-1)
+        return values
+
+    def _node_set_rows(self, shift, d):
+        """Yield ``(index, logs, weights)`` over chunks of the gains d (a
+        1-D array, no 0): ln|shift + b d| at the nodes b of each gain
+        d[index], one row each, with the weights.  Gains whose break
+        -shift/d lies outside the window share the eta = 0 node set; the
+        graded panels of the others come from one broadcast, a row of nodes
+        each.  No chunk holds much more than _CHUNK node values, and each
+        row is summed along its own contiguous nodes, as the scalar call's
+        is."""
+        (lo, hi, pdf), = self._density_pieces()
+        cut = -shift / d
+        inside = (lo < cut) & (cut < hi)
+        shared = np.flatnonzero(~inside)
+        if shared.size:
+            nodes, weights, _ = self._shared_nodes
+            for i in _chunks(shared, nodes.size):
+                yield i, self._log_abs(shift, d[i, None], nodes), weights
+        inside = np.flatnonzero(inside)
+        for index in _chunks(inside, 2 * GAP_NODES):
+            breaks = np.stack(np.broadcast_arrays(lo, cut[index], hi), axis=1)
+            for start, stop, nodes, weights in panel_rows(breaks):
+                i = index[start:stop]
+                yield (i, self._log_abs(shift, d[i, None], nodes),
+                       weights * pdf(nodes))
+
+    def _log_abs(self, shift, d, b):
+        """ln|shift + b d| at the nodes b, -shift/d being a break point: one
+        gain d, or a column of gains d[:, None], one row each, over one row
+        of nodes or one row of nodes per gain."""
+        bd = b * d
+        t = np.abs(shift + bd)
+        if not t.all():
+            # cancellation can zero |shift + b d| at a node a hair from the
+            # singular point: it reads one ulp of the products, its true
+            # size (0 costs |t|^eta a unit at tiny eta)
+            lost = t == 0.0
+            t[lost] = 2.3e-16 * np.maximum(abs(shift), np.abs(bd[lost]))
+        with np.errstate(divide="ignore"):
+            return np.log(t)
+
     def log_abs_moment(self, shift, d, eta):
         """One log-sum-exp of ln w + eta ln|t| over the node set, ln w read
         from the log-density: at large eta the window reaches past where
@@ -858,15 +844,9 @@ class FiniteMixture(ActuationDistribution):
                              lambda law, x: law.log_abs_moment(shift, x, eta))
 
     def _combine(self, combine, d, evaluate):
+        values = [evaluate(law, d) for _, law in self._positive]
         if not _many(d):
-            return combine([evaluate(law, d) for _, law in self._positive])
-        try:
-            values = [evaluate(law, d) for _, law in self._positive]
-        except NonIntegrable:
-            # raise the error of the first failing gain, in the gains' order
-            for x in np.asarray(d, dtype=float).tolist():
-                self._combine(combine, x, evaluate)
-            raise
+            return combine(values)
         return np.array([combine(gain) for gain in zip(*values)], dtype=float)
 
     def _mean_of(self, values):

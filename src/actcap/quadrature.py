@@ -8,9 +8,10 @@ Each half of every gap between consecutive break points is covered by
 ``GRADE_LEVELS`` levels toward its break point, then by ``OUTER_PANELS``
 equal panels.  Logarithmic and integrable power-law (exponent > -1)
 blow-ups at a break point are thereby resolved without adaptivity, and so
-are the sharp edge layers of high moments; a divergent integrand shows
+are the sharp edge layers of high moments.  A divergent integrand shows
 itself as a non-negligible share of the total carried by the innermost
-panels.
+panels; ``ActuationDistribution.expect`` checks that share for the
+integrands its callers pass.
 """
 
 from __future__ import annotations
@@ -76,15 +77,14 @@ def panel_nodes(breaks):
 def panel_rows(breaks):
     """:func:`panel_nodes` of every row of the 2-D array ``breaks``, in runs
     of consecutive rows that drop the same nodes.  Yields ``(start, stop,
-    nodes, weights, inner)``: one row of nodes and of weights for each row
-    of ``breaks[start:stop]``, and one ``inner`` mask for them all.  Row by
-    row these are the arrays :func:`panel_nodes` returns."""
+    nodes, weights)``: one row of nodes and of weights for each row of
+    ``breaks[start:stop]``.  Row by row these are the nodes and weights
+    :func:`panel_nodes` returns."""
     nodes, weights, keep = (a.reshape(len(breaks), -1) for a in _pattern(breaks))
-    inner = np.tile(_INNER, 2 * (breaks.shape[1] - 1))
     bounds = [0, *(np.flatnonzero((keep[1:] != keep[:-1]).any(axis=1)) + 1).tolist(),
               len(breaks)]
     for start, stop in zip(bounds, bounds[1:]):
         # compress keeps the rows contiguous, as each row's sum needs
         kept = keep[start]
         yield (start, stop, np.compress(kept, nodes[start:stop], axis=1),
-               np.compress(kept, weights[start:stop], axis=1), inner[kept])
+               np.compress(kept, weights[start:stop], axis=1))

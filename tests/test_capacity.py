@@ -380,7 +380,7 @@ def test_node_set_matches_gaussian_closed_forms():
     # the Shannon window cuts the law at mu +- 10 sigma: -1/d at mu, at a
     # cut, 1 ulp outside a cut, and between; below |d| = 1e-2 the Poisson sum
     # itself loses digits.  The Gaussian's own log mean is a closed form, so
-    # the base class sums the node set here.
+    # the truncated-Gaussian kernel sums the node set here.
     mu, sigma = 3.5, 1.0
     dist = Gaussian(mu, sigma)
     hits = [mu, 4.0, -6.5, 13.5, np.nextafter(-6.5, -np.inf)]
@@ -389,7 +389,7 @@ def test_node_set_matches_gaussian_closed_forms():
         second = (1 + mu * d) ** 2 + (sigma * d) ** 2
         assert eta_objective(dist, d, 2.0) == pytest.approx(
             -0.5 * math.log2(second), abs=1e-10)
-        node_set = -ActuationDistribution.mean_log_abs(dist, 1.0, d) / LOG2
+        node_set = -TruncatedGaussian.mean_log_abs(dist, 1.0, d) / LOG2
         assert node_set == pytest.approx(gaussian_log_objective(mu, sigma, d),
                                          abs=1e-9)
         assert shannon_objective(dist, d) == pytest.approx(node_set, abs=1e-12)
@@ -657,6 +657,25 @@ def test_atom_cancelled_exactly_reads_ahead_of_overflow():
 def test_atomic_objectives_read_nan_at_a_nan_gain(law):
     # as the closed forms do; the eta objective used to read +inf, a false
     # infinite capacity
+    assert_nan_at_a_nan_gain(law)
+
+
+_CELL = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]
+
+
+@pytest.mark.parametrize("law", [
+    Uniform(1, 3), Gaussian(4.0, 1.0), _CELL,
+    FiniteMixture(((0.5, _CELL), (0.5, Uniform(1, 3)))),
+], ids=["uniform", "gaussian", "cell", "cell_mixture"])
+def test_every_law_reads_nan_at_a_nan_gain(law):
+    # a cell's log mean used to raise NonIntegrable here, its node-set sum
+    # being NaN, where every other law and sense read NaN
+    assert_nan_at_a_nan_gain(law)
+
+
+def assert_nan_at_a_nan_gain(law):
+    """Both objectives read NaN at a NaN gain, alone and in an array beside
+    a finite gain, which stays finite."""
     grid = np.array([math.nan, 0.3])
     for got in (shannon_objective(law, math.nan), shannon_objective(law, grid),
                 eta_objective(law, math.nan, 2.0), eta_objective(law, grid, 0.5)):
@@ -732,13 +751,13 @@ def test_each_cell_scans_its_grid_in_one_objective_call(monkeypatch):
     # node sets; each search hands its whole scan grid (0 aside, where the
     # objective reads 0) to one array call, and Brent one gain at a time
     calls = []
-    node_set = ActuationDistribution.mean_log_abs
+    node_set = TruncatedGaussian.mean_log_abs
 
     def spy(law, shift, d):
         calls.append(np.shape(d))
         return node_set(law, shift, d)
 
-    monkeypatch.setattr(ActuationDistribution, "mean_log_abs", spy)
+    monkeypatch.setattr(TruncatedGaussian, "mean_log_abs", spy)
     model = model_from_boundaries(Gaussian(4.0, 1.0), [-10.0, 4.0, 14.0])
     for cell in model.cells:
         calls.clear()

@@ -586,10 +586,10 @@ def test_laws_keep_what_they_derive_per_eta():
     fresh = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]
     for a, b in zip(first, fresh._node_set((), fresh._density_pieces(0.0))):
         np.testing.assert_array_equal(a, b)
-    # and no law keeps more than a few of them, however many etas it sees
-    for eta in range(100):
-        cell.quadrature_nodes((), float(eta))
-    assert len(cell._node_sets) <= distributions._MEMO_SIZE
+    # it is the eta = 0 node set: other etas build their own and leave it
+    for eta in (0.5, 2.0, 64.0):
+        assert cell.quadrature_nodes((), eta)[0] is not first[0]
+    assert all(a is b for a, b in zip(first, cell.quadrature_nodes()))
 
 
 def test_array_objectives_reach_both_infinities():
@@ -657,39 +657,3 @@ def test_truncated_gaussian_moment_with_an_underflowing_panel():
     cell = Gaussian(0, 1).restrict(0, 1)[1]
     assert cell.log_abs_moment(1.0, -1.7e308, 2.0) == 1418.2196715612188
 
-
-class _Spiked(distributions.ActuationDistribution):
-    """A density on [1, 3] with a spike |b - 2|^-0.9 that is not declared,
-    and 0 above 2.5.  At d = -1/2 the innermost panels of the break meet
-    the spike; past the float range a node of weight 0 reads 0 * inf."""
-
-    def support(self):
-        return distributions.SupportInfo.build(1.0, 3.0)
-
-    def moments(self):
-        return 2.0, 1.0 / 3.0, 13.0 / 3.0
-
-    def _density_pieces(self, eta=0.0):
-        return ((1.0, 3.0,
-                 lambda b: np.where(b < 2.5, np.abs(b - 2.0) ** -0.9, 0.0)),)
-
-
-@pytest.mark.parametrize("law", [_Spiked(), FiniteMixture(((0.5, _Spiked()),
-                                                           (0.5, Uniform(1, 3))))],
-                         ids=["node_set", "mixture"])
-def test_array_objective_raises_for_the_first_failing_gain(law):
-    # -0.5 (break inside the density) and 1e308 (the shared node set) both
-    # fail; whichever comes first in the grid gives the message
-    with np.errstate(all="ignore"):
-        messages = {}
-        for d in (-0.5, 1e308, -1e308):
-            with pytest.raises(NonIntegrable) as err:
-                law.mean_log_abs(1.0, d)
-            messages[d] = str(err.value)
-        assert messages[-0.5] != messages[1e308]
-        for grid in ([-0.4, -0.5, 0.3, 1e308], [0.3, 1e308, -0.5],
-                     [-1e308, -0.5]):
-            with pytest.raises(NonIntegrable) as err:
-                law.mean_log_abs(1.0, np.array(grid))
-            first = next(d for d in grid if d in messages)
-            assert str(err.value) == messages[first]
