@@ -97,25 +97,25 @@ def _check_eta(eta):
 
 
 def _build_grid(halfwidth, centers):
-    h = max([halfwidth] + [2.0 * abs(c) for c in centers])
+    centers = np.asarray(centers, dtype=float)
+    h = np.max(2.0 * np.abs(centers), initial=halfwidth)
     # symmetric about an exact 0, so no backbone point sits a rounding
     # error away from it
     side = np.linspace(0.0, h, _BACKBONE + 1)[1:]
-    pts = [-side, np.array([0.0]), side]
-    for c in centers:
-        # offsets as fractions of h, so rescaling the law by 2^k rescales
-        # every grid point by 2^-k exactly; past the float range of those
-        # fractions (|c| beyond about 1e294 halfwidths) the floor rises
-        floor = max(abs(c), halfwidth / _WINDOW) * 1e-12 / h
-        offs = h * np.geomspace(max(floor, sys.float_info.min), 1.0,
-                                _PER_CENTER)
-        pts.append(np.clip(c + offs, -h, h))
-        pts.append(np.clip(c - offs, -h, h))
-        pts.append(np.array([c]))  # exact cusp optima must be evaluable
-    # sorted distinct values, as np.unique finds them without its numpy.ma import
-    grid = np.sort(np.concatenate(pts))
-    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    return grid[(grid >= -h) & (grid <= h)]
+    # offsets as fractions of h, a column per center: rescaling the law by
+    # 2^k rescales every point by 2^-k exactly; past the float range of the
+    # fractions (|c| beyond about 1e294 halfwidths) the floor rises
+    with np.errstate(invalid="ignore"):  # inf / inf at an infinite center
+        floor = np.maximum(np.abs(centers), halfwidth / _WINDOW) * 1e-12 / h
+    offs = h * np.geomspace(np.maximum(floor, sys.float_info.min), 1.0,
+                            _PER_CENTER)
+    grid = np.sort(np.concatenate((
+        -side, [0.0], side, centers,  # exact cusp optima must be evaluable
+        np.clip(centers + offs, -h, h).ravel(),
+        np.clip(centers - offs, -h, h).ravel())))
+    # sorted distinct values without np.unique's numpy.ma import; ">" also
+    # drops the NaNs (sorted last) that an infinite center's offsets make
+    return grid[np.concatenate(([True], grid[1:] > grid[:-1]))]
 
 
 def _counted(objective):
@@ -289,9 +289,10 @@ def _maximize_convex(objective, dist):
     The atom-cancelling gains -1/loc split d into smooth convex pieces.
     Each is evaluated exactly, together with 0 and the far end 4 d_2 of
     the bracket, d_2 = -E[B]/E[B^2] being the eta = 2 optimum; the far end
-    doubles until an interior point beats both ends.  Bounded Brent then
-    refines the two pieces beside the best of these points, where
-    convexity puts the optimum.  E[B] = 0 reads 0 at d = 0 by Jensen.
+    doubles until an interior point beats both ends, and each bracket's new
+    gains take one array call.  Bounded Brent then refines the two pieces
+    beside the best of these points, where convexity puts the optimum.
+    E[B] = 0 reads 0 at d = 0 by Jensen.
     """
     unit = _unit(dist)
     m = dist.moments()[0] / unit
@@ -304,12 +305,12 @@ def _maximize_convex(objective, dist):
                                       0.0)
     f, calls = _counted(objective)
     far = 4.0 * u2 / unit
-    kinks = [-1.0 / loc for loc, _ in dist.support().atoms if loc != 0.0]
+    kinks = _kinks(dist)
     values = {0.0: f(0.0)}  # every evaluated gain on the side of d_2
     for _ in range(_MAX_DOUBLINGS + 1):
-        for d in [k for k in kinks if 0.0 < k / far <= 1.0] + [far]:
-            if d not in values:
-                values[d] = f(d)
+        inside = kinks[(0.0 < kinks / far) & (kinks / far <= 1.0)].tolist()
+        fresh = [d for d in dict.fromkeys(inside + [far]) if d not in values]
+        values.update(zip(fresh, f(np.array(fresh)).tolist()))
         order = sorted(values, key=abs)
         best = max(values.values())
         j = next(i for i, d in enumerate(order) if values[d] == best)
@@ -345,11 +346,15 @@ def _grid_centers(dist):
     means = [dist.moments()[0]]
     if isinstance(dist, FiniteMixture):
         means += [comp.moments()[0] for w, comp in dist.components if w > 0.0]
-    centers = [0.0] + [-1.0 / m for m in means if m != 0.0]
-    for loc, _ in dist.support().atoms:
-        if loc != 0.0:
-            centers.append(-1.0 / loc)
-    return tuple(centers)
+    return np.concatenate(([0.0], [-1.0 / m for m in means if m != 0.0],
+                           _kinks(dist)))
+
+
+def _kinks(dist):
+    """The atom-cancelling gains -1/loc, one for each atom at loc != 0
+    (-inf past the float range, where the searches ignore overflow)."""
+    locs = np.array([loc for loc, _ in dist.support().atoms])
+    return -1.0 / locs[locs != 0.0]
 
 
 def _unit(dist):

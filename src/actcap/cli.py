@@ -25,14 +25,7 @@ from .simulate import (
     strong_converse_experiment,
     threshold_scan,
 )
-from .distributions import (
-    DistSpecError,
-    EmptyCell,
-    Gaussian,
-    ScaledBernoulli,
-    Uniform,
-    parse_spec,
-)
+from .distributions import Gaussian, ScaledBernoulli, Uniform, parse_spec
 
 _SQRT3 = math.sqrt(3.0)
 # commands that draw random streams; --seed is a word of their Philox keys
@@ -48,7 +41,7 @@ def main(argv=None):
         return 2
     try:
         header, rows, diagnostics = _COMMANDS[args.command](args)
-    except (DistSpecError, EmptyCell, ValueError) as exc:
+    except ValueError as exc:  # DistSpecError and EmptyCell among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:
@@ -117,7 +110,11 @@ def _family_dist(family, ratio):
 
 def _cmd_sideinfo(args):
     dist = parse_spec(args.dist)
-    sense = "eta" if args.eta is not None else args.sense
+    sense = args.sense or ("shannon" if args.eta is None else "eta")
+    if sense == "shannon" and args.eta is not None:
+        raise ValueError("--sense shannon contradicts --eta, which sets the "
+                         "eta sense")
+    args.sense = sense  # config echoes the sense computed
     if args.si_cells:
         model = si.model_from_boundaries(dist, _float_list(args.si_cells, "--si-cells"))
         if sense == "eta":
@@ -257,7 +254,8 @@ def _build_parser():
     p.add_argument("--si-bits", type=int, default=4)
     p.add_argument("--si-cells", default=None,
                    help="explicit cell boundaries lo1,lo2,...,hi")
-    p.add_argument("--sense", choices=("shannon", "eta"), default="shannon")
+    p.add_argument("--sense", choices=("shannon", "eta"), default=None,
+                   help="default: eta when --eta is given, else shannon")
     p.add_argument("--eta", type=float, default=None)
 
     p = sub.add_parser("simulate", help="Monte Carlo trajectory statistics")

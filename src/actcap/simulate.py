@@ -8,8 +8,8 @@ step reads log2|a| + log2|d| + log2|B + 1/d|.  Additive-noise runs step raw
 doubles, clamping every state to +-1e300.
 
 Path p reads the counter-based stream of ``make_rng(seed, p)``, Philox keyed
-by (seed, p).  Short rows of one-word draws (no noise rows, at most
-``_KERNEL_WORDS`` words per path) come from the Philox kernel
+by (seed, p).  Short rows of one-word gain draws (no noise or strategy
+rows, at most ``_KERNEL_WORDS`` steps) come from the Philox kernel
 ``path_words`` on the same keys, a block of paths at once; other runs
 re-key one generator for each path.  Either way the stream layout is the
 same, and so are the draws.
@@ -271,22 +271,18 @@ class _Block:
         # row 0 of x carries the state into the tile
         self.x, self.bd = tile(noisy, steps + 1), tile(noisy)
         self.vt, self.wt = tile(self.v is not None), tile(self.w is not None)
-        words = horizon * (1 if self.d is None else 2)
-        one_word = (spec.dist._from_uniform is not None
-                    and self.v is None and self.w is None)
-        self.kernel_words = words if one_word and words <= _KERNEL_WORDS else 0
+        # gain rows alone; the per-path loop draws the same words for others
+        self.kernel = (spec.dist._from_uniform is not None
+                       and horizon <= _KERNEL_WORDS
+                       and self.d is None and self.v is None and self.w is None)
 
     def draw(self, seed, lo, hi):
         """Per-path draws in a fixed order: gains, strategy gains, V, W."""
         spec, strategy, horizon = self.spec, self.strategy, self.horizon
-        if self.kernel_words:
+        if self.kernel:
             # the same words as the loop below, a block at a time
-            words = path_words(seed, lo, hi, self.kernel_words)
-            u = (words >> np.uint64(11)).astype(float) * 2.0**-53
-            self.b[:hi - lo] = spec.dist._from_uniform(u[:, :horizon])
-            if self.d is not None:
-                self.d[:hi - lo] = (strategy.d_low + (strategy.d_high - strategy.d_low)
-                                    * u[:, horizon:])
+            u = (path_words(seed, lo, hi, horizon) >> np.uint64(11)).astype(float)
+            self.b[:hi - lo] = spec.dist._from_uniform(u * 2.0**-53)
             return
         noise = [(rows[:hi - lo], std) for rows, std in
                  ((self.v, spec.obs_noise_std), (self.w, spec.process_noise_std))

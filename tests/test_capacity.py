@@ -10,7 +10,12 @@ from scipy import integrate, special, stats
 
 from actcap import distributions
 from actcap.capacity import (
+    _BACKBONE,
+    _PER_CENTER,
+    _WINDOW,
     _build_grid,
+    _grid_centers,
+    _maximize_convex,
     _unit,
     capacity_curve,
     eta_capacity,
@@ -765,6 +770,91 @@ def test_each_cell_scans_its_grid_in_one_objective_call(monkeypatch):
         assert diag["objective"] == "node_set"
         assert calls[0] == (diag["grid_evaluations"] - 1,)
         assert calls[1:] == [()] * diag["refine_iterations"]
+
+
+def _two_cluster_law():
+    # 990 atoms near 1 and 10 near 100: at eta = 1 the optimum is near the
+    # kink -1/1, past four times the eta = 2 optimum, so the bracket doubles
+    return Empirical(tuple(Uniform(0.9, 1.1).sample(make_rng(0), 990))
+                     + tuple(Uniform(90.0, 110.0).sample(make_rng(1), 10)))
+
+
+@pytest.mark.parametrize("law, eta, rounds", [
+    (Empirical(tuple(Uniform(1, 3).sample(make_rng(0), 1000))), 2.0, 1),
+    (_two_cluster_law(), 1.0, 5),
+    # 0.95 and 0.9500000000000001 share the kink -1.0526315789473684
+    (Empirical((0.95, 0.9500000000000001, 2.0)), 2.0, 1),
+], ids=["uniform_atoms", "two_clusters", "shared_kink"])
+def test_convex_search_evaluates_each_bracket_in_one_call(law, eta, rounds):
+    # besides d = 0, Brent and the flat check (one gain each), each bracket
+    # round hands its new kinks and far end to one array call
+    calls = []
+
+    def spy(d):
+        calls.append(d.tolist() if np.ndim(d) else d)
+        return eta_objective(law, d, eta)
+
+    with np.errstate(over="ignore"):
+        _, _, diag = _maximize_convex(spy, law)
+    assert calls[0] == 0.0
+    arrays = calls[1:rounds + 1]
+    assert all(isinstance(c, list) for c in arrays)
+    assert not any(isinstance(c, list) for c in calls[rounds + 1:])
+    assert len(calls) - rounds - 1 == diag["refine_iterations"]
+    # far ends double; no gain is evaluated twice
+    fars = [c[-1] for c in arrays]
+    assert fars == [fars[0] * 2.0 ** i for i in range(rounds)]
+    assert abs(fars[-1]) == diag["halfwidth"]
+    gains = [d for c in arrays for d in c]
+    assert len(set(gains)) == len(gains) == diag["grid_evaluations"] - 1
+
+
+def per_center_grid(halfwidth, centers):
+    """The scan grid built one center at a time."""
+    h = max([halfwidth] + [2.0 * abs(c) for c in centers])
+    side = np.linspace(0.0, h, _BACKBONE + 1)[1:]
+    pts = [-side, np.array([0.0]), side]
+    for c in centers:
+        floor = max(abs(c), halfwidth / _WINDOW) * 1e-12 / h
+        offs = h * np.geomspace(max(floor, 2.0 ** -1022), 1.0, _PER_CENTER)
+        pts += [np.clip(c + offs, -h, h), np.clip(c - offs, -h, h),
+                np.array([c])]
+    grid = np.unique(np.concatenate(pts))
+    return grid[(grid >= -h) & (grid <= h)]
+
+
+def assert_grid_matches_per_center(halfwidth, centers):
+    with np.errstate(invalid="ignore"):  # inf / inf at an infinite center
+        want = per_center_grid(halfwidth, centers)
+        got = _build_grid(halfwidth, centers)
+    assert got.tobytes() == want.tobytes()
+
+
+# centers as multiples of the halfwidth: ordinary ones, and ones near the
+# ends of the float range that set the floor and the width
+_CENTER_FACTORS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.builds(lambda s, x: s * x,
+              st.sampled_from([1e-300, -1e-300, 1e300, -1e300]),
+              st.floats(0.5, 2.0)),
+)
+
+
+@settings(max_examples=100)
+@given(halfwidth=st.floats(1e-3, 1e3),
+       factors=st.lists(_CENTER_FACTORS, max_size=30))
+@example(halfwidth=100.0, factors=[-math.inf])
+@example(halfwidth=1.0, factors=[1e-300, -1e-300, 1e300, -1e300])
+def test_scan_grid_matches_the_per_center_construction(halfwidth, factors):
+    assert_grid_matches_per_center(
+        halfwidth, (0.0, *(x * halfwidth for x in factors)))
+
+
+def test_scan_grid_of_a_thousand_kinks_matches_the_per_center_construction():
+    law = Empirical(tuple(Uniform(1, 3).sample(make_rng(0), 1000)))
+    centers = _grid_centers(law)
+    assert len(centers) == 1002
+    assert_grid_matches_per_center(_WINDOW / _unit(law), tuple(centers))
 
 
 def test_maximize_rejects_a_scalar_only_objective():

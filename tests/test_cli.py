@@ -163,6 +163,30 @@ def test_sideinfo_explicit_cells(capsys):
     assert int(rows[1].split(",")[0]) == 2
 
 
+def test_sideinfo_shannon_sense_with_eta_exits_2(capsys):
+    # the pair used to print the eta staircase, 1.8502 bits at k = 0,
+    # where the Shannon one reads 2.5870
+    args = ["sideinfo", "--dist", "uniform:1,3", "--si-bits", "1"]
+    assert main(args + ["--sense", "shannon", "--eta", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--sense shannon" in captured.err and "--eta" in captured.err
+
+
+@pytest.mark.parametrize("extra, sense", [
+    ([], "shannon"),
+    (["--eta", "2"], "eta"),
+    (["--sense", "eta", "--eta", "2"], "eta"),
+])
+def test_sideinfo_json_config_shows_the_sense_computed(extra, sense, capsys):
+    # --eta alone computed the eta sense while config echoed "shannon"
+    code, out = run_cli(["sideinfo", "--dist", "uniform:1,3", "--si-bits", "1",
+                         "--format", "json"] + extra, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["sense"] == payload["diagnostics"]["sense"] == sense
+
+
 def test_sideinfo_at_a_power_of_two_scale(capsys):
     # uniform:1048576,3145728 exited 2 as "partition inconsistent with the
     # base law"; it is uniform:1,3 scaled by 2^20 and prints its staircase

@@ -1,9 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actcap.capacity import eta_capacity, second_moment_closed_form, shannon_capacity
-from actcap.distributions import EmptyCell, Gaussian, ScaledBernoulli, Uniform
+from actcap.distributions import (
+    EmptyCell,
+    FiniteMixture,
+    Gaussian,
+    ScaledBernoulli,
+    Uniform,
+)
 from actcap.sideinfo import (
     SideCell,
     SideInformationModel,
@@ -88,6 +96,49 @@ def test_gaussian_cells_are_scale_free(k):
                                 for r in res.per_cell]
 
     assert cells(2.0 ** k) == cells(1.0)
+
+
+def _floats(lo, hi):
+    # none so near 0 that 2^-40 of it leaves the normal floats
+    return st.floats(lo, hi).filter(lambda x: x == 0.0 or abs(x) >= 2.0 ** -20)
+
+
+_UNIFORM = st.builds(lambda b1, w: lambda s: Uniform(b1 * s, (b1 + w) * s),
+                     _floats(-1.0, 4.0), _floats(0.25, 4.0))
+_ERASURE = st.builds(lambda beta, p: lambda s: ScaledBernoulli(beta * s, p),
+                     st.sampled_from([-3.0, -0.5, 0.75, 2.0]),
+                     _floats(0.05, 0.95))
+
+
+def _mixture(first, second):
+    return st.builds(
+        lambda w, f, g: lambda s: FiniteMixture(((w, f(s)), (1.0 - w, g(s)))),
+        _floats(0.1, 0.9), first, second)
+
+
+# a first draw picks the regime, so each gets a share of the examples;
+# each law is a function of its scale s (B -> s B), every parameter scaled
+# exactly
+_SI_LAWS = st.sampled_from([
+    _UNIFORM, _mixture(_UNIFORM, _UNIFORM), _mixture(_ERASURE, _UNIFORM),
+]).flatmap(lambda regime: regime)
+
+
+@settings(max_examples=12)
+@given(law=_SI_LAWS)
+def test_drawn_staircase_properties(law):
+    curves = {sense: si_value_curve(law(1.0), 3, sense, eta)
+              for sense, eta in (("shannon", None), ("eta", 2.0))}
+    shannon, eta2 = ([value for _, value in curves[s]] for s in ("shannon", "eta"))
+    assert all([k for k, _ in c] == [0, 1, 2, 3] for c in curves.values())
+    # Jensen: the eta = 2 staircase sits at or below the Shannon one
+    assert all(e <= sh + 1e-9 for e, sh in zip(eta2, shannon))
+    # B -> 2^j B moves no rung
+    for j in (-40, 3, 20):
+        for sense, eta in (("shannon", None), ("eta", 2.0)):
+            twin = si_value_curve(law(2.0 ** j), 3, sense, eta)
+            assert all(a == b or abs(a - b) <= 1e-12
+                       for (_, a), (_, b) in zip(twin, curves[sense])), (j, sense)
 
 
 def test_single_cell_reproduces_base():

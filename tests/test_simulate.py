@@ -200,7 +200,9 @@ _STRATEGIES = [
 @pytest.mark.parametrize("law", _LAWS, ids=lambda law: type(law).__name__)
 def test_simulate_equals_per_path_make_rng_oracle(law, paths):
     for strategy in _STRATEGIES:
-        # rows of one-word laws up to _KERNEL_WORDS words come from the kernel
+        # gain rows of one-word laws up to _KERNEL_WORDS steps come from the
+        # kernel; random_linear rows take the per-path loop on both sides
+        # of their edge
         edge = _KERNEL_WORDS // (2 if strategy.kind == "random_linear" else 1)
         for horizon, noise in ((12, 0.0), (12, 0.5), (edge, 0.0), (edge + 1, 0.0)):
             spec = SystemSpec(1.5, law, x0=2.0, process_noise_std=noise,

@@ -32,3 +32,37 @@ def test_module_level_imports_are_used():
         unused += [f"{path.name}: {name}"
                    for name in sorted(bound - read - _exported(tree))]
     assert not unused
+
+
+def _private_definitions(tree):
+    """The module-level functions, classes and assigned constants whose
+    names start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_module_level_private_names_are_read():
+    # a simplification that strands a helper or a constant shows here; a
+    # name counts as read where any module of the package loads it, imports
+    # it or reads it as an attribute
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    defined = [(name, n) for name, tree in trees.items()
+               for n in _private_definitions(tree)]
+    assert len(defined) > 100
+    assert sorted(f"{name}: {n}" for name, n in defined if n not in read) == []
