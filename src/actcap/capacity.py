@@ -105,16 +105,14 @@ def _build_grid(halfwidth, centers):
     # offsets as fractions of h, a column per center: rescaling the law by
     # 2^k rescales every point by 2^-k exactly; past the float range of the
     # fractions (|c| beyond about 1e294 halfwidths) the floor rises
-    with np.errstate(invalid="ignore"):  # inf / inf at an infinite center
-        floor = np.maximum(np.abs(centers), halfwidth / _WINDOW) * 1e-12 / h
+    floor = np.maximum(np.abs(centers), halfwidth / _WINDOW) * 1e-12 / h
     offs = h * np.geomspace(np.maximum(floor, sys.float_info.min), 1.0,
                             _PER_CENTER)
     grid = np.sort(np.concatenate((
         -side, [0.0], side, centers,  # exact cusp optima must be evaluable
         np.clip(centers + offs, -h, h).ravel(),
         np.clip(centers - offs, -h, h).ravel())))
-    # sorted distinct values without np.unique's numpy.ma import; ">" also
-    # drops the NaNs (sorted last) that an infinite center's offsets make
+    # sorted distinct values without np.unique's numpy.ma import
     return grid[np.concatenate(([True], grid[1:] > grid[:-1]))]
 
 
@@ -160,7 +158,7 @@ def maximize_over_d(objective, halfwidth, centers=(0.0,)):
 
     ``halfwidth`` sets the scale of the search.  The grid spans
     [-halfwidth, halfwidth], widened to twice the farthest center, holds 0
-    exactly, and is densified geometrically around each center c from
+    exactly, and is densified geometrically around each finite center c from
     1e-12 of max(|c|, halfwidth / 100) outward.  Refinement stops within
     1e-12 of max(halfwidth, |d|), so no step depends on the units of d.
 
@@ -342,12 +340,16 @@ def _maximize_convex(objective, dist):
 def _grid_centers(dist):
     """Grid densification targets: the closed-form optimizers live at 0,
     -1/mean of the law and of each mixture component, and the exact
-    atom-cancelling gains -1/location."""
+    atom-cancelling gains -1/location.  A mean or atom below about 5.6e-309
+    in size puts its center past the float range, where no gain is
+    evaluable, so only finite centers are kept."""
     means = [dist.moments()[0]]
     if isinstance(dist, FiniteMixture):
         means += [comp.moments()[0] for w, comp in dist.components if w > 0.0]
-    return np.concatenate(([0.0], [-1.0 / m for m in means if m != 0.0],
-                           _kinks(dist)))
+    with np.errstate(divide="ignore", over="ignore"):
+        centers = np.concatenate(([0.0], [-1.0 / m for m in means if m != 0.0],
+                                  _kinks(dist)))
+    return centers[np.isfinite(centers)]
 
 
 def _kinks(dist):

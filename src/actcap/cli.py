@@ -110,11 +110,7 @@ def _family_dist(family, ratio):
 
 def _cmd_sideinfo(args):
     dist = parse_spec(args.dist)
-    sense = args.sense or ("shannon" if args.eta is None else "eta")
-    if sense == "shannon" and args.eta is not None:
-        raise ValueError("--sense shannon contradicts --eta, which sets the "
-                         "eta sense")
-    args.sense = sense  # config echoes the sense computed
+    sense = _sense(args)
     if args.si_cells:
         model = si.model_from_boundaries(dist, _float_list(args.si_cells, "--si-cells"))
         if sense == "eta":
@@ -128,6 +124,21 @@ def _cmd_sideinfo(args):
     points = si.si_value_curve(dist, args.si_bits, sense=sense, eta=args.eta)
     rows = [[k, value] for k, value in points]
     return ["k_bits", "capacity_bits"], rows, {"dist": args.dist, "sense": sense}
+
+
+def _sense(args, eta=None):
+    """The sense ``args`` ask for, written back to them so that JSON
+    ``config`` echoes what is computed.  ``--eta`` alone selects the eta
+    sense, ``--sense eta`` alone takes ``eta``, and ``--sense shannon`` with
+    ``--eta`` is an error."""
+    sense = args.sense or ("shannon" if args.eta is None else "eta")
+    if sense == "shannon" and args.eta is not None:
+        raise ValueError("--sense shannon contradicts --eta, which sets the "
+                         "eta sense")
+    if sense == "eta" and args.eta is None:
+        args.eta = eta
+    args.sense = sense
+    return sense
 
 
 def _cmd_simulate(args):
@@ -160,12 +171,14 @@ def _pick_d(args, dist):
 
 def _cmd_scan(args):
     dist = parse_spec(args.dist)
+    sense = _sense(args, eta=2.0)
     points, capres = threshold_scan(
-        dist, args.sense, _float_list(args.a_grid, "--a-grid"), eta=args.eta,
+        dist, sense, _float_list(args.a_grid, "--a-grid"),
+        eta=2.0 if args.eta is None else args.eta,
         horizon=args.horizon, paths=args.paths, seed=args.seed)
     rows = [[p.a, math.log2(p.a), p.verdict, p.slope_bits] for p in points]
     diag = {"capacity_bits": capres.value_bits, "optimal_d": capres.optimal_d,
-            "sense": args.sense}
+            "sense": sense}
     return ["a", "log2_a", "verdict", "slope_bits"], rows, diag
 
 
@@ -275,8 +288,10 @@ def _build_parser():
     p = sub.add_parser("scan", help="stability verdict per open-loop gain")
     common(p)
     p.add_argument("--a-grid", required=True)
-    p.add_argument("--sense", choices=("shannon", "eta"), default="shannon")
-    p.add_argument("--eta", type=float, default=2.0)
+    p.add_argument("--sense", choices=("shannon", "eta"), default=None,
+                   help="default: eta when --eta is given, else shannon")
+    p.add_argument("--eta", type=float, default=None,
+                   help="default 2 in the eta sense")
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--paths", type=int, default=10000)
 

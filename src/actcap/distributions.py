@@ -10,10 +10,13 @@ at eta = 0 that no singularity splits.  Of the two functionals the capacity
 objectives read (at one gain or, row by row, at a 1-D array of gains),
 atomic laws sum their atoms exactly, the uniform law and the Gaussian log
 mean take closed forms, a mixture composes its components, and a truncated
-Gaussian sums its node set (the moment in the log domain) in its own
-kernel, with no divergence check.  Constructors reject non-finite
-parameters and laws whose moments overflow.  Values are immutable and safe
-for concurrent reads; sampling always goes through an explicit generator.
+Gaussian takes its own kernels, with no divergence check: its log mean
+integrates by parts on one node set kept per law where the cut -shift/d
+lies inside the cell's window and sums the shared node set elsewhere, and
+its moment sums a node set in the log domain.  Constructors reject
+non-finite parameters and laws whose moments overflow.  Values are
+immutable and safe for concurrent reads; sampling always goes through an
+explicit generator.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import (FAIL_REL, GAP_NODES, NonIntegrable, panel_nodes,
-                         panel_rows)
+from .quadrature import FAIL_REL, NonIntegrable, even_panels, panel_nodes
 
 __all__ = [
     "ActuationDistribution",
@@ -567,45 +569,94 @@ class TruncatedGaussian(ActuationDistribution):
         return ((lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)),)
 
     def mean_log_abs(self, shift, d):
-        """E ln|shift + B d| for d != 0: the weighted sum of the node set
-        with -shift/d as a break point, over its weights' total (+inf past
-        the float range, NaN at a NaN gain), at one gain or each gain of a
-        1-D array (see :meth:`_node_set_rows`).  The break point resolves
-        the blow-up, so, unlike :meth:`expect`, no divergence check runs."""
+        """E ln|shift + B d| for d != 0, at one gain or each gain of a 1-D
+        array (+inf past the float range, NaN at a NaN gain).  A gain whose
+        cut -shift/d lies outside the window sums the law's shared node set
+        over its weights' total; the others integrate by parts
+        (:meth:`_by_parts`).  Unlike :meth:`expect`, no divergence check
+        runs.  An array takes the gains of each kind in chunks of about
+        _CHUNK node values, a row each, and sums each row along its own
+        contiguous nodes, as the scalar call does."""
+        lo, hi = self._window(0.0)
         if not _many(d):
-            nodes, weights, _ = self.quadrature_nodes((-shift / d,))
+            if lo < -shift / d < hi:
+                return float(self._by_parts(shift, d)[0])
+            nodes, weights, _ = self._shared_nodes
             logs = self._log_abs(shift, d, nodes)
             return float((weights * logs).sum()) / float(weights.sum())
         d = np.asarray(d, dtype=float)
-        values = np.empty(len(d))
-        for i, logs, weights in self._node_set_rows(shift, d):
-            values[i] = (weights * logs).sum(axis=-1) / weights.sum(axis=-1)
-        return values
-
-    def _node_set_rows(self, shift, d):
-        """Yield ``(index, logs, weights)`` over chunks of the gains d (a
-        1-D array, no 0): ln|shift + b d| at the nodes b of each gain
-        d[index], one row each, with the weights.  Gains whose break
-        -shift/d lies outside the window share the eta = 0 node set; the
-        graded panels of the others come from one broadcast, a row of nodes
-        each.  No chunk holds much more than _CHUNK node values, and each
-        row is summed along its own contiguous nodes, as the scalar call's
-        is."""
-        (lo, hi, pdf), = self._density_pieces()
         cut = -shift / d
         inside = (lo < cut) & (cut < hi)
-        shared = np.flatnonzero(~inside)
-        if shared.size:
-            nodes, weights, _ = self._shared_nodes
-            for i in _chunks(shared, nodes.size):
-                yield i, self._log_abs(shift, d[i, None], nodes), weights
-        inside = np.flatnonzero(inside)
-        for index in _chunks(inside, 2 * GAP_NODES):
-            breaks = np.stack(np.broadcast_arrays(lo, cut[index], hi), axis=1)
-            for start, stop, nodes, weights in panel_rows(breaks):
-                i = index[start:stop]
-                yield (i, self._log_abs(shift, d[i, None], nodes),
-                       weights * pdf(nodes))
+        values = np.empty(len(d))
+        nodes, weights, _ = self._shared_nodes
+        for i in _chunks(np.flatnonzero(~inside), nodes.size):
+            logs = self._log_abs(shift, d[i, None], nodes)
+            values[i] = (weights * logs).sum(axis=-1) / weights.sum()
+        for i in _chunks(np.flatnonzero(inside), self._parts_nodes[2].size):
+            values[i] = self._by_parts(shift, d[i, None])[:, 0]
+        return values
+
+    # In standard units z = (b - mu) / sigma over the window [alpha, beta],
+    # shift + b d = d sigma (z - c) with c = -(mu + shift/d) / sigma, and
+    # with G(z) = Phi(z) - Phi(c) and f(z) = G(z) / (z - c), integration by
+    # parts gives
+    #   E ln|shift + B d| = ln|d sigma| + I / M,
+    #   I = ln|beta - c| G(beta) - ln|alpha - c| G(alpha) - int f dz,
+    #   M = Phi(beta) - Phi(alpha) = G(beta) - G(alpha).
+    # G(c) = 0, so f is entire, and one node set per law serves every cut c
+    # inside the window.  Mirroring z -> -z when c > 0 leaves I and M as
+    # they are and puts c <= 0, so each difference of Phi is read from the
+    # lower tail.  Within delta = 0.2 / max(10, |c|) of c, where that
+    # difference would cancel, f is read instead as the mean of phi over
+    # [c, c + s] by 5-point Gauss-Legendre: there |c s| <= 0.2 and s <= 0.02,
+    # so the rule's error is below 1e-19 of f.  f > 0, and at the ends
+    # G = s f, so I and M are sums of |s| f ln|s| and |s| f over the two
+    # ends, and nothing cancels.
+
+    @cached_property
+    def _parts_nodes(self):
+        """(z, Phi(z), weights, (S, ln(S / sigma))) of the by-parts rule,
+        built once and kept read-only.  z holds 16-point Gauss-Legendre
+        panels over the window in standard units, then its ends alpha and
+        beta, weighted 0; its second row is the mirror -z.  A panel is at
+        most one sigma wide, and at most 16 / |z| past |z| = 16, where the
+        log-density falls by |z| per sigma.  S is the window's larger end
+        in size."""
+        lo, hi = self._window(0.0)
+        alpha, beta = (lo - self.mu) / self.sigma, (hi - self.mu) / self.sigma
+        near = min(abs(alpha), abs(beta)) if alpha * beta > 0.0 else 0.0
+        z, weights = even_panels(alpha, beta, 16.0 / max(16.0, near))
+        z = np.append(z, [alpha, beta])
+        z = np.array([z, -z])
+        scale = max(abs(lo), abs(hi))
+        return _frozen((z, _lower_tail(z), np.append(weights, [0.0, 0.0]),
+                        np.array([scale, math.log(scale / self.sigma)])))
+
+    def _by_parts(self, shift, d):
+        """E ln|shift + B d| integrated by parts, every cut -shift/d inside
+        the window: at one gain d, a float, read back as a 1-element array,
+        or at a column d[:, None] of gains, one row each.  The floats of one
+        gain and the rows of a column take the same IEEE operations, so both
+        read the same bits.  ln|d sigma| is ln|d S| - ln(S / sigma), which
+        reads +inf where |b d| passes the float range."""
+        z, tails, weights, (scale, log_ratio) = self._parts_nodes
+        c = -(self.mu + shift / d) / self.sigma
+        size, mirror = abs(c), c > 0.0
+        s = np.where(mirror, z[1], z[0]) + size  # z - c, mirrored to c <= 0
+        near = np.abs(s) * np.maximum(size, 10.0) < 0.2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = (np.where(mirror, tails[1], tails[0]) - _lower_tail(-size)) / s
+        if near.any():
+            # phi over c + t s, t in [0, 1], at its Gauss-Legendre nodes
+            u = s[near][:, None] * _MEAN_T - (near * size)[near][:, None]
+            f[near] = (np.exp(-0.5 * u * u) * _MEAN_W).sum(axis=-1)
+        # an end on the cut reads |s| as the least double: its terms vanish
+        ends = np.maximum(np.abs(s[..., -2:]), _P_MIN)
+        mass = ends * f[..., -2:]
+        parts = ((mass * np.log(ends)).sum(axis=-1, keepdims=True)
+                 - (weights * f).sum(axis=-1, keepdims=True))
+        return (np.log(np.abs(d * scale)) - log_ratio
+                + parts / mass.sum(axis=-1, keepdims=True))
 
     def _log_abs(self, shift, d, b):
         """ln|shift + b d| at the nodes b, -shift/d being a break point: one
@@ -972,6 +1023,21 @@ _P_MIN = math.ulp(0.0)  # the smallest positive double
 _P_MAX = 1.0 - 2.0**-53  # the largest double below 1
 _STD_NORMAL = statistics.NormalDist()
 _ndtri = np.frompyfunc(_ndtri_scalar, 1, 1)
+
+
+def _lower_tail(z):
+    """Phi(z) at one z or each z of an array, from ``math.erfc``, accurate
+    in the lower tail."""
+    if isinstance(z, np.ndarray):
+        return np.array([_ndtr(x) for x in z.flat]).reshape(z.shape)
+    return _ndtr(z)
+
+
+# 5-point Gauss-Legendre nodes on [0, 1], weights over sqrt(2 pi): the mean
+# of phi over [c, c + s] is sum(_MEAN_W * exp(-(c + s _MEAN_T)^2 / 2))
+_MEAN_T, _MEAN_W = np.polynomial.legendre.leggauss(5)
+_MEAN_T = 0.5 * (_MEAN_T + 1.0)
+_MEAN_W = 0.5 * _MEAN_W / math.sqrt(2.0 * math.pi)
 
 
 def _std_normal_pdf(z):

@@ -187,6 +187,48 @@ def test_sideinfo_json_config_shows_the_sense_computed(extra, sense, capsys):
     assert payload["config"]["sense"] == payload["diagnostics"]["sense"] == sense
 
 
+_SCAN = ["scan", "--dist", "uniform:1,3", "--a-grid", "2", "--horizon", "5",
+         "--paths", "10", "--format", "json"]
+
+
+@pytest.mark.parametrize("extra, sense, eta", [
+    ([], "shannon", None),
+    (["--sense", "shannon"], "shannon", None),
+    (["--eta", "7"], "eta", 7.0),
+    (["--sense", "eta"], "eta", 2.0),
+    (["--sense", "eta", "--eta", "7"], "eta", 7.0),
+])
+def test_scan_resolves_its_sense_as_sideinfo_does(extra, sense, eta, capsys):
+    # --eta 7 alone ran the Shannon sense while config echoed "eta": 7.0,
+    # and the Shannon sense always echoed the default eta 2
+    from actcap.capacity import eta_capacity
+
+    code, out = run_cli(_SCAN + extra, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["sense"] == payload["diagnostics"]["sense"] == sense
+    assert payload["config"].get("eta") == eta
+    law = Uniform(1.0, 3.0)
+    want = shannon_capacity(law) if eta is None else eta_capacity(law, eta)
+    assert payload["diagnostics"]["capacity_bits"] == want.value_bits
+
+
+def test_scan_shannon_sense_with_eta_exits_2(capsys):
+    assert main(_SCAN + ["--sense", "shannon", "--eta", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--sense shannon" in captured.err and "--eta" in captured.err
+
+
+def test_capacity_of_a_law_whose_center_passes_the_float_range(capsys):
+    # -1/mean = -inf made the scan grid {-inf, 0, inf}: a RuntimeWarning
+    # on stderr, exit 0, and an infinite search halfwidth
+    code = main(["capacity", "--dist", "gaussian:1e-310,1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.splitlines()[1].startswith("c_sh,0.35397")
+
+
 def test_sideinfo_at_a_power_of_two_scale(capsys):
     # uniform:1048576,3145728 exited 2 as "partition inconsistent with the
     # base law"; it is uniform:1,3 scaled by 2^20 and prints its staircase

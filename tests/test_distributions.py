@@ -601,6 +601,13 @@ def test_array_objectives_reach_both_infinities():
     with np.errstate(over="ignore"):
         got = law.mean_log_abs(1.0, grid)
     assert got.tolist() == [math.inf, -math.inf, -math.inf, math.inf]
+    # a cell holding 0 has those gains' cuts inside its window, where the
+    # log mean is integrated by parts; |b d| past the float range reads
+    # +inf there too, alone and in an array
+    cell = Gaussian(0.0, 1.0).restrict(-1.0, 2.0)[1]
+    with np.errstate(over="ignore"):
+        assert cell.mean_log_abs(1.0, grid[[0, 3]]).tolist() == [math.inf] * 2
+        assert cell.mean_log_abs(1.0, 1.7e308) == math.inf
 
 
 def atom_sums(law, d, eta=None):
