@@ -497,7 +497,9 @@ class TruncatedGaussian(ActuationDistribution):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not self.lo < self.hi:
             raise ValueError(f"truncation window empty: [{self.lo}, {self.hi}]")
-        if self.cell_probability <= 0.0:
+        # a mass below the least normal double (a cell past about 37.5
+        # sigma) leaves too few digits for any expectation over the cell
+        if not self.cell_probability >= _NORMAL_MIN:
             raise EmptyCell(
                 f"Gaussian({self.mu}, {self.sigma}) has no mass in [{self.lo}, {self.hi})"
             )
@@ -1020,6 +1022,7 @@ def _ndtri_scalar(p):
 
 _SQRT2 = math.sqrt(2.0)
 _P_MIN = math.ulp(0.0)  # the smallest positive double
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 _P_MAX = 1.0 - 2.0**-53  # the largest double below 1
 _STD_NORMAL = statistics.NormalDist()
 _ndtri = np.frompyfunc(_ndtri_scalar, 1, 1)

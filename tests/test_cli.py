@@ -163,6 +163,17 @@ def test_sideinfo_explicit_cells(capsys):
     assert int(rows[1].split(",")[0]) == 2
 
 
+def test_sideinfo_drops_a_cell_whose_mass_is_below_the_normal_range(capsys):
+    # the cell [42.2, 46] of N(4, 1), 38.2 sigma out, printed a
+    # RuntimeWarning and counted as a third cell; past 38.5 sigma its mass
+    # is 0 and it was already dropped
+    args = ["sideinfo", "--dist", "gaussian:4,1"]
+    assert main(args + ["--si-cells=-10,4,42.2,46"]) == 0
+    far = capsys.readouterr()
+    assert main(args + ["--si-cells=-10,4,14"]) == 0
+    assert far.err == "" and far.out == capsys.readouterr().out
+
+
 def test_sideinfo_shannon_sense_with_eta_exits_2(capsys):
     # the pair used to print the eta staircase, 1.8502 bits at k = 0,
     # where the Shannon one reads 2.5870
