@@ -32,7 +32,6 @@ from .distributions import (
     EmptyCell,
     FiniteMixture,
     Gaussian,
-    NonIntegrable,
     ScaledBernoulli,
     SupportInfo,
     TruncatedGaussian,

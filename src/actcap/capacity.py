@@ -97,7 +97,9 @@ def _check_eta(eta):
 
 
 def _build_grid(halfwidth, centers):
-    centers = np.asarray(centers, dtype=float)
+    # a center of -0.0 is the center 0: the grid's one zero is +0.0 whichever
+    # of the equal zeros the sort puts first
+    centers = np.asarray(centers, dtype=float) + 0.0
     h = np.max(2.0 * np.abs(centers), initial=halfwidth)
     # symmetric about an exact 0, so no backbone point sits a rounding
     # error away from it

@@ -1,22 +1,17 @@
 """Laws of the multiplicative actuation gain.
 
 Each distribution knows its support (bounds plus atoms), exact moments, how
-to draw reproducible samples, its quadrature node set (atoms weighted by
-their mass, density pieces covered by the graded pattern of
-:mod:`actcap.quadrature` around declared singular points), and how to
-condition on an interval cell.  Every expectation is one weighted sum over
-that node set, checked for a divergent integrand; a law keeps the node set
-at eta = 0 that no singularity splits.  Of the two functionals the capacity
-objectives read (at one gain or, row by row, at a 1-D array of gains),
-atomic laws sum their atoms exactly, the uniform law and the Gaussian log
-mean take closed forms, a mixture composes its components, and a truncated
-Gaussian takes its own kernels, with no divergence check: its log mean
-integrates by parts on one node set kept per law where the cut -shift/d
-lies inside the cell's window and sums the shared node set elsewhere, and
-its moment sums a node set in the log domain.  Constructors reject
-non-finite parameters and laws whose moments overflow.  Values are
-immutable and safe for concurrent reads; sampling always goes through an
-explicit generator.
+to draw reproducible samples and how to condition on an interval cell.  Of
+the two functionals the capacity objectives read (at one gain or, row by
+row, at a 1-D array of gains), atomic laws sum their atoms exactly, the
+uniform law and the Gaussian log mean take closed forms, a mixture
+composes its components, and a truncated Gaussian takes its own kernels:
+its log mean sums one even-panel node set kept per law, integrated by
+parts where the cut -shift/d lies within half a panel of the cell's window
+and summed directly elsewhere, and its moment sums a graded node set of
+:mod:`actcap.quadrature` in the log domain.  Constructors reject non-finite
+parameters and laws whose moments overflow.  Values are immutable and safe
+for concurrent reads; sampling always goes through an explicit generator.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import FAIL_REL, NonIntegrable, even_panels, panel_nodes
+from .quadrature import even_panels, panel_nodes
 
 __all__ = [
     "ActuationDistribution",
@@ -38,7 +33,6 @@ __all__ = [
     "EmptyCell",
     "FiniteMixture",
     "Gaussian",
-    "NonIntegrable",
     "ScaledBernoulli",
     "SupportInfo",
     "TruncatedGaussian",
@@ -228,7 +222,7 @@ def _frozen(arrays):
 
 class ActuationDistribution:
     """Base class for gain laws; subclasses provide a support (with its
-    atoms) and density pieces."""
+    atoms), moments, conditioning and the two objective functionals."""
 
     def support(self) -> SupportInfo:
         raise NotImplementedError
@@ -267,75 +261,6 @@ class ActuationDistribution:
         """
         raise NotImplementedError
 
-    # hook used by the shared node set
-    def _density_pieces(self, eta=0.0):
-        """Density pieces as (lo, hi, pdf): pdf array-valued, absolutely
-        scaled, covering the mass of f times the density for any f that
-        grows no faster than |b|^eta."""
-        return ()
-
-    def quadrature_nodes(self, singularities=(), eta=0.0):
-        """``(nodes, weights, inner)`` with E[f(B)] = sum(weights * f(nodes)).
-
-        Atoms are nodes weighted by their mass.  Each density piece is
-        covered by the graded pattern of :func:`panel_nodes` between its
-        ends and the ``singularities`` clipped into it; ``inner`` marks the
-        innermost graded panels.  ``eta`` is the growth exponent of f,
-        which sets how far an unbounded piece reaches.  At ``eta`` = 0 with
-        no singularity inside a piece the node set depends on the law
-        alone; it is then built once and kept, read-only.
-        """
-        pieces = self._density_pieces(eta)
-        if not pieces:
-            return self._atom_nodes
-        if eta == 0.0 and not any(lo < s < hi for s in singularities
-                                  for lo, hi, _ in pieces):
-            return self._shared_nodes
-        return self._node_set(singularities, pieces)
-
-    def _node_set(self, singularities, pieces):
-        parts = [self._atom_nodes] if self._atom_nodes else []
-        for lo, hi, pdf in pieces:
-            breaks = sorted({lo, hi, *(min(max(s, lo), hi) for s in singularities)})
-            nodes, weights, inner = panel_nodes(breaks)
-            parts.append((nodes, weights * pdf(nodes), inner))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    @cached_property
-    def _atom_nodes(self):
-        """Atom part of the node set, built once: a large empirical law
-        would otherwise rebuild it on every objective evaluation."""
-        atoms = self.support().atoms
-        if not atoms:
-            return ()
-        locs, masses = np.array(atoms, dtype=float).T
-        return _frozen((locs, masses, np.zeros(len(atoms), dtype=bool)))
-
-    @cached_property
-    def _shared_nodes(self):
-        """The node set at eta = 0 with no singularity inside, built once."""
-        return _frozen(self._node_set((), self._density_pieces()))
-
-    def expect(self, integrand, singularities=(), eta=0.0):
-        """E[integrand(B)] as the node set's weighted sum over its weights' total.
-
-        ``integrand`` maps an array of gains to an array (or a constant).
-        ``singularities`` lists the locations of any integrable blow-ups of
-        the integrand (logarithmic, or power law with exponent > -1), and
-        ``eta`` its growth exponent at large |b|.
-        Raises :class:`NonIntegrable` when the innermost graded panels
-        carry more than ``FAIL_REL * max(1, |total|)``, or the sum is NaN.
-        """
-        nodes, weights, inner = self.quadrature_nodes(singularities, eta)
-        terms = weights * integrand(nodes)
-        total, tail = float(terms.sum()), float(abs(terms[inner]).sum())
-        if not tail <= FAIL_REL * max(1.0, abs(total)):
-            raise NonIntegrable(f"innermost panels carry {tail!r} of {total!r}; "
-                                "divergent integrand or misdeclared singularity")
-        return total / float(weights.sum())
-
     def mean_log_abs(self, shift, d):
         """E ln|shift + B d| for d != 0, at one gain or at each gain of a
         1-D array."""
@@ -352,6 +277,12 @@ class _Atoms(ActuationDistribution):
 
     def objective_route(self, sense):
         return "closed_form"
+
+    @cached_property
+    def _atom_nodes(self):
+        """(locs, masses) of the atoms, built once and kept read-only: a
+        large empirical law would otherwise rebuild them at every call."""
+        return _frozen(tuple(np.array(self.support().atoms, dtype=float).T))
 
     def mean_log_abs(self, shift, d):
         """sum m ln|shift + loc d| / sum m: -inf when an atom is cancelled,
@@ -478,10 +409,6 @@ class Uniform(ActuationDistribution):
         prob = (nhi - nlo) / (self.b2 - self.b1)
         return prob, Uniform(nlo, nhi)
 
-    def _density_pieces(self, eta=0.0):
-        dens = 1.0 / (self.b2 - self.b1)
-        return ((self.b1, self.b2, lambda b: dens),)
-
 
 @dataclass(frozen=True)
 class TruncatedGaussian(ActuationDistribution):
@@ -564,38 +491,32 @@ class TruncatedGaussian(ActuationDistribution):
         return (max(self.lo, min(self.mu, self.hi) - reach),
                 min(self.hi, max(self.mu, self.lo) + reach))
 
-    def _density_pieces(self, eta=0.0):
-        lo, hi = self._window(eta)
-        mu, sigma = self.mu, self.sigma
-        norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * self.cell_probability)
-        return ((lo, hi, lambda b: norm * np.exp(-0.5 * ((b - mu) / sigma) ** 2)),)
-
     def mean_log_abs(self, shift, d):
         """E ln|shift + B d| for d != 0, at one gain or each gain of a 1-D
-        array (+inf past the float range, NaN at a NaN gain).  A gain whose
-        cut -shift/d lies outside the window sums the law's shared node set
-        over its weights' total; the others integrate by parts
-        (:meth:`_by_parts`).  Unlike :meth:`expect`, no divergence check
-        runs.  An array takes the gains of each kind in chunks of about
-        _CHUNK node values, a row each, and sums each row along its own
-        contiguous nodes, as the scalar call does."""
-        lo, hi = self._window(0.0)
-        if not _many(d):
-            if lo < -shift / d < hi:
-                return float(self._by_parts(shift, d)[0])
-            nodes, weights, _ = self._shared_nodes
-            logs = self._log_abs(shift, d, nodes)
+        array (+inf past the float range, NaN at a NaN gain), over the law's
+        one node set (:meth:`_log_nodes`).  A gain whose cut lies in the
+        window or within half a panel of it is integrated by parts
+        (:meth:`_by_parts`); the others sum ln|shift + b d| at the nodes
+        over their weights' total.  An array takes the gains of each kind in
+        chunks of about _CHUNK node values, a row each, and sums each row
+        along its own contiguous nodes, as the scalar call does."""
+        _, _, parts_weights, _, (lower, upper), b, weights = self._log_nodes
+        many = _many(d)
+        if many:
+            d = np.asarray(d, dtype=float)
+        c = -(self.mu + shift / d) / self.sigma
+        if not many:
+            if lower < c < upper:
+                return float(self._by_parts(c, d)[0])
+            logs = self._log_abs(shift, d, b)
             return float((weights * logs).sum()) / float(weights.sum())
-        d = np.asarray(d, dtype=float)
-        cut = -shift / d
-        inside = (lo < cut) & (cut < hi)
+        inside = (lower < c) & (c < upper)
         values = np.empty(len(d))
-        nodes, weights, _ = self._shared_nodes
-        for i in _chunks(np.flatnonzero(~inside), nodes.size):
-            logs = self._log_abs(shift, d[i, None], nodes)
+        for i in _chunks(np.flatnonzero(~inside), b.size):
+            logs = self._log_abs(shift, d[i, None], b)
             values[i] = (weights * logs).sum(axis=-1) / weights.sum()
-        for i in _chunks(np.flatnonzero(inside), self._parts_nodes[2].size):
-            values[i] = self._by_parts(shift, d[i, None])[:, 0]
+        for i in _chunks(np.flatnonzero(inside), parts_weights.size):
+            values[i] = self._by_parts(c[i, None], d[i, None])[:, 0]
         return values
 
     # In standard units z = (b - mu) / sigma over the window [alpha, beta],
@@ -605,44 +526,59 @@ class TruncatedGaussian(ActuationDistribution):
     #   E ln|shift + B d| = ln|d sigma| + I / M,
     #   I = ln|beta - c| G(beta) - ln|alpha - c| G(alpha) - int f dz,
     #   M = Phi(beta) - Phi(alpha) = G(beta) - G(alpha).
-    # G(c) = 0, so f is entire, and one node set per law serves every cut c
-    # inside the window.  Mirroring z -> -z when c > 0 leaves I and M as
-    # they are and puts c <= 0, so each difference of Phi is read from the
-    # lower tail.  Within delta = 0.2 / max(10, |c|) of c, where that
-    # difference would cancel, f is read instead as the mean of phi over
-    # [c, c + s] by 5-point Gauss-Legendre: there |c s| <= 0.2 and s <= 0.02,
-    # so the rule's error is below 1e-19 of f.  f > 0, and at the ends
-    # G = s f, so I and M are sums of |s| f ln|s| and |s| f over the two
-    # ends, and nothing cancels.
+    # G(c) = 0, so f is entire, and one node set per law serves every cut.
+    # Mirroring z -> -z when c > 0 leaves I and M as they are and puts
+    # c <= 0, so each difference of Phi is read from the lower tail.  Within
+    # delta = 0.2 / max(10, |c|) of c, where that difference would cancel,
+    # f is read instead as the mean of phi over [c, c + s] by 5-point
+    # Gauss-Legendre: there |c s| <= 0.2 and s <= 0.02, so the rule's error
+    # is below 1e-19 of f.  f > 0, and at an end G = s f.  With the cut
+    # inside, G(alpha) < 0 < G(beta), so I and M are sums of |s| f ln|s|
+    # and |s| f, and nothing cancels.  With the cut outside, within half a
+    # panel h of an end, G(alpha) and G(beta) share a sign and M cancels by
+    # at most about e^0.5.  Past h/2 the cut is far enough from every node
+    # for the panels to resolve ln|z - c| itself, so those gains sum it
+    # directly.
 
     @cached_property
-    def _parts_nodes(self):
-        """(z, Phi(z), weights, (S, ln(S / sigma))) of the by-parts rule,
-        built once and kept read-only.  z holds 16-point Gauss-Legendre
-        panels over the window in standard units, then its ends alpha and
-        beta, weighted 0; its second row is the mirror -z.  A panel is at
-        most one sigma wide, and at most 16 / |z| past |z| = 16, where the
-        log-density falls by |z| per sigma.  S is the window's larger end
-        in size."""
+    def _log_nodes(self):
+        """The law's one node set for its log mean, built once and kept
+        read-only: (z, Phi(z), weights, (S, ln(S / sigma)), (lower, upper),
+        b, w).  z holds 16-point Gauss-Legendre panels of equal width h, at
+        most 1 / max(1, near) sigma, over the window in standard units, then
+        its lower and upper end, weighted 0; its second row is the mirror
+        -z, ends -beta and -alpha.  near is the window's nearest end to mu,
+        0 when the window touches or holds mu: the log-density falls by near
+        per sigma there.  Cuts in (lower, upper), the window widened by h/2,
+        go by parts; the others sum at b = mu + sigma z with the weights w,
+        the density over its value at the window's point z0 nearest mu,
+        which stay finite at any scale.  S is the window's larger end in
+        size."""
         lo, hi = self._window(0.0)
         alpha, beta = (lo - self.mu) / self.sigma, (hi - self.mu) / self.sigma
         near = min(abs(alpha), abs(beta)) if alpha * beta > 0.0 else 0.0
-        z, weights = even_panels(alpha, beta, 16.0 / max(16.0, near))
-        z = np.append(z, [alpha, beta])
-        z = np.array([z, -z])
+        count = max(1, math.ceil((beta - alpha) * max(1.0, near)))
+        z, weights = even_panels(alpha, beta, count)
+        pad = 0.5 * (beta - alpha) / count
+        z0 = min(max(0.0, alpha), beta)
+        rows = np.array([np.append(z, [alpha, beta]),
+                         np.append(-z, [-beta, -alpha])])
         scale = max(abs(lo), abs(hi))
-        return _frozen((z, _lower_tail(z), np.append(weights, [0.0, 0.0]),
-                        np.array([scale, math.log(scale / self.sigma)])))
+        return _frozen((rows, _lower_tail(rows), np.append(weights, [0.0, 0.0]),
+                        np.array([scale, math.log(scale / self.sigma)]),
+                        np.array([alpha - pad, beta + pad]),
+                        self.mu + self.sigma * z,
+                        weights * np.exp(-0.5 * (z - z0) * (z + z0))))
 
-    def _by_parts(self, shift, d):
-        """E ln|shift + B d| integrated by parts, every cut -shift/d inside
-        the window: at one gain d, a float, read back as a 1-element array,
-        or at a column d[:, None] of gains, one row each.  The floats of one
-        gain and the rows of a column take the same IEEE operations, so both
-        read the same bits.  ln|d sigma| is ln|d S| - ln(S / sigma), which
-        reads +inf where |b d| passes the float range."""
-        z, tails, weights, (scale, log_ratio) = self._parts_nodes
-        c = -(self.mu + shift / d) / self.sigma
+    def _by_parts(self, c, d):
+        """E ln|shift + B d| integrated by parts, c being the cut in
+        standard units: at one gain d, a float, read back as a 1-element
+        array, or at a column d[:, None] of gains and c[:, None] of their
+        cuts, one row each.  The floats of one gain and the rows of a column
+        take the same IEEE operations, so both read the same bits.
+        ln|d sigma| is ln|d S| - ln(S / sigma), which reads +inf where
+        |b d| passes the float range."""
+        z, tails, weights, (scale, log_ratio) = self._log_nodes[:4]
         size, mirror = abs(c), c > 0.0
         s = np.where(mirror, z[1], z[0]) + size  # z - c, mirrored to c <= 0
         near = np.abs(s) * np.maximum(size, 10.0) < 0.2
@@ -652,18 +588,18 @@ class TruncatedGaussian(ActuationDistribution):
             # phi over c + t s, t in [0, 1], at its Gauss-Legendre nodes
             u = s[near][:, None] * _MEAN_T - (near * size)[near][:, None]
             f[near] = (np.exp(-0.5 * u * u) * _MEAN_W).sum(axis=-1)
-        # an end on the cut reads |s| as the least double: its terms vanish
-        ends = np.maximum(np.abs(s[..., -2:]), _P_MIN)
-        mass = ends * f[..., -2:]
-        parts = ((mass * np.log(ends)).sum(axis=-1, keepdims=True)
-                 - (weights * f).sum(axis=-1, keepdims=True))
-        return (np.log(np.abs(d * scale)) - log_ratio
-                + parts / mass.sum(axis=-1, keepdims=True))
+        # G = s f at the lower and upper end; an end on the cut reads ln|s|
+        # as that of the least double, times G = 0
+        ends = s[..., -2:]
+        g = ends * f[..., -2:]
+        logs = np.log(np.maximum(np.abs(ends), _P_MIN))
+        parts = np.diff(g * logs) - (weights * f).sum(axis=-1, keepdims=True)
+        return np.log(np.abs(d * scale)) - log_ratio + parts / np.diff(g)
 
     def _log_abs(self, shift, d, b):
-        """ln|shift + b d| at the nodes b, -shift/d being a break point: one
-        gain d, or a column of gains d[:, None], one row each, over one row
-        of nodes or one row of nodes per gain."""
+        """ln|shift + b d| at the nodes b: one gain d, or a column of gains
+        d[:, None], one row each, over one row of nodes or one row of nodes
+        per gain."""
         bd = b * d
         t = np.abs(shift + bd)
         if not t.all():
@@ -693,7 +629,7 @@ class TruncatedGaussian(ActuationDistribution):
         peaks = [self.mu + self.sigma * z for z in (far, -eta / far)
                  if abs(z + lam) > _GAUSS_TAIL_SIGMAS]
         breaks = {lo, hi, *(min(max(b, lo), hi) for b in (-shift / d, *peaks))}
-        nodes, panels, _ = panel_nodes(sorted(breaks))
+        nodes, panels = panel_nodes(sorted(breaks))
         with np.errstate(divide="ignore"):  # a panel whose weight underflows
             log_w = np.log(panels) - 0.5 * ((nodes - self.mu) / self.sigma) ** 2
         log_w -= log_w.max()
@@ -873,11 +809,6 @@ class FiniteMixture(ActuationDistribution):
         if len(kept) == 1:
             return total, kept[0][1]
         return total, FiniteMixture(tuple((w / total, d) for w, d in kept))
-
-    def _density_pieces(self, eta=0.0):
-        return tuple((lo, hi, lambda b, w=w, pdf=pdf: w * pdf(b))
-                     for w, d in self._positive
-                     for lo, hi, pdf in d._density_pieces(eta))
 
     def objective_route(self, sense):
         """The objectives below compose the components' own, normalised by

@@ -27,7 +27,6 @@ from actcap.capacity import (
     zero_error_capacity,
 )
 from actcap.distributions import (
-    ActuationDistribution,
     Empirical,
     FiniteMixture,
     Gaussian,
@@ -39,6 +38,7 @@ from actcap.distributions import (
 )
 from actcap.sideinfo import model_from_boundaries, si_value_curve
 from actcap.simulate import _moment_ceiling_log2
+from node_oracle import expect, quadrature_nodes
 
 LOG2 = math.log(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -90,7 +90,7 @@ def node_set_logs(dist, shift, d, eta=0.0):
     """ln|shift + b d| at the law's own nodes, with -shift/d declared
     singular, and the node weights.  A node that cancellation zeroes reads
     one ulp of the products, as the node-set objectives in actcap do."""
-    nodes, weights, _ = dist.quadrature_nodes((-shift / d,), eta)
+    nodes, weights, _ = quadrature_nodes(dist, (-shift / d,), eta)
     with np.errstate(over="ignore"):  # |b d| past the float range reads inf
         bd = nodes * d
     t = np.maximum(np.abs(shift + bd),
@@ -279,8 +279,8 @@ def test_eta_objective_log_space_matches_direct():
     # |1 + B d|^eta over the same node set
     dist = Uniform(1, 3)
     for d in (-0.497, -0.3):
-        direct = -math.log2(dist.expect(lambda b: abs(1 + b * d) ** 8.0,
-                                        (-1 / d,))) / 8.0
+        direct = -math.log2(expect(dist, lambda b: abs(1 + b * d) ** 8.0,
+                                   (-1 / d,))) / 8.0
         assert eta_objective(dist, d, 8.0) == pytest.approx(direct, abs=1e-9)
 
 
@@ -548,14 +548,21 @@ def test_gaussian_log_mean_matches_the_poisson_sum_and_quad(case, k):
         assert twin == pytest.approx(got, abs=1e-12)
 
 
+def refuse_node_sets(monkeypatch, message="a node set was built"):
+    """Make both node-set builders of actcap.distributions raise: the
+    graded panels and the even panels of a truncated Gaussian's log mean.
+    Laws built after this call have no node set kept to reuse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(distributions, "panel_nodes", refuse)
+    monkeypatch.setattr(distributions, "even_panels", refuse)
+
+
 def test_gaussian_shannon_searches_build_no_node_set(monkeypatch):
     # the Gaussian log mean is a closed form, so its Shannon search, and a
     # mixture's with uniform and Gaussian components, build no node set
-    def refuse(*args, **kwargs):
-        raise AssertionError("a node set was built")
-
-    monkeypatch.setattr(ActuationDistribution, "quadrature_nodes", refuse)
-    monkeypatch.setattr(distributions, "panel_nodes", refuse)
+    refuse_node_sets(monkeypatch)
     mix = FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1))))
     assert shannon_capacity(mix).diagnostics["objective"] == "closed_form"
     res = shannon_capacity(Gaussian(4, 1))
@@ -600,13 +607,18 @@ def test_narrow_truncated_gaussian_cell_matches_quad(d):
 
 
 def quad_cut_mean_log(law, d):
-    """E ln|1 + B d| for a TruncatedGaussian cell whose window holds the cut
-    -1/d, by quad over t = z - c, z = (B - mu) / sigma and c the cut as the
-    kernel computes it, on eight equal pieces of the window split at t = 0.
-    Nodes near the cut are exact in t, as they are not in z or B, and the
-    density is scaled to 1 at the window's point nearest 0.  Against
-    30-digit mpmath this read at most 5.3e-14 off on [37, 38] sigma, 2.4e-14
-    on [20, 21] sigma and 7.1e-15 on narrow and ordinary cells."""
+    """E ln|1 + B d| for a TruncatedGaussian cell, by quad over t = z - c,
+    z = (B - mu) / sigma and c the cut as the kernel computes it, on eight
+    equal pieces of the window.  A cut inside the window splits them at
+    t = 0.  A cut outside keeps t = 0 out of the range and splits the
+    pieces at |t| = g 2^k, g the gap between the cut and the window, so
+    each piece resolves the nearby logarithm.  Nodes near the cut are exact
+    in t, as they are not in z or B, and the density is scaled to 1 at the
+    window's point nearest 0.  Against 30-digit mpmath this read at most
+    5.3e-14 off on [37, 38] sigma, 2.4e-14 on [20, 21] sigma and 7.1e-15 on
+    narrow and ordinary cells with the cut inside, and at most 6.8e-15 with
+    the cut outside, 3.9e-15 of it on the whole line with the cut 1e4
+    sigma out."""
     lo, hi = law._window(0.0)
     a, b = (lo - law.mu) / law.sigma, (hi - law.mu) / law.sigma
     c = -(law.mu + 1.0 / d) / law.sigma
@@ -618,7 +630,14 @@ def quad_cut_mean_log(law, d):
     def weighted_log(t):
         return math.log(abs(t)) * density(t) if t else 0.0
 
-    edges = sorted({0.0, *(np.linspace(a, b, 9) - c).tolist()})
+    ends = np.linspace(a, b, 9) - c
+    if a < c < b:
+        splits = [0.0]
+    else:
+        gap, far = sorted((abs(ends[0]), abs(ends[-1])))
+        splits = np.sign(ends[0]) * gap * 2.0 ** np.arange(61.0)
+        splits = splits[np.abs(splits) < far].tolist()
+    edges = sorted({*ends.tolist(), *splits})
     with warnings.catch_warnings():
         # the tolerance asked for is near quad's floor, which it may flag
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -654,6 +673,57 @@ def test_far_tail_cells_match_quad(a, tol):
             quad_cut_mean_log(law, d), abs=tol), u
 
 
+def test_far_tail_cell_reads_the_same_at_every_scale():
+    # B -> s B is absorbed by d -> d / s bit for bit, on the direct sum (the
+    # cut -s / 0.3 below the cell) and by parts (the cut 37.5 s inside); the
+    # direct sum's density norm overflowed at small s, and s = 2^-40 read
+    # nan at the first gain
+    for g in (0.3, -1.0 / 37.5):
+        unit = TruncatedGaussian(0.0, 1.0, 37.0, 38.0).mean_log_abs(1.0, g)
+        assert math.isfinite(unit)
+        for k in (-900, -200, -40, 0, 40):
+            s = 2.0 ** k
+            law = TruncatedGaussian(0.0, s, 37.0 * s, 38.0 * s)
+            assert law.mean_log_abs(1.0, g / s) == unit, (g, k)
+            assert law.mean_log_abs(1.0, np.array([g / s]))[0] == unit, (g, k)
+
+
+# cells by the tolerance of their log mean with the cut outside: windows
+# that touch or hold mu, off-mu windows within 16 sigma, far tails and a
+# window 2e-6 sigma wide, whose cut carries the rounding of shift/d
+_OUTSIDE_CELLS = [
+    *((TruncatedGaussian(*cell), 1e-14) for cell in (
+        (4.0, 1.0, 4.0, 14.0), (4.0, 1.0, -10.0, 4.0), (0.0, 1.0, -1.0, 2.0),
+        (4.0, 1.0, -math.inf, math.inf))),
+    *((TruncatedGaussian(0.0, 1.0, *ends), 5e-14)
+      for ends in ((1.0, 1.5), (-9.0, -6.0))),
+    *((TruncatedGaussian(0.0, 1.0, *ends), 5e-13)
+      for ends in ((20.0, 21.0), (-21.0, -20.0), (37.0, 38.0), (-38.0, -37.0))),
+    (TruncatedGaussian(2.0, 1.0, 2.0, 2.000002), 1e-10),
+]
+
+
+@pytest.mark.parametrize("law, tol", _OUTSIDE_CELLS,
+                         ids=[f"{law.lo}_{law.hi}" for law, _ in _OUTSIDE_CELLS])
+def test_cut_outside_a_cell_matches_quad(law, tol):
+    # cuts 1e-9 to 1 panel width h beyond each end of the window, on both
+    # sides of the switch at h/2 between the by-parts and the direct sum,
+    # and 30 and 1e4 sigma out; the shared graded node set read up to
+    # 1.1e-13 nats off on [4, 14], 2.2e-12 on [37, 38] sigma and 2.5e-9 on
+    # the narrow cell.  Panels are at most 1 / max(1, near) sigma wide,
+    # near being the window's nearest end to mu in sigma (0 when it holds
+    # or touches mu).
+    lo, hi = law._window(0.0)
+    a, b = (lo - law.mu) / law.sigma, (hi - law.mu) / law.sigma
+    near = min(abs(a), abs(b)) if a * b > 0.0 else 0.0
+    h = (b - a) / max(1, math.ceil((b - a) * max(1.0, near)))
+    gaps = [f * h for f in (1e-9, 1e-4, 0.01, 0.49, 0.51, 1.0)] + [30.0, 1e4]
+    for z in [a - gap for gap in gaps] + [b + gap for gap in gaps]:
+        d = -1.0 / (law.mu + law.sigma * z)
+        assert TruncatedGaussian.mean_log_abs(law, 1.0, d) == pytest.approx(
+            quad_cut_mean_log(law, d), abs=tol), z
+
+
 def _cut_cells():
     """Cells by regime: a first draw picks narrow, tail, off-mu or
     whole-line-like; mu, sigma and the ends in units of sigma follow."""
@@ -680,7 +750,7 @@ def test_cut_inside_a_cell_matches_quad(cell, u, node, step):
     mu, sigma, a, b = cell
     law = TruncatedGaussian(mu, sigma, mu + sigma * a, mu + sigma * b)
     lo, hi = law._window(0.0)
-    z = law._parts_nodes[0][0]
+    z = law._log_nodes[0][0]
     width = hi - lo
     cuts = [lo + width * u, mu + sigma * (z[node % (len(z) - 2)] + step),
             lo + width * 1e-9, hi - width * 1e-9]
@@ -716,10 +786,7 @@ def test_zero_weight_component_is_never_evaluated(monkeypatch):
     # the CLI spec reaches FiniteMixture with the zero-weight Gaussian; the
     # composed log-sum-exp must not take log(0), and the mixture must read
     # its lone uniform law bit for bit
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a node set was built")
-
-    monkeypatch.setattr(ActuationDistribution, "quadrature_nodes", refuse)
+    refuse_node_sets(monkeypatch)
     mix = parse_spec("mixture:1*uniform:1,3|0*gaussian:4,1")
     lone = Uniform(1.0, 3.0)
     for d in (-0.9, -0.5, -0.4175588664696743, 0.3, 1e12):
@@ -808,7 +875,7 @@ _MIXTURE_PARTS = st.one_of(
        d=st.floats(1e-3, 8.0), negative=st.booleans())
 def test_composed_mixture_objectives_match_the_node_set(first, second, w, d,
                                                         negative):
-    # the concatenated node set of FiniteMixture.quadrature_nodes stays the
+    # the concatenated node set of the mixture's density pieces stays the
     # oracle; a uniform component wider than 2^-4 keeps it sound there
     d = -d if negative else d
     mix = FiniteMixture(((w, first), (1.0 - w, second)))
@@ -906,7 +973,7 @@ def per_center_grid(halfwidth, centers):
     h = max([halfwidth] + [2.0 * abs(c) for c in centers])
     side = np.linspace(0.0, h, _BACKBONE + 1)[1:]
     pts = [-side, np.array([0.0]), side]
-    for c in centers:
+    for c in np.asarray(centers, dtype=float) + 0.0:  # -0.0 is the center 0
         floor = max(abs(c), halfwidth / _WINDOW) * 1e-12 / h
         offs = h * np.geomspace(max(floor, 2.0 ** -1022), 1.0, _PER_CENTER)
         pts += [np.clip(c + offs, -h, h), np.clip(c - offs, -h, h),
@@ -935,6 +1002,9 @@ _CENTER_FACTORS = st.one_of(
 @given(halfwidth=st.floats(1e-3, 1e3),
        factors=st.lists(_CENTER_FACTORS, max_size=30))
 @example(halfwidth=1.0, factors=[1e-300, -1e-300, 1e300, -1e300])
+# a center of -0.0 beside centers at 0: the grid's zero reads +0.0
+@example(halfwidth=1.0, factors=[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0078125,
+                                 0.0, 0.0, -0.0, 0.0])
 def test_scan_grid_matches_the_per_center_construction(halfwidth, factors):
     assert_grid_matches_per_center(
         halfwidth, (0.0, *(x * halfwidth for x in factors)))
@@ -1353,11 +1423,7 @@ def test_uniform_objectives_build_no_node_set(monkeypatch):
     # every uniform evaluation takes the closed form: capacities, side
     # information cells and the additive-noise moment ceiling, and so does
     # a mixture of uniform laws, whose cells are mixtures of uniform laws
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a uniform objective summed its node set")
-
-    monkeypatch.setattr(Uniform, "quadrature_nodes", refuse)
-    monkeypatch.setattr(FiniteMixture, "quadrature_nodes", refuse)
+    refuse_node_sets(monkeypatch, "a uniform objective summed a node set")
     mix = FiniteMixture(((0.3, Uniform(0.0, 4.0)), (0.7, Uniform(1.0, 3.0))))
     for law in (Uniform(1.0, 3.0), mix):
         results = [shannon_capacity(law), eta_capacity(law, 0.5),

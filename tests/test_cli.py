@@ -174,6 +174,18 @@ def test_sideinfo_drops_a_cell_whose_mass_is_below_the_normal_range(capsys):
     assert far.err == "" and far.out == capsys.readouterr().out
 
 
+def test_sideinfo_far_tail_cell_at_a_small_scale(capsys):
+    # the cell [37, 38] sigma at sigma 1e-12 printed RuntimeWarnings with
+    # exit 0: the density norm of its node set overflowed, and gains whose
+    # cut lies outside the cell read nan
+    assert main(["sideinfo", "--dist", "gaussian:0,1e-12",
+                 "--si-cells=-1e-11,0,3.7e-11,3.8e-11"]) == 0
+    small = capsys.readouterr()
+    assert main(["sideinfo", "--dist", "gaussian:0,1",
+                 "--si-cells=-10,0,37,38"]) == 0
+    assert small.err == "" and small.out == capsys.readouterr().out
+
+
 def test_sideinfo_shannon_sense_with_eta_exits_2(capsys):
     # the pair used to print the eta staircase, 1.8502 bits at k = 0,
     # where the Shannon one reads 2.5870

@@ -13,7 +13,6 @@ from actcap.distributions import (
     EmptyCell,
     FiniteMixture,
     Gaussian,
-    NonIntegrable,
     ScaledBernoulli,
     TruncatedGaussian,
     Uniform,
@@ -22,6 +21,7 @@ from actcap.distributions import (
     path_streams,
     path_words,
 )
+from node_oracle import NonIntegrable, expect, quadrature_nodes
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -133,7 +133,7 @@ def test_degenerate_erasure_support_and_atom_nodes():
         info = law.support()
         assert sorted(info.atoms) == list(atoms)
         assert (info.lower, info.upper) == (atoms[0][0], atoms[-1][0])
-        nodes, weights, inner = law.quadrature_nodes()
+        nodes, weights, inner = quadrature_nodes(law)
         assert list(zip(nodes, weights)) == list(info.atoms)
         assert not inner.any()
 
@@ -148,12 +148,12 @@ def test_gaussian_is_the_whole_line_truncated_gaussian():
     assert law.moments() == whole.moments() == (4.0, 1.0, 17.0)
     assert law.std() == 1.0
     for eta in (0.0, 64.0):
-        for a, b in zip(law.quadrature_nodes((3.0,), eta),
-                        whole.quadrature_nodes((3.0,), eta)):
+        for a, b in zip(quadrature_nodes(law, (3.0,), eta),
+                        quadrature_nodes(whole, (3.0,), eta)):
             np.testing.assert_array_equal(a, b)
     # the node window is mu +- (10 + sqrt(eta)) sigma
     for eta, reach in ((0.0, 10.0), (64.0, 18.0)):
-        nodes = law.quadrature_nodes((), eta)[0]
+        nodes = quadrature_nodes(law, (), eta)[0]
         assert 4.0 - reach < nodes.min() < 4.0 - reach + 1e-3
         assert 4.0 + reach - 1e-3 < nodes.max() < 4.0 + reach
 
@@ -167,10 +167,13 @@ def test_empirical_support_counts_duplicates():
 def test_empirical_support_and_atom_nodes_built_once():
     law = Empirical(tuple(Uniform(1, 3).sample(make_rng(0), 200)))
     assert law.support() is law.support()
-    first = law.quadrature_nodes()
-    again = law.quadrature_nodes((-2.0,))
-    assert all(a is b for a, b in zip(first, again))
-    assert not first[1].flags.writeable
+    # the objectives sum the atoms the law keeps, built once, read-only
+    first = law._atom_nodes
+    law.mean_log_abs(1.0, -0.3)
+    law.log_abs_moment(1.0, np.array([-0.3, 0.2]), 2.0)
+    assert all(a is b for a, b in zip(first, law._atom_nodes))
+    assert not any(a.flags.writeable for a in first)
+    assert list(zip(*first)) == list(law.support().atoms)
 
 
 def test_invalid_constructions():
@@ -257,16 +260,16 @@ def test_mixture_sampling_is_seed_stable():
 def test_expect_log_singularity_closed_form():
     # integral of -ln|b| against Uniform(-c, c) is 1 - ln c
     for c in (1.0, 0.5, 2.0):
-        val = Uniform(-c, c).expect(lambda b: -np.log(abs(b)), (0.0,))
+        val = expect(Uniform(-c, c), lambda b: -np.log(abs(b)), (0.0,))
         assert val == pytest.approx(1 - math.log(c), rel=1e-9)
 
 
 def test_expect_polynomial():
-    assert Uniform(1, 3).expect(lambda b: b * b) == pytest.approx(13 / 3, rel=1e-10)
+    assert expect(Uniform(1, 3), lambda b: b * b) == pytest.approx(13 / 3, rel=1e-10)
 
 
 def test_expect_gaussian_log_moment():
-    val = Gaussian(0, 1).expect(lambda b: np.log(abs(b)), (0.0,))
+    val = expect(Gaussian(0, 1), lambda b: np.log(abs(b)), (0.0,))
     assert val == pytest.approx(-(EULER_GAMMA + math.log(2)) / 2, abs=1e-7)
 
 
@@ -280,22 +283,22 @@ def test_expect_normalization_all_kinds():
         TruncatedGaussian(0, 1, -1, 2),
     ]
     for dist in dists:
-        assert dist.expect(lambda b: 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert expect(dist, lambda b: 1.0) == pytest.approx(1.0, abs=1e-10)
         mean, _, second = dist.moments()
-        assert dist.expect(lambda b: b) == pytest.approx(mean, abs=1e-8)
-        assert dist.expect(lambda b: b * b) == pytest.approx(second, abs=1e-8)
+        assert expect(dist, lambda b: b) == pytest.approx(mean, abs=1e-8)
+        assert expect(dist, lambda b: b * b) == pytest.approx(second, abs=1e-8)
 
 
 def test_expect_power_singularity_never_evaluated_at_break_point():
     # the innermost nodes round onto the singular point; evaluating there
     # would give |0|^-0.5 = inf
-    got = Uniform(1, 3).expect(lambda b: np.abs(b - 2.0) ** -0.5, (2.0,))
+    got = expect(Uniform(1, 3), lambda b: np.abs(b - 2.0) ** -0.5, (2.0,))
     assert got == pytest.approx(2.0, abs=1e-7)
 
 
 def test_expect_divergent_integrand_raises():
     with pytest.raises(NonIntegrable):
-        Uniform(-1, 1).expect(lambda b: 1.0 / (b * b), (0.0,))
+        expect(Uniform(-1, 1), lambda b: 1.0 / (b * b), (0.0,))
 
 
 # --- restriction -----------------------------------------------------------
@@ -349,9 +352,9 @@ def test_law_of_total_expectation():
             for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
                 prob, cond = dist.restrict(lo, hi, include_upper=(i == len(edges) - 2))
                 total_p += prob
-                total_e += prob * cond.expect(f, sing)
+                total_e += prob * expect(cond, f, sing)
             assert total_p == pytest.approx(1.0, abs=1e-10)
-            assert total_e == pytest.approx(dist.expect(f, sing), abs=1e-7)
+            assert total_e == pytest.approx(expect(dist, f, sing), abs=1e-7)
 
 
 # --- truncated Gaussian against scipy -----------------------------------------
@@ -513,7 +516,7 @@ def test_parse_spec_yields_finite_law_or_rejects(spec, singular):
         return
     assert all(math.isfinite(m) for m in dist.moments())
     for singularities in ((), (singular,)):
-        nodes, weights, _ = dist.quadrature_nodes(singularities)
+        nodes, weights, _ = quadrature_nodes(dist, singularities)
         assert np.isfinite(nodes).all() and np.isfinite(weights).all()
 
 
@@ -544,8 +547,8 @@ _ARRAY_REGIMES["mixture"] = st.builds(
 
 def straddling_grid(law):
     """The law's capacity scan grid without 0, plus every kink -1/loc of
-    an atom and -1/end of a support or node-window end with its float
-    neighbours, and two gains past the float range."""
+    an atom and -1/end of a support end, node-window end or by-parts range
+    end with its float neighbours, and two gains past the float range."""
     from actcap.capacity import _WINDOW, _build_grid, _grid_centers, _unit
 
     ends = [loc for loc, _ in law.support().atoms]
@@ -554,7 +557,13 @@ def straddling_grid(law):
         info = part.support()
         ends += [info.lower, info.upper]
         if isinstance(part, TruncatedGaussian):
+            # the window's ends, and the ends of the by-parts range, half a
+            # panel beyond them, where the log mean changes branch; the
+            # rounding of mu + sigma z and of the cut -(mu + 1/d) / sigma
+            # can hide an ulp of z, so the cuts step by 4 ulps across it
             ends += list(part._window(0.0))
+            ends += [part.mu + part.sigma * (z + k * 4.0 * math.ulp(z))
+                     for z in part._log_nodes[4].tolist() for k in range(-2, 3)]
     kinks = [-1.0 / e for e in ends if e != 0.0 and math.isfinite(e)]
     with np.errstate(all="ignore"):  # a mean near 0 puts -1/mean past the range
         grid = [*_build_grid(_WINDOW / _unit(law), _grid_centers(law)),
@@ -568,9 +577,9 @@ def straddling_grid(law):
 @given(data=st.data(), eta=st.sampled_from([0.01, 0.5, 2.0, 64.0]))
 def test_array_objectives_equal_their_scalar_calls(regime, data, eta):
     # every law maps a 1-D array of gains to the values of its scalar
-    # calls, bit for bit: one shared node set for gains whose break lies
-    # outside the density, stacked graded panels for the others, and
-    # closed forms and mixtures gain by gain
+    # calls, bit for bit: a truncated Gaussian's log mean on both sides of
+    # its switch between the by-parts and the direct sum, and closed forms,
+    # atom sums and mixtures gain by gain
     law = data.draw(_ARRAY_REGIMES[regime])
     grid = straddling_grid(law)
     # past the float range |b d| overflows
@@ -582,21 +591,31 @@ def test_array_objectives_equal_their_scalar_calls(regime, data, eta):
             assert got.tobytes() == np.array(want).tobytes(), method
 
 
-def test_laws_keep_what_they_derive_per_eta():
+def test_laws_keep_what_they_derive_per_eta(monkeypatch):
     cell = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]
     assert cell.cell_probability is cell.cell_probability
-    # a break outside the cell leaves one node set, built once, read-only
-    first = cell.quadrature_nodes((-3.0,))
-    again = cell.quadrature_nodes((20.0,))
-    assert all(a is b for a, b in zip(first, again))
+    # the log mean keeps one node set, built once on first use and
+    # read-only, for cuts outside the window (d = -0.3, 20), inside it
+    # (-0.2) and within half a panel of it (-1 / 3.8), alone or in an array
+    fresh = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]._log_nodes
+    builds = []
+    even_panels = distributions.even_panels
+    monkeypatch.setattr(distributions, "even_panels",
+                        lambda *args: builds.append(args) or even_panels(*args))
+    gains = [-0.3, -0.2, -1.0 / 3.8, 20.0]
+    values = [cell.mean_log_abs(1.0, d) for d in gains]
+    first = cell._log_nodes
+    assert cell.mean_log_abs(1.0, np.array(gains)).tolist() == values
+    assert len(builds) == 1 and cell._log_nodes is first
     assert not any(a.flags.writeable for a in first)
-    fresh = Gaussian(4.0, 1.0).restrict(4.0, 14.0)[1]
-    for a, b in zip(first, fresh._node_set((), fresh._density_pieces(0.0))):
+    for a, b in zip(first, fresh):
         np.testing.assert_array_equal(a, b)
-    # it is the eta = 0 node set: other etas build their own and leave it
+    # a window that touches mu takes panels one sigma wide: 10 on [4, 14]
+    assert first[-1].size == 160
+    # the eta objective builds its own graded node set and leaves it
     for eta in (0.5, 2.0, 64.0):
-        assert cell.quadrature_nodes((), eta)[0] is not first[0]
-    assert all(a is b for a, b in zip(first, cell.quadrature_nodes()))
+        cell.log_abs_moment(1.0, -0.3, eta)
+    assert len(builds) == 1 and cell._log_nodes is first
 
 
 def test_array_objectives_reach_both_infinities():

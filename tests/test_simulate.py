@@ -34,6 +34,7 @@ from actcap.simulate import (
     strong_converse_experiment,
     threshold_scan,
 )
+from node_oracle import expect
 
 
 # --- oracle: one make_rng generator per path, blocks folded in order --------
@@ -441,8 +442,8 @@ def test_per_step_mean_within_standard_errors():
                    horizon=horizon, paths=paths, seed=3)
     step_mean = 1.0 - shannon_objective(dist, d)
     # per-step increment variance of log2|a(1+Bd)|, by quadrature
-    second = dist.expect(
-        lambda b: (np.log2(abs(1 + b * d))) ** 2, (-1.0 / d,)
+    second = expect(
+        dist, lambda b: (np.log2(abs(1 + b * d))) ** 2, (-1.0 / d,)
     )
     var = second - (shannon_objective(dist, d)) ** 2
     increments = np.diff(rep.mean_log2_ratio)

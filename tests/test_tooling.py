@@ -47,14 +47,37 @@ def _private_definitions(tree):
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
-def test_module_level_private_names_are_read():
-    # a simplification that strands a helper or a constant shows here; a
-    # name counts as read where any module of the package loads it, imports
-    # it or reads it as an attribute
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+def _private_members(tree):
+    """The methods (properties and cached properties among them) and the
+    assigned class attributes, defined in the body of a module-level
+    class, whose names start with one underscore, as "Class.name"."""
+    names = set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            names.update(f"{cls.name}.{n}" for n in found
+                         if n.startswith("_") and not n.startswith("__"))
+    return names
+
+
+def _trees():
+    """The parsed modules of the package, by file name."""
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(trees):
+    """Every name any of the trees loads, imports or reads as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -62,7 +85,29 @@ def test_module_level_private_names_are_read():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
+    return read
+
+
+def test_module_level_private_names_are_read():
+    # a simplification that strands a helper or a constant shows here; a
+    # name counts as read where any module of the package loads it, imports
+    # it or reads it as an attribute
+    trees = _trees()
+    read = _read_names(trees.values())
     defined = [(name, n) for name, tree in trees.items()
                for n in _private_definitions(tree)]
     assert len(defined) > 100
     assert sorted(f"{name}: {n}" for name, n in defined if n not in read) == []
+
+
+def test_class_level_private_names_are_read():
+    # likewise for a class's private methods, cached properties and class
+    # attributes: one that no module of the package reads is stranded (a
+    # hook whose callers have moved out of the package, say)
+    trees = _trees()
+    read = _read_names(trees.values())
+    defined = [(name, n) for name, tree in trees.items()
+               for n in _private_members(tree)]
+    assert len(defined) > 10
+    assert sorted(f"{name}: {n}" for name, n in defined
+                  if n.partition(".")[2] not in read) == []
