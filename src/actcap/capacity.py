@@ -294,17 +294,14 @@ def _maximize_convex(objective, dist):
     beside the best of these points, where convexity puts the optimum.
     E[B] = 0 reads 0 at d = 0 by Jensen.
     """
-    unit = _unit(dist)
-    m = dist.moments()[0] / unit
-    s = dist.std() / unit
-    # -m / (m^2 + s^2), the eta = 2 optimum in units of 1 / unit, formed
-    # without squaring m
-    u2 = -1.0 / (m + s * (s / m)) if m != 0.0 else 0.0
-    if u2 == 0.0:  # |E[B]| too small against the spread to matter
+    d2 = second_moment_closed_form(dist).optimal_d
+    if d2 is None:  # no spread in floats: d_2's sigma -> 0 limit
+        d2 = -1.0 / dist.moments()[0]
+    if d2 == 0.0:  # +0.0 for the closed form's -0.0
         return 0.0, 0.0, _diagnostics("convex", [0], 0, 0.0, False, False,
                                       0.0)
     f, calls = _counted(objective)
-    far = 4.0 * u2 / unit
+    far = 4.0 * d2
     kinks = _kinks(dist)
     values = {0.0: f(0.0)}  # every evaluated gain on the side of d_2
     for _ in range(_MAX_DOUBLINGS + 1):
@@ -330,7 +327,7 @@ def _maximize_convex(objective, dist):
             if v > val:  # exact ties keep the evaluated gain
                 d_star, val = d, v
     # flat: a tie at one step of the coarse scan grid from d*
-    grid = _build_grid(_WINDOW / unit, _grid_centers(dist))
+    grid = _build_grid(_WINDOW / _unit(dist), _grid_centers(dist))
     k = int(np.searchsorted(grid, d_star))
     after = k + 1 if k < len(grid) and grid[k] == d_star else k
     flat = any(f(float(grid[i])) >= val - _TIE_TOL

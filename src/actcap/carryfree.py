@@ -301,12 +301,15 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
     series w carries 64 fresh random bits at levels -1..-64.
 
     All paths step at once on uint64 lanes: a degree, a 64-level window and
-    window 0 for the zero series.  Path p reads the byte stream of
-    ``make_rng(seed, p)`` exactly as the scalar ops on :class:`BitSeries`
-    would (9 bytes for the initial window, then per step the gain bits, the
-    noise window and the revealed levels), so traces match them bit for
-    bit.  The draws are made and decoded a chunk of steps at a time; only
-    the state-dependent work runs step by step.
+    window 0 for the zero series.  Path p reads whole raw words of
+    ``make_rng(seed, p)``: word 0 is the initial window below its leading
+    one, then each step reads a word of gain bits (those under the unknown
+    mask), the noise window and, when the gain window holds revealed
+    levels, one more word whose bit i is the i-th revealed level from the
+    top.  Revealed levels below the window are never read and draw nothing.
+    The scalar ops on :class:`BitSeries` reading the same words give the
+    same traces bit for bit.  The draws are made and decoded a chunk of
+    steps at a time; only the state-dependent work runs step by step.
     """
     if horizon < 1 or paths < 1:
         raise ValueError("horizon and paths must be >= 1")
@@ -322,15 +325,16 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
             "float64 sum behind mean_degree")
     floor = -width  # stand-in degree for an exactly-zero state
     fixed, revealed, unknown_mask = gain.window_plan(width)
-    known = sorted(gain.known_levels, reverse=True)
-    # fresh fair bits per step: gain unknowns, noise window, revealed levels
-    step_bytes = (2 * width + len(known) + 7) // 8
+    words = 3 if revealed else 2  # raw words per step
     cancel = max(min(gain.cancel_depth(), width), 1)
 
     streams = [make_rng(seed, p).bit_generator for p in range(paths)]
-    fill, pending = _draw_bytes(streams, np.empty((paths, 0), np.uint8), 1,
-                                width // 8 + 1)
-    win = _be64(fill[0, :, 1:]) | _TOP
+
+    def draw(n):
+        """The next ``n`` raw words of every path, one row per word."""
+        return np.stack([bg.random_raw(n) for bg in streams], axis=1)
+
+    win = draw(1)[0] | _TOP
     deg = np.full(paths, start_degree, dtype=np.int64)
     max_deg = np.empty(horizon + 1, dtype=np.int64)
     total = np.empty(horizon + 1, dtype=np.int64)
@@ -339,14 +343,11 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
     chunk = max(_MIN_CHUNK_STEPS, _CHUNK_CELLS // paths)
     for n0 in range(0, horizon, chunk):
         steps = min(chunk, horizon - n0)
-        raw, pending = _draw_bytes(streams, pending, steps, step_bytes)
-        b = _be64(raw[..., -8:]) & np.uint64(unknown_mask) | np.uint64(fixed)
-        for level, pos in revealed:
-            i = known.index(level)
-            bit = (raw[..., step_bytes - 17 - i // 8] >> (i % 8)) & 1
-            b |= bit.astype(np.uint64) << np.uint64(pos)
-        noise_deg, noise_win = _lane_normalize(_MINUS_ONE,
-                                               _be64(raw[..., -16:-8]))
+        raw = draw(steps * words).reshape(steps, words, paths)
+        b = raw[:, 0] & np.uint64(unknown_mask) | np.uint64(fixed)
+        for i, (_, pos) in enumerate(revealed):
+            b |= (raw[:, 2] >> _SHIFTS[i] & _ONE) << _SHIFTS[pos]
+        noise_deg, noise_win = _lane_normalize(_MINUS_ONE, raw[:, 1])
         degs, wins = [deg], [win]
         for n in range(steps):
             bn = b[n]
@@ -394,30 +395,6 @@ _ONE = _SHIFTS[1]
 _TOP = np.array(1 << (DEFAULT_WIDTH - 1), dtype=np.uint64)
 _MINUS_ONE = np.array(-1, dtype=np.int64)
 _ZERO_DROP = np.array(1086, dtype=np.uint64)  # float64 exponent bias 1023 + 63
-
-
-def _draw_bytes(bit_generators, pending, steps, step_bytes):
-    """Octets of ``steps`` successive ``rng.bytes(step_bytes)`` calls per path.
-
-    ``Generator.bytes(n)`` serialises ``ceil(n / 4)`` full-range uint32
-    draws little-endian and drops the spare bytes; for Philox those words
-    are the low then the high half of each raw 64-bit output, carried
-    across calls.  So the byte stream is the little-endian raw stream, and
-    ``pending`` holds each path's drawn but unread half word.  Returns
-    ``(steps, paths, step_bytes)`` octets and the new ``pending``.
-    """
-    used = steps * 4 * -(-step_bytes // 4)
-    fresh = -(-(used - pending.shape[1]) // 8)
-    raw = np.stack([bg.random_raw(fresh) for bg in bit_generators])
-    octets = np.concatenate(
-        [pending, raw.astype("<u8", copy=False).view(np.uint8)], axis=1)
-    calls = octets[:, :used].reshape(len(bit_generators), steps, -1)
-    return calls.transpose(1, 0, 2)[..., :step_bytes], octets[:, used:]
-
-
-def _be64(octets):
-    """Big-endian uint64 lanes from the last axis of 8 octets."""
-    return np.ascontiguousarray(octets).view(">u8")[..., 0].astype(np.uint64)
 
 
 def _lane_normalize(degree_of_msb, raw):

@@ -1157,6 +1157,37 @@ def test_eta_capacity_symmetric_law_picks_zero():
     assert abs(res.optimal_d) < 1e-6
 
 
+@pytest.mark.parametrize("law,value,d_star,evaluations", [
+    (Uniform(-1, 1), 0.0, 0.0, 0),
+    (Empirical((2.0,)), math.inf, None, 3),
+    (Empirical((0.0,)), 0.0, 0.0, 0),
+    (Empirical((-1.0, 1.0, 5e-309)), 0.0, 0.0, 62),
+])
+@pytest.mark.parametrize("eta", [1.0, 2.0, 7.5])
+def test_convex_search_from_the_closed_form_optimum(law, value, d_star,
+                                                    evaluations, eta):
+    # the closed-form eta = 2 optimum d_2 brackets the convex search: d_2 =
+    # -0.0 reads +0.0 at d = +0.0 unevaluated, a point mass (d_2 None)
+    # brackets at -1/b and finds the atom, and a subnormal mean gives a d_2
+    # of -1e-308 to search
+    res = eta_capacity(law, eta)
+    assert repr(res.value_bits) == repr(value)
+    assert repr(res.optimal_d) == repr(d_star)
+    assert res.diagnostics["evaluations"] == evaluations
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.0])
+def test_convex_search_of_a_cell_whose_spread_rounds_to_zero(eta):
+    # std() of this 2e-8-wide cell rounds to 0, so the closed form reads it
+    # as a point mass; the search must still find the finite optimum near
+    # d = -1/2 rather than report the atom's inf
+    cell = TruncatedGaussian(2, 1, 2, 2.00000002)
+    assert cell.std() == 0.0
+    res = eta_capacity(cell, eta)
+    assert 28.0 < res.value_bits < 29.0
+    assert res.optimal_d == pytest.approx(-0.5, abs=1e-8)
+
+
 def test_second_moment_closed_form():
     res = second_moment_closed_form(Uniform(1, 3))
     assert res.value_bits == pytest.approx(0.5 * math.log2(13), rel=1e-12)

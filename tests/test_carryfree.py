@@ -257,15 +257,14 @@ def test_counterexample_dynamics():
 
 def reference_degrees(gain, g_a, horizon, paths, seed=0, start_degree=32,
                       streams=make_rng):
-    """The scalar loop: every path and step on BitSeries, one bytes call
-    per draw.  Returns (max_degree, mean_degree, decay_mean, decay_count)."""
+    """The scalar loop: every path and step on BitSeries, one random_raw
+    call per word.  Returns (max_degree, mean_degree, decay_mean,
+    decay_count)."""
     max_deg = np.full(horizon + 1, -np.inf)
     mean_acc = np.zeros(horizon + 1)
     decay_sum, decay_n = 0.0, 0
     plan = gain.window_plan(W)
-    known = sorted(gain.known_levels, reverse=True)
-    step_bytes = (2 * W + len(known) + 7) // 8
-    mask = (1 << W) - 1
+    revealed = [level for level, _ in plan[1]]
     top = 1 << (W - 1)
 
     def record(n, state):
@@ -274,21 +273,24 @@ def reference_degrees(gain, g_a, horizon, paths, seed=0, start_degree=32,
         mean_acc[n] += d
 
     for p in range(paths):
-        rng = streams(seed, p)
-        fill = int.from_bytes(rng.bytes(W // 8 + 1), "big") & (top - 1)
-        state = BitSeries(start_degree, top | fill, W)
+        bit_generator = streams(seed, p).bit_generator
+
+        def word():
+            return int(bit_generator.random_raw(1)[0])
+
+        state = BitSeries(start_degree, top | word(), W)
         record(0, state)
         for n in range(horizon):
             shifted = state.shift(g_a)
-            raw = int.from_bytes(rng.bytes(step_bytes), "big")
-            realized = {lv: (raw >> (2 * W + i)) & 1
-                        for i, lv in enumerate(known)}
+            gain_bits, noise = word(), word()
+            bits = word() if revealed else 0
+            realized = {lv: (bits >> i) & 1 for i, lv in enumerate(revealed)}
             applied = shifted
             if not shifted.is_zero:
                 u, _ = one_step_control(shifted, gain, realized)
-                b = gain.realize(realized, raw & mask, W, plan)
+                b = gain.realize(realized, gain_bits, W, plan)
                 applied = cf_add(shifted, cf_mul(b, u))
-            state = cf_add(applied, _normalize(-1, (raw >> W) & mask, W))
+            state = cf_add(applied, _normalize(-1, noise, W))
             record(n + 1, state)
             if not shifted.is_zero and not state.is_zero and state.degree >= 0:
                 decay_sum += shifted.degree - state.degree
@@ -319,8 +321,8 @@ def test_lanes_match_scalar_reference(spec, g_a, seed):
 @pytest.mark.parametrize("spec", ["cf:1,0", "cf:1,0,known=0/-1", "cf:70,0",
                                   "cf:0,0,known=" + "/".join(map(str, range(0, -12, -1)))])
 def test_lanes_match_scalar_reference_across_chunks(spec, monkeypatch):
-    # chunks of 3 steps: odd word counts leave half a raw draw pending;
-    # cf:70,0 cancels the whole window, so the applied state is zero
+    # chunks of 3 steps, so each path makes several draw calls; cf:70,0
+    # cancels the whole window, so the applied state is zero
     monkeypatch.setattr(carryfree, "_CHUNK_CELLS", 10)
     monkeypatch.setattr(carryfree, "_MIN_CHUNK_STEPS", 1)
     gain = parse_gain_spec(spec)
@@ -339,9 +341,6 @@ class ZeroStream:
     def random_raw(self, n):
         return np.zeros(n, dtype=np.uint64)
 
-    def bytes(self, n):
-        return bytes(n)
-
 
 @pytest.mark.parametrize("spec", ["cf:1,0", "cf:70,0"])
 def test_lanes_match_scalar_reference_on_zero_states(spec, monkeypatch):
@@ -356,6 +355,52 @@ def test_lanes_match_scalar_reference_on_zero_states(spec, monkeypatch):
     assert rep.max_degree.min() > -W and rep.mean_degree.min() < 0
     assert_same_report(rep, reference_degrees(gain, 1, 12, 4, seed=2,
                                               start_degree=3, streams=streams))
+
+
+def test_revealed_levels_below_the_window_draw_nothing():
+    # levels -100..-108 sit below the 64-level window of a gain of degree 1:
+    # no control reads them, so they must not shift any later draw
+    far = "/".join(map(str, range(-100, -109, -1)))
+    near, deep = (simulate_degrees(parse_gain_spec(spec), 1, 50, 8, seed=3,
+                                   start_degree=10)
+                  for spec in ("cf:1,0,known=0", "cf:1,0,known=0/" + far))
+    assert_same_report(deep, (near.max_degree, near.mean_degree,
+                              near.decay_mean, near.decay_count))
+
+
+class CountingStream:
+    """A path's generator that counts the raw words drawn from it."""
+
+    def __init__(self, seed, p):
+        self.inner = make_rng(seed, p).bit_generator
+        self.words = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, n):
+        self.words += n
+        return self.inner.random_raw(n)
+
+
+@pytest.mark.parametrize("spec,words", [("cf:1,0", 2),
+                                        ("cf:1,0,known=0/-1", 3)])
+@pytest.mark.parametrize("small_chunks", [False, True])
+def test_each_path_draws_one_word_then_k_per_step(spec, words, small_chunks,
+                                                  monkeypatch):
+    if small_chunks:
+        monkeypatch.setattr(carryfree, "_CHUNK_CELLS", 10)
+        monkeypatch.setattr(carryfree, "_MIN_CHUNK_STEPS", 1)
+    made = []
+
+    def streams(seed, p):
+        made.append(CountingStream(seed, p))
+        return made[-1]
+
+    monkeypatch.setattr(carryfree, "make_rng", streams)
+    simulate_degrees(parse_gain_spec(spec), 2, 37, 3, seed=4, start_degree=5)
+    assert [s.words for s in made] == [1 + 37 * words] * 3
 
 
 def test_degree_range_is_bounded():

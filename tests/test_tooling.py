@@ -1,7 +1,14 @@
+import argparse
 import ast
 import pathlib
+import re
+
+import pytest
+
+from actcap.cli import _build_parser
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "actcap"
+README = SRC.parent.parent / "README.md"
 
 
 def _exported(tree):
@@ -111,3 +118,38 @@ def test_class_level_private_names_are_read():
     assert len(defined) > 10
     assert sorted(f"{name}: {n}" for name, n in defined
                   if n.partition(".")[2] not in read) == []
+
+
+def _readme_commands():
+    """The argument lists of the README's command-line block: each
+    ``actcap`` line joined with its continuation lines, taking the first
+    alternative of each ``[...]`` group."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("actcap "):
+            commands.append(line)
+        elif line.strip():
+            commands[-1] += " " + line
+    return [re.sub(r"\[([^]|]*)[^]]*\]", r"\1", c).split()[1:]
+            for c in commands]
+
+
+def test_readme_commands_parse(monkeypatch):
+    # a renamed or removed flag fails here unless the README follows it;
+    # the commands are parsed, not run, and a flag must be spelled out in
+    # full, so a stale prefix of a lengthened flag fails too
+    parser = _build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for command in sub.choices.values():
+        monkeypatch.setattr(command, "allow_abbrev", False)
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "capacity", "curve", "sweep", "sideinfo", "simulate", "scan",
+        "converse", "carryfree"]
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README command does not parse: actcap " + " ".join(argv))
