@@ -438,19 +438,26 @@ def second_moment_closed_form(dist: ActuationDistribution) -> CapacityResult:
     """Exact second-moment capacity (1/2) log2(1 + mean^2/var), no quadrature.
 
     The ratio is formed as (mean/sigma)^2, which stays finite where
-    var = sigma^2 underflows.  A point mass at b != 0 is cancelled exactly
-    by d = -1/b (infinite capacity); a point mass at 0 reads 0 at d = 0.
+    var = sigma^2 underflows.  Where that square passes the float range,
+    1 + (mean/sigma)^2 rounds to it: the capacity is log2|mean/sigma| and d*
+    is -1/mean.  A point mass at b != 0 is cancelled exactly by d = -1/b
+    (infinite capacity); a point mass at 0 reads 0 at d = 0.
     """
     sigma = dist.std()
+    mean = dist.moments()[0]
     if sigma <= 0.0:
-        if dist.moments()[0] == 0.0:
+        if mean == 0.0:
             return CapacityResult(0.0, 0.0, "eta", 2.0,
                                   diagnostics={"degenerate": True})
         return CapacityResult(INF, None, "eta", 2.0,
                               diagnostics={"degenerate": True})
-    snr = dist.moments()[0] / sigma
-    value = 0.5 * math.log2(1.0 + snr * snr)
-    d_star = -snr / (sigma * (1.0 + snr * snr))
+    snr = mean / sigma
+    if math.isinf(snr * snr):
+        value = math.log2(abs(mean)) - math.log2(sigma)
+        d_star = -1.0 / mean
+    else:
+        value = 0.5 * math.log2(1.0 + snr * snr)
+        d_star = -snr / (sigma * (1.0 + snr * snr))
     return CapacityResult(value, d_star, "eta", 2.0,
                           diagnostics={"closed_form": True})
 

@@ -303,13 +303,13 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
     All paths step at once on uint64 lanes: a degree, a 64-level window and
     window 0 for the zero series.  Path p reads whole raw words of
     ``make_rng(seed, p)``: word 0 is the initial window below its leading
-    one, then each step reads a word of gain bits (those under the unknown
-    mask), the noise window and, when the gain window holds revealed
-    levels, one more word whose bit i is the i-th revealed level from the
-    top.  Revealed levels below the window are never read and draw nothing.
-    The scalar ops on :class:`BitSeries` reading the same words give the
-    same traces bit for bit.  The draws are made and decoded a chunk of
-    steps at a time; only the state-dependent work runs step by step.
+    one, then each step reads a word of gain bits and the noise window.
+    The gain word's bits at the window positions of the unknown and the
+    revealed levels are theirs; revealed levels below the window draw
+    nothing.  A run draws ``1 + 2 * horizon`` words per path.  The scalar
+    ops on :class:`BitSeries` reading the same words give the same traces
+    bit for bit.  The draws are made and decoded a chunk of steps at a
+    time; only the state-dependent work runs step by step.
     """
     if horizon < 1 or paths < 1:
         raise ValueError("horizon and paths must be >= 1")
@@ -325,7 +325,7 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
             "float64 sum behind mean_degree")
     floor = -width  # stand-in degree for an exactly-zero state
     fixed, revealed, unknown_mask = gain.window_plan(width)
-    words = 3 if revealed else 2  # raw words per step
+    drawn = unknown_mask | sum(1 << pos for _, pos in revealed)
     cancel = max(min(gain.cancel_depth(), width), 1)
 
     streams = [make_rng(seed, p).bit_generator for p in range(paths)]
@@ -343,10 +343,8 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
     chunk = max(_MIN_CHUNK_STEPS, _CHUNK_CELLS // paths)
     for n0 in range(0, horizon, chunk):
         steps = min(chunk, horizon - n0)
-        raw = draw(steps * words).reshape(steps, words, paths)
-        b = raw[:, 0] & np.uint64(unknown_mask) | np.uint64(fixed)
-        for i, (_, pos) in enumerate(revealed):
-            b |= (raw[:, 2] >> _SHIFTS[i] & _ONE) << _SHIFTS[pos]
+        raw = draw(2 * steps).reshape(steps, 2, paths)
+        b = raw[:, 0] & np.uint64(drawn) | np.uint64(fixed)
         noise_deg, noise_win = _lane_normalize(_MINUS_ONE, raw[:, 1])
         degs, wins = [deg], [win]
         for n in range(steps):

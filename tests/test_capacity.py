@@ -1215,6 +1215,23 @@ def test_second_moment_closed_form_survives_variance_underflow(dist, want):
     assert math.isfinite(res.optimal_d)
 
 
+@pytest.mark.parametrize("w", [1e-310, 1e-320])
+def test_capacity_where_the_squared_mean_over_sigma_overflows(w):
+    # sigma is about sqrt(w), so (mean/sigma)^2 passes the float range; the
+    # closed form and the convex search it brackets must still find d = -1,
+    # where E|1 - B|^eta = w
+    law = FiniteMixture(((1.0, Empirical((1.0,))), (w, Empirical((2.0,)))))
+    snr = law.moments()[0] / law.std()
+    assert math.isinf(snr * snr)
+    closed = second_moment_closed_form(law)
+    assert closed.value_bits == pytest.approx(-0.5 * math.log2(w), rel=1e-12)
+    assert closed.optimal_d == -1.0
+    for eta in (1.0, 2.0):
+        res = eta_capacity(law, eta)
+        assert res.value_bits == pytest.approx(-math.log2(w) / eta, rel=1e-12)
+        assert res.optimal_d == -1.0
+
+
 def _tiny_scale_twins(s):
     """Each gain law scaled by s."""
     return [

@@ -264,7 +264,6 @@ def reference_degrees(gain, g_a, horizon, paths, seed=0, start_degree=32,
     mean_acc = np.zeros(horizon + 1)
     decay_sum, decay_n = 0.0, 0
     plan = gain.window_plan(W)
-    revealed = [level for level, _ in plan[1]]
     top = 1 << (W - 1)
 
     def record(n, state):
@@ -283,8 +282,7 @@ def reference_degrees(gain, g_a, horizon, paths, seed=0, start_degree=32,
         for n in range(horizon):
             shifted = state.shift(g_a)
             gain_bits, noise = word(), word()
-            bits = word() if revealed else 0
-            realized = {lv: (bits >> i) & 1 for i, lv in enumerate(revealed)}
+            realized = {lv: (gain_bits >> pos) & 1 for lv, pos in plan[1]}
             applied = shifted
             if not shifted.is_zero:
                 u, _ = one_step_control(shifted, gain, realized)
@@ -384,11 +382,11 @@ class CountingStream:
         return self.inner.random_raw(n)
 
 
-@pytest.mark.parametrize("spec,words", [("cf:1,0", 2),
-                                        ("cf:1,0,known=0/-1", 3)])
+@pytest.mark.parametrize("spec", ["cf:1,0", "cf:1,0,known=0/-1"])
 @pytest.mark.parametrize("small_chunks", [False, True])
-def test_each_path_draws_one_word_then_k_per_step(spec, words, small_chunks,
-                                                  monkeypatch):
+def test_each_path_draws_one_word_then_two_per_step(spec, small_chunks,
+                                                    monkeypatch):
+    # revealed levels take their bits from the gain word, so they add none
     if small_chunks:
         monkeypatch.setattr(carryfree, "_CHUNK_CELLS", 10)
         monkeypatch.setattr(carryfree, "_MIN_CHUNK_STEPS", 1)
@@ -400,7 +398,7 @@ def test_each_path_draws_one_word_then_k_per_step(spec, words, small_chunks,
 
     monkeypatch.setattr(carryfree, "make_rng", streams)
     simulate_degrees(parse_gain_spec(spec), 2, 37, 3, seed=4, start_degree=5)
-    assert [s.words for s in made] == [1 + 37 * words] * 3
+    assert [s.words for s in made] == [1 + 37 * 2] * 3
 
 
 def test_degree_range_is_bounded():
