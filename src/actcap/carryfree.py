@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import make_rng
+from .distributions import SUB_BLOCK, make_rng
 
 __all__ = [
     "BitSeries",
@@ -271,8 +271,6 @@ def one_step_control(state: BitSeries, gain: CarryFreeGain, realized=None):
         coeffs[t] = acc & 1
     if k == 0:
         coeffs = [1]  # aim at the top bit; it cancels with probability 1/2
-    if coeffs[0] == 0:
-        coeffs[0] = 1  # state leading coefficient is 1 by construction
     window = 0
     for t, bit in enumerate(coeffs[:width]):
         if bit:
@@ -301,15 +299,17 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
     series w carries 64 fresh random bits at levels -1..-64.
 
     All paths step at once on uint64 lanes: a degree, a 64-level window and
-    window 0 for the zero series.  Path p reads whole raw words of
-    ``make_rng(seed, p)``: word 0 is the initial window below its leading
-    one, then each step reads a word of gain bits and the noise window.
+    window 0 for the zero series.  Sub-block s of ``SUB_BLOCK`` paths reads
+    whole raw words of ``make_rng(seed, s)``, one row of a word per path at
+    a time: a row of initial windows below their leading ones, then each
+    step a row of gain words and a row of noise windows.  So the n paths of
+    a sub-block read one C-order matrix of ``(1 + 2 * horizon) x n`` words.
     The gain word's bits at the window positions of the unknown and the
     revealed levels are theirs; revealed levels below the window draw
-    nothing.  A run draws ``1 + 2 * horizon`` words per path.  The scalar
-    ops on :class:`BitSeries` reading the same words give the same traces
-    bit for bit.  The draws are made and decoded a chunk of steps at a
-    time; only the state-dependent work runs step by step.
+    nothing.  The scalar ops on :class:`BitSeries` reading the same words
+    give the same traces bit for bit.  The draws are made and decoded a
+    chunk of steps at a time; only the state-dependent work runs step by
+    step.
     """
     if horizon < 1 or paths < 1:
         raise ValueError("horizon and paths must be >= 1")
@@ -328,11 +328,14 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
     drawn = unknown_mask | sum(1 << pos for _, pos in revealed)
     cancel = max(min(gain.cancel_depth(), width), 1)
 
-    streams = [make_rng(seed, p).bit_generator for p in range(paths)]
+    streams = [(make_rng(seed, sub).bit_generator,
+                min(SUB_BLOCK, paths - SUB_BLOCK * sub))
+               for sub in range(-(-paths // SUB_BLOCK))]
 
-    def draw(n):
-        """The next ``n`` raw words of every path, one row per word."""
-        return np.stack([bg.random_raw(n) for bg in streams], axis=1)
+    def draw(rows):
+        """The next ``rows`` rows of raw words, one word per path each."""
+        return np.concatenate([bg.random_raw(rows * n).reshape(rows, n)
+                               for bg, n in streams], axis=1)
 
     win = draw(1)[0] | _TOP
     deg = np.full(paths, start_degree, dtype=np.int64)
@@ -384,7 +387,7 @@ def simulate_degrees(gain: CarryFreeGain, g_a: int, horizon: int, paths: int,
 _DEGREE_LIMIT = 2**62
 _EXACT_SUM_LIMIT = 2**53
 # Steps drawn and decoded at once: about _CHUNK_CELLS path-steps, but at
-# least _MIN_CHUNK_STEPS, since each chunk costs one draw call per path.
+# least _MIN_CHUNK_STEPS, since each chunk costs one draw call per sub-block.
 _CHUNK_CELLS = 1 << 12
 _MIN_CHUNK_STEPS = 16
 # 0-d arrays: the cheapest operands for ufuncs on short lanes

@@ -39,8 +39,6 @@ __all__ = [
     "Uniform",
     "make_rng",
     "parse_spec",
-    "path_streams",
-    "path_words",
 ]
 
 NEG_INF = float("-inf")
@@ -70,94 +68,25 @@ class DistSpecError(ValueError):
     """Unparseable distribution specification string."""
 
 
-def make_rng(seed, path=0):
-    """Counter-based generator of path ``path`` under ``seed``.
+# Paths per random stream: sub-block s of a Monte Carlo run, paths
+# SUB_BLOCK * s to SUB_BLOCK * s + SUB_BLOCK - 1, reads ``make_rng(seed, s)``
+SUB_BLOCK = 512
 
-    Philox keyed by the pair (seed, path) itself, one uint64 word each, with
-    the counter at 0.  Distinct keys give independent streams, and a key
-    gives the same draws on every run, which is what makes all Monte Carlo
-    in this package reproducible.  Both words must lie in [0, 2^64).
+
+def make_rng(seed, stream=0):
+    """Counter-based generator of stream ``stream`` under ``seed``.
+
+    Philox keyed by the pair (seed, stream) itself, one uint64 word each,
+    with the counter at 0.  Distinct keys give independent streams (Salmon
+    et al., SC'11), and a key gives the same draws on every run, which is
+    what makes all Monte Carlo in this package reproducible: sub-block s of
+    ``SUB_BLOCK`` paths reads stream s.  Both words must lie in [0, 2^64).
     """
-    return np.random.Generator(np.random.Philox(key=_key(seed, path)))
-
-
-def path_streams(seed, lo, hi):
-    """Yield a generator for each path in [lo, hi), reading ``make_rng(seed, p)``.
-
-    One generator is re-keyed in place for each path, so finish drawing for
-    a path before advancing.  Short rows of one-word draws can instead come
-    from :func:`path_words`, which computes the same streams from the same
-    keys for a whole block at once.
-    """
-    if hi > lo:
-        _key(seed, hi - 1)  # the last path's word must fit too
-    rng = make_rng(seed, lo)
-    bit_gen = rng.bit_generator
-    state = bit_gen.state  # counter 0, empty buffer, no pending uint32
-    key = state["state"]["key"]
-    for p in range(lo, hi):
-        key[1] = p
-        bit_gen.state = state
-        yield rng
-
-
-def path_words(seed, lo, hi, n):
-    """The first ``n`` raw uint64 words of ``make_rng(seed, p)`` for every
-    path p in [lo, hi), shape (hi - lo, n).
-
-    Philox4x64-10 (Salmon et al., SC'11) evaluated on numpy lanes, one lane
-    per path and block of four words.  numpy's ``Philox`` bumps its counter
-    before each block, so word 4j + i is output i of counter (j + 1, 0, 0,
-    0) under the key (seed, p).  The cost is per word, not per path, so it
-    beats re-keying a generator for each path only on short rows.
-    """
-    if hi > lo:
-        _key(seed, hi - 1)  # checked first, as in path_streams
-    _key(seed, lo)
-    rows, blocks = hi - lo, -(-n // 4)
-    # counter words (0, 2), which a round multiplies, and (1, 3); the
-    # counters are the same on every path until the first key is mixed in
-    even = np.zeros((2, 1, blocks), dtype=np.uint64)
-    even[0, 0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)
-    key = np.empty((2, rows, 1), dtype=np.uint64)
-    key[0], key[1, :, 0] = seed, np.arange(lo, hi, dtype=np.uint64)
-    for r in range(10):
-        if r:
-            key += _PHILOX_BUMP
-        high, low = _mulhilo(even)
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
-        even, odd = high[::-1] ^ odd ^ key, low[::-1]
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
-    return words.reshape(rows, 4 * blocks)[:, :n]
-
-
-def _mulhilo(x):
-    """High and low uint64 words of the 128-bit products of the Philox
-    multipliers and x.  The high word is summed from 32-bit halves, no
-    partial sum passing 2^64."""
-    x_hi, x_lo = x >> _HALF, x & _LOW
-    t = x_hi * _MUL_LO + ((x_lo * _MUL_LO) >> _HALF)
-    u = x_lo * _MUL_HI + (t & _LOW)
-    return x_hi * _MUL_HI + (t >> _HALF) + (u >> _HALF), x * _PHILOX_MUL
-
-
-# Philox4x64 round multipliers and key bumps, per multiplied counter word
-_PHILOX_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
-                       dtype=np.uint64).reshape(2, 1, 1)
-_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
-                        dtype=np.uint64).reshape(2, 1, 1)
-_HALF = np.uint64(32)
-_LOW = np.uint64(0xFFFFFFFF)
-_MUL_HI, _MUL_LO = _PHILOX_MUL >> _HALF, _PHILOX_MUL & _LOW
-
-
-def _key(seed, path):
-    """The Philox key (seed, path), one uint64 word each."""
-    words = (int(seed), int(path))
+    words = (int(seed), int(stream))
     if not all(0 <= w < 2**64 for w in words):
-        raise ValueError(f"seed and path must lie in [0, 2^64), got {words}")
-    return np.array(words, dtype=np.uint64)
+        raise ValueError(f"seed and stream must lie in [0, 2^64), got {words}")
+    key = np.array(words, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -237,16 +166,14 @@ class ActuationDistribution:
         return math.sqrt(self.moments()[1])
 
     def sample(self, rng, size):
-        """Draw an array of ``size`` i.i.d. values with the supplied generator.
+        """Draw i.i.d. values with the supplied generator, an array of shape
+        ``size`` (an int or a tuple) filled in C order.
 
         Laws that spend exactly one ``rng.random()`` word per value define
         ``_from_uniform(u)``, the value of each uniform in u, and draw with
-        it; :mod:`actcap.simulate` maps kernel words (:func:`path_words`)
-        through the same formula.  Other laws override this method.
+        it.  Other laws override this method.
         """
         return self._from_uniform(rng.random(size))
-
-    _from_uniform = None
 
     def objective_route(self, sense):
         """How this law evaluates the ``sense`` ("shannon" or "eta")
@@ -644,8 +571,6 @@ class Gaussian(TruncatedGaussian):
     lo: float = field(default=NEG_INF, init=False, repr=False)
     hi: float = field(default=POS_INF, init=False, repr=False)
 
-    _from_uniform = None  # rng.normal spends a variable number of words
-
     def sample(self, rng, size):
         return rng.normal(self.mu, self.sigma, size)
 
@@ -793,7 +718,7 @@ class FiniteMixture(ActuationDistribution):
         )
         draws = np.stack([np.asarray(d.sample(rng, size), dtype=float)
                           for _, d in self.components])
-        return draws[idx, np.arange(size)]
+        return np.take_along_axis(draws, idx[None], axis=0)[0]
 
     def restrict(self, lo, hi, *, include_upper=False):
         kept = []

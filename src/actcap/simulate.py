@@ -7,18 +7,17 @@ of many bits/step never overflows; where |d B| passes the float range a
 step reads log2|a| + log2|d| + log2|B + 1/d|.  Additive-noise runs step raw
 doubles, clamping every state to +-1e300.
 
-Path p reads the counter-based stream of ``make_rng(seed, p)``, Philox keyed
-by (seed, p).  Short rows of one-word gain draws (no noise or strategy
-rows, at most ``_KERNEL_WORDS`` steps) come from the Philox kernel
-``path_words`` on the same keys, a block of paths at once; other runs
-re-key one generator for each path.  Either way the stream layout is the
-same, and so are the draws.
-A block holds whole sub-blocks of ``_BLOCK`` paths: one at long horizons,
-more at short ones, so that draws and evolution run over many paths per
-numpy call while no block array outgrows that of one sub-block at
-``_TILE`` steps.  Each step sums a sub-block's paths pairwise (numpy's
-summation along a contiguous axis), and sub-blocks are folded in path
-order, so reports are bitwise reproducible whatever the block width.
+Sub-block s of ``SUB_BLOCK`` paths reads the counter-based stream of
+``make_rng(seed, s)``, Philox keyed by (seed, s).  Just before a tile is
+evolved, each sub-block draws it, time-major: the gains as one (steps,
+paths) array, then a random_linear strategy's gains, then V, then W.  So no
+array spans the horizon, and memory does not grow with it.  A block holds
+whole sub-blocks: one at long horizons, more at short ones, so that draws
+and evolution run over many paths per numpy call while no block array
+outgrows that of one sub-block at ``_TILE`` steps.  Each step sums a
+sub-block's paths pairwise (numpy's summation along a contiguous axis), and
+sub-blocks are folded in path order, so reports are bitwise reproducible
+whatever the block width.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import eta_capacity, eta_objective, shannon_capacity
-from .distributions import ActuationDistribution, path_streams, path_words
+from .distributions import SUB_BLOCK, ActuationDistribution, make_rng
 
 __all__ = [
     "AdditiveNoiseVerdict",
@@ -47,19 +46,14 @@ __all__ = [
 
 INF = float("inf")
 _LN2 = math.log(2.0)
-_BLOCK = 512
-# A block takes max(1, _WIDE_STEPS // max(horizon, 4)) sub-blocks of _BLOCK
-# paths: at most 8, and one from 32 steps up, so no block array holds more
-# than one sub-block's at _TILE steps
+# A block takes max(1, _WIDE_STEPS // max(horizon, 4)) sub-blocks of
+# SUB_BLOCK paths: at most 8, and one from 32 steps up, so no block array
+# holds more than one sub-block's at _TILE steps
 _WIDE_STEPS = 32
-# Rows of at most this many one-word draws per path come from the Philox
-# kernel, whose cost grows with the words; from about 100 words per path
-# re-keying one generator per path is faster (table in CHANGES.md)
-_KERNEL_WORDS = 64
 _CLAMP = 1e300
-# Steps per tile.  Both routes take about the same time from 32 to 256
-# steps, while a block's tile arrays grow with the width, about 9 kB a step
-# noise-free and 25 kB noisy (table in CHANGES.md)
+# Steps per tile, part of the stream layout.  Both routes take about the
+# same time from 32 to 256 steps, while a block's tile arrays grow with the
+# width (table in CHANGES.md)
 _TILE = 64
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
                    # at the default 1e4 paths x 2000 steps
@@ -177,7 +171,7 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     total_counts = {m: np.zeros(horizon + 1, dtype=np.int64) for m in thresholds}
     total_lse = {e: np.full(horizon + 1, -INF) for e in eta_list}
     overflow = 0
-    width = _BLOCK * max(1, _WIDE_STEPS // max(horizon, 4))
+    width = SUB_BLOCK * max(1, _WIDE_STEPS // max(horizon, 4))
     block = _Block(spec, strategy, horizon, min(paths, width))
 
     def fold(first, dl):
@@ -188,11 +182,11 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
             np.greater_equal(dl, cutoffs[m], out=mask)
             total_counts[m][cols] += mask.sum(axis=1)
         # whole sub-blocks, then a narrower remainder: (steps, sub-block, path)
-        full = bs - bs % _BLOCK
+        full = bs - bs % SUB_BLOCK
         for lo, hi in ((0, full), (full, bs)):
             if hi == lo:
                 continue
-            run = min(hi - lo, _BLOCK)
+            run = min(hi - lo, SUB_BLOCK)
             sub = dl[:, lo:hi].reshape(steps, -1, run)
             z = block.work[:steps, lo:hi].reshape(steps, -1, run)
             sums = sub.sum(axis=2)
@@ -217,8 +211,9 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
 
     for lo in range(0, paths, width):
         hi = min(lo + width, paths)
-        block.draw(seed, lo, hi)
-        overflow += block.evolve(hi - lo, fold)
+        rngs = [make_rng(seed, sub) for sub in
+                range(lo // SUB_BLOCK, -(-hi // SUB_BLOCK))]
+        overflow += block.evolve(rngs, hi - lo, fold)
 
     mean_log = total_sum / paths
     log2_moments = {e: total_lse[e] - math.log2(paths) for e in eta_list}
@@ -242,27 +237,23 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
 class _Block:
     """Work arrays for one block of paths, allocated once per run and
     overwritten in place by each block.  A block is a whole number of
-    ``_BLOCK``-path sub-blocks (the run's last block may be narrower), wide
-    only at horizons short enough that every array stays within one
-    sub-block's at ``_TILE`` steps.  Only the draw rows span the horizon;
-    every other array holds one time-major tile of at most ``_TILE`` steps,
-    on either route.
+    ``SUB_BLOCK``-path sub-blocks (the run's last block may be narrower),
+    wide only at horizons short enough that every array stays within one
+    sub-block's at ``_TILE`` steps.  Every array, the draws included, holds
+    one time-major tile of at most ``_TILE`` steps, on either route.
     """
 
     def __init__(self, spec, strategy, horizon, rows):
         steps = min(horizon, _TILE)
 
-        def matrix(wanted):
-            return np.empty((rows, horizon)) if wanted else None
-
         def tile(wanted, length=steps, dtype=float):
             return np.empty((length, rows), dtype=dtype) if wanted else None
 
         self.spec, self.strategy, self.horizon = spec, strategy, horizon
-        self.b = matrix(True)
-        self.d = matrix(strategy.kind == "random_linear")
-        self.v = matrix(spec.obs_noise_std > 0)
-        self.w = matrix(spec.process_noise_std > 0)
+        self.b = tile(True)
+        self.d = tile(strategy.kind == "random_linear")
+        self.v = tile(spec.obs_noise_std > 0)
+        self.w = tile(spec.process_noise_std > 0)
         # log2|X[n]/x0|, time-major: row 0 carries the step before the tile
         self.dl = tile(True, steps + 1)
         self.work = tile(True, steps + 1)  # LSE terms
@@ -270,49 +261,45 @@ class _Block:
         noisy = not spec.noise_free
         # row 0 of x carries the state into the tile
         self.x, self.bd = tile(noisy, steps + 1), tile(noisy)
-        self.vt, self.wt = tile(self.v is not None), tile(self.w is not None)
-        # gain rows alone; the per-path loop draws the same words for others
-        self.kernel = (spec.dist._from_uniform is not None
-                       and horizon <= _KERNEL_WORDS
-                       and self.d is None and self.v is None and self.w is None)
 
-    def draw(self, seed, lo, hi):
-        """Per-path draws in a fixed order: gains, strategy gains, V, W."""
-        spec, strategy, horizon = self.spec, self.strategy, self.horizon
-        if self.kernel:
-            # the same words as the loop below, a block at a time
-            u = (path_words(seed, lo, hi, horizon) >> np.uint64(11)).astype(float)
-            self.b[:hi - lo] = spec.dist._from_uniform(u * 2.0**-53)
-            return
-        noise = [(rows[:hi - lo], std) for rows, std in
+    def draw(self, rngs, steps, bs):
+        """Draw the next ``steps`` steps of the first ``bs`` paths, sub-block
+        by sub-block from the generators ``rngs``, each in a fixed order:
+        gains, strategy gains, V, W."""
+        spec, strategy = self.spec, self.strategy
+        noise = [(tile[:steps, :bs], std) for tile, std in
                  ((self.v, spec.obs_noise_std), (self.w, spec.process_noise_std))
-                 if rows is not None]
-        for i, rng in enumerate(path_streams(seed, lo, hi)):
-            self.b[i] = spec.dist.sample(rng, horizon)
+                 if tile is not None]
+        for rng, lo in zip(rngs, range(0, bs, SUB_BLOCK)):
+            cols = slice(lo, min(lo + SUB_BLOCK, bs))
+            shape = (steps, cols.stop - lo)
+            self.b[:steps, cols] = spec.dist.sample(rng, shape)
             if self.d is not None:
-                self.d[i] = rng.uniform(strategy.d_low, strategy.d_high, horizon)
-            for rows, _ in noise:
-                rng.standard_normal(out=rows[i])
-        for rows, std in noise:
+                self.d[:steps, cols] = rng.uniform(strategy.d_low,
+                                                   strategy.d_high, shape)
+            for tile, _ in noise:
+                tile[:, cols] = rng.standard_normal(shape)
+        for tile, std in noise:
             # what rng.normal(0.0, std) makes of the same normals: 0.0 + std z
-            rows *= std
-            rows += 0.0
+            tile *= std
+            tile += 0.0
 
-    def evolve(self, bs, fold):
-        """Call ``fold(first step, slab)`` on time-major (steps, paths) slabs
-        of log2|X[n]/x0| over the first ``bs`` paths, one per tile, that
+    def evolve(self, rngs, bs, fold):
+        """Draw and evolve the first ``bs`` paths tile by tile, sub-block s
+        of them from ``rngs[s]``, and call ``fold(first step, slab)`` on
+        time-major (steps, paths) slabs of log2|X[n]/x0|, one per tile, that
         cover steps 0 to horizon in order.  Return the number of those paths
         that hit the clamp."""
-        spec, b, d = self.spec, self.b[:bs], self.d
+        spec = self.spec
         self.dl[0, :bs] = 0.0
         if not spec.noise_free:
             self.x[0, :bs] = spec.x0
         overflowed = np.zeros(bs, dtype=bool)
         for n0 in range(0, self.horizon, _TILE):
-            n1 = min(n0 + _TILE, self.horizon)
-            steps = n1 - n0
-            b_t = b[:, n0:n1].T
-            d_t = self.strategy.d if d is None else d[:bs, n0:n1].T
+            steps = min(_TILE, self.horizon - n0)
+            self.draw(rngs, steps, bs)
+            b_t = self.b[:steps, :bs]
+            d_t = self.strategy.d if self.d is None else self.d[:steps, :bs]
             dl = self.dl[:steps + 1, :bs]
             logs = dl[1:]
             if spec.noise_free:
@@ -328,7 +315,7 @@ class _Block:
                         # d b passed the float range: there, and only there,
                         # log2|1 + d b| is log2|d| + log2|b + 1/d|
                         big = logs == INF
-                        d_big = d_t[big] if d is not None else d_t
+                        d_big = d_t if self.d is None else d_t[big]
                         closed = (np.log2(np.abs(d_big))
                                   + np.log2(np.abs(b_t[big] + 1.0 / d_big)))
                         logs[big] = log2_a + closed
@@ -338,13 +325,8 @@ class _Block:
             else:
                 bd, xs = self.bd[:steps, :bs], self.x[:steps + 1, :bs]
                 np.multiply(b_t, d_t, out=bd)
-                v = w = None
-                if self.v is not None:
-                    v = self.vt[:steps, :bs]
-                    np.copyto(v, self.v[:bs, n0:n1].T)
-                if self.w is not None:
-                    w = self.wt[:steps, :bs]
-                    np.copyto(w, self.w[:bs, n0:n1].T)
+                v, w = (None if tile is None else tile[:steps, :bs]
+                        for tile in (self.v, self.w))
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
                     _step_tile(spec.a, xs, bd, v, w)

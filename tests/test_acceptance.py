@@ -342,7 +342,8 @@ def test_criterion_12_cli_determinism(tmp_path):
         assert cli_main(args + ["--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     same_rerun = blobs[0] == blobs[1]
-    # the per-path make_rng oracle at the same seed, computed independently
+    # the make_rng oracle at the same seed, one stream per 512-path
+    # sub-block drawn tile by tile, evolved and folded independently
     mean_log, moments, fractions, _ = reference_simulate(
         SystemSpec(4.0, Uniform(1, 3)), StrategySpec("linear", d=-0.4),
         300, 4096, eta_list=(1.0, 2.0), threshold=1e6, seed=31)
@@ -355,4 +356,4 @@ def test_criterion_12_cli_determinism(tmp_path):
                    and np.array_equal(got, want))
     ok = same_rerun and same_oracle
     report(12, ok, f"rerun identical={same_rerun}, "
-                   f"equal to per-path make_rng oracle={same_oracle}")
+                   f"equal to make_rng oracle={same_oracle}")

@@ -1570,6 +1570,17 @@ def test_scan_search_evaluation_count(spec):
         assert res.diagnostics["evaluations"] <= 400
 
 
+def test_scan_returns_at_once_when_the_grid_holds_plus_inf():
+    # the kink -1/2 of the one atom 2 is a grid point, where the moment is
+    # exactly 0: the scan stops at the +inf there, after its one grid call
+    res = eta_capacity(Empirical((2.0,)), 0.5)
+    assert res.value_bits == math.inf and res.optimal_d is None
+    diag = res.diagnostics
+    assert diag["method"] == "scan"
+    assert diag["evaluations"] == diag["grid_evaluations"] == 127
+    assert diag["objective_at_d"] == math.inf
+
+
 @pytest.mark.parametrize("mix, sense, want", [
     # two peaks 0.09 apart in d, the higher one beside the kink at -1/3
     (FiniteMixture(((0.5, Uniform(1, 3)), (0.5, Gaussian(4, 1)))), None,

@@ -255,11 +255,25 @@ def test_counterexample_dynamics():
 
 # --- lane kernel against the scalar ops ---------------------------------------
 
+_BLOCK = 512
+
+
+def reference_words(horizon, paths, seed=0, streams=make_rng):
+    """Each path's words, shape (paths, 1 + 2 * horizon): sub-block s of 512
+    paths reads its n paths' words from ``streams(seed, s)`` as one C-order
+    (1 + 2 * horizon) x n matrix, one random_raw call per sub-block."""
+    rows = 1 + 2 * horizon
+    return np.concatenate([
+        streams(seed, lo // _BLOCK).bit_generator.random_raw(
+            rows * min(_BLOCK, paths - lo)).reshape(rows, -1).T
+        for lo in range(0, paths, _BLOCK)])
+
+
 def reference_degrees(gain, g_a, horizon, paths, seed=0, start_degree=32,
                       streams=make_rng):
-    """The scalar loop: every path and step on BitSeries, one random_raw
-    call per word.  Returns (max_degree, mean_degree, decay_mean,
-    decay_count)."""
+    """The scalar loop: every path and step on BitSeries, reading the words
+    of :func:`reference_words`.  Returns (max_degree, mean_degree,
+    decay_mean, decay_count)."""
     max_deg = np.full(horizon + 1, -np.inf)
     mean_acc = np.zeros(horizon + 1)
     decay_sum, decay_n = 0.0, 0
@@ -271,11 +285,8 @@ def reference_degrees(gain, g_a, horizon, paths, seed=0, start_degree=32,
         max_deg[n] = max(max_deg[n], d)
         mean_acc[n] += d
 
-    for p in range(paths):
-        bit_generator = streams(seed, p).bit_generator
-
-        def word():
-            return int(bit_generator.random_raw(1)[0])
+    for row in reference_words(horizon, paths, seed, streams):
+        word = iter(row.tolist()).__next__
 
         state = BitSeries(start_degree, top | word(), W)
         record(0, state)
@@ -329,23 +340,42 @@ def test_lanes_match_scalar_reference_across_chunks(spec, monkeypatch):
                        reference_degrees(*args, seed=4, start_degree=5))
 
 
-class ZeroStream:
-    """Stands in for a generator whose every draw is zero."""
+@pytest.mark.parametrize("spec", ["cf:1,0", "cf:2,2,known=2/1/-3"])
+def test_lanes_match_scalar_reference_across_sub_blocks(spec, monkeypatch):
+    # 514 paths in 3-step chunks: two sub-blocks, each drawn in several calls
+    monkeypatch.setattr(carryfree, "_CHUNK_CELLS", 3 * 514)
+    monkeypatch.setattr(carryfree, "_MIN_CHUNK_STEPS", 1)
+    gain = parse_gain_spec(spec)
+    args = (gain, 1, 7, 514)
+    assert_same_report(simulate_degrees(*args, seed=8, start_degree=4),
+                       reference_degrees(*args, seed=8, start_degree=4))
+
+
+class OddPathsZeroStream:
+    """Stands in for the generator of a sub-block of ``paths`` paths whose
+    words on odd paths are all zero."""
+
+    def __init__(self, seed, s, paths):
+        self.inner = make_rng(seed, s).bit_generator
+        self.paths, self.drawn = paths, 0
 
     @property
     def bit_generator(self):
         return self
 
     def random_raw(self, n):
-        return np.zeros(n, dtype=np.uint64)
+        words = self.inner.random_raw(n)
+        words[(self.drawn + np.arange(n)) % self.paths % 2 == 1] = 0
+        self.drawn += n
+        return words
 
 
 @pytest.mark.parametrize("spec", ["cf:1,0", "cf:70,0"])
 def test_lanes_match_scalar_reference_on_zero_states(spec, monkeypatch):
     # all-zero noise windows on odd paths: the state becomes exactly zero,
     # records the floor and stays zero, next to live paths in the same lanes
-    def streams(seed, p):
-        return ZeroStream() if p % 2 else make_rng(seed, p)
+    def streams(seed, s):
+        return OddPathsZeroStream(seed, s, 4)
 
     monkeypatch.setattr(carryfree, "make_rng", streams)
     gain = parse_gain_spec(spec)
@@ -367,10 +397,10 @@ def test_revealed_levels_below_the_window_draw_nothing():
 
 
 class CountingStream:
-    """A path's generator that counts the raw words drawn from it."""
+    """A sub-block's generator that counts the raw words drawn from it."""
 
-    def __init__(self, seed, p):
-        self.inner = make_rng(seed, p).bit_generator
+    def __init__(self, seed, s):
+        self.inner = make_rng(seed, s).bit_generator
         self.words = 0
 
     @property
@@ -392,13 +422,14 @@ def test_each_path_draws_one_word_then_two_per_step(spec, small_chunks,
         monkeypatch.setattr(carryfree, "_MIN_CHUNK_STEPS", 1)
     made = []
 
-    def streams(seed, p):
-        made.append(CountingStream(seed, p))
+    def streams(seed, s):
+        made.append(CountingStream(seed, s))
         return made[-1]
 
     monkeypatch.setattr(carryfree, "make_rng", streams)
-    simulate_degrees(parse_gain_spec(spec), 2, 37, 3, seed=4, start_degree=5)
-    assert [s.words for s in made] == [1 + 37 * 2] * 3
+    simulate_degrees(parse_gain_spec(spec), 2, 37, 515, seed=4, start_degree=5)
+    # one stream per sub-block of 512 paths: 512 paths, then 3
+    assert [s.words for s in made] == [512 * (1 + 37 * 2), 3 * (1 + 37 * 2)]
 
 
 def test_degree_range_is_bounded():

@@ -153,6 +153,16 @@ def test_sideinfo_command(capsys):
     assert all(b >= a - 1e-7 for a, b in zip(values, values[1:]))
 
 
+def test_sideinfo_on_an_empirical_law(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("1.0\n1.5\n2.0\n2.5\n3.0\n")
+    code, out = run_cli(["sideinfo", "--dist", f"empirical:@{samples}",
+                         "--si-bits", "2", "--eta", "2"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["k_bits,capacity_bits", "0,1.5849625007211563",
+                                "1,2.50651497422456", "2,4.126332716225126"]
+
+
 def test_sideinfo_explicit_cells(capsys):
     code, out = run_cli(
         ["sideinfo", "--dist", "uniform:0,4", "--si-cells", "0,1,4",
@@ -318,7 +328,8 @@ def test_simulate_gain_product_past_the_float_range(capsys):
     assert code == 0
     rows = [[float(v) for v in line.split(",")]
             for line in out.strip().splitlines()[1:]]
-    draws = [Uniform(1, 3).sample(make_rng(0, p), 3) for p in range(4)]
+    # the one tile of the four paths' gains, time-major, from stream 0
+    draws = Uniform(1, 3).sample(make_rng(0), (3, 4)).T
     want = 0.0
     for n, row in enumerate(rows):
         assert row[0] == n and row[1] == pytest.approx(want, rel=1e-12)
@@ -326,6 +337,26 @@ def test_simulate_gain_product_past_the_float_range(capsys):
             want += sum(1.0 + math.log2(1e308) + math.log2(b[n] + 1e-308)
                         for b in draws) / 4
     assert len(rows) == 4 and all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_simulate_without_d_runs_the_shannon_optimal_gain(capsys):
+    args = ["simulate", "--dist", "uniform:1,3", "--a", "2", "--horizon", "3",
+            "--paths", "4"]
+    d = shannon_capacity(Uniform(1, 3)).optimal_d
+    code, out = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["strategy"] == f"linear(d={d!r})"
+    default, explicit = (run_cli(args + extra, capsys)
+                         for extra in ([], ["--d", repr(d)]))
+    assert default == explicit and default[0] == 0
+
+
+def test_simulate_without_d_and_no_finite_optimum_exits_2(capsys):
+    code = main(["simulate", "--dist", "erasure:1,0.5", "--a", "2",
+                 "--horizon", "3", "--paths", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no finite optimal d; pass --d explicitly\n"
 
 
 def test_simulate_moment_past_the_float_range_exits_3(capsys):

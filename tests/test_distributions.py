@@ -18,8 +18,6 @@ from actcap.distributions import (
     Uniform,
     make_rng,
     parse_spec,
-    path_streams,
-    path_words,
 )
 from node_oracle import NonIntegrable, expect, quadrature_nodes
 
@@ -39,43 +37,21 @@ def _key(rng):
 
 
 @settings(max_examples=200)
-@given(_WORDS, _WORDS, st.integers(1, 4))
-def test_path_key_is_the_seed_path_pair(seed, path, count):
-    assert _key(make_rng(seed, path)) == [seed, path]
+@given(_WORDS, _WORDS)
+def test_path_key_is_the_seed_path_pair(seed, stream):
+    assert _key(make_rng(seed, stream)) == [seed, stream]
     assert _key(make_rng(seed)) == [seed, 0]
-    lo = min(path, 2**64 - count)
-    for p, rng in zip(range(lo, lo + count), path_streams(seed, lo, lo + count)):
-        assert _key(rng) == [seed, p]
-        assert np.array_equal(rng.random(5), make_rng(seed, p).random(5))
 
 
 def test_negative_seed_rejected_like_make_rng():
-    for seed, path in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
-        with pytest.raises(ValueError):
-            make_rng(seed, path)
-    for seed, lo, hi in ((-1, 0, 4), (2**64, 0, 4), (0, -1, 4),
-                         (0, 2**64 - 2, 2**64 + 1)):
-        with pytest.raises(ValueError) as streams:
-            next(path_streams(seed, lo, hi))
-        with pytest.raises(ValueError) as words:
-            path_words(seed, lo, hi, 4)
-        assert str(words.value) == str(streams.value)
-
-
-@settings(max_examples=200)
-@given(_WORDS, _WORDS, st.integers(1, 3), st.integers(1, 40))
-def test_path_words_are_the_raw_streams(seed, path, count, n):
-    lo = min(path, 2**64 - count)
-    words = path_words(seed, lo, lo + count, n)
-    assert words.dtype == np.uint64 and words.shape == (count, n)
-    for p, row in zip(range(lo, lo + count), words):
-        assert np.array_equal(row, make_rng(seed, p).bit_generator.random_raw(n))
+    for seed, stream in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            make_rng(seed, stream)
 
 
 @pytest.mark.parametrize("b1,b2", [(0.1, 0.7), (-1 / 3, 2 / 7), (1e-3, 1e5),
                                    (-2.5e10, 3.3)])
 def test_uniform_sample_is_rng_uniform(b1, b2):
-    # one value formula serves sample and the kernel route of simulate
     assert np.array_equal(Uniform(b1, b2).sample(make_rng(9, 4), 1000),
                           make_rng(9, 4).uniform(b1, b2, 1000))
 
@@ -91,14 +67,12 @@ _LAWS = [
 
 
 @pytest.mark.parametrize("law", _LAWS, ids=lambda law: type(law).__name__)
-def test_path_streams_draw_what_make_rng_draws(law):
-    lo, hi = 509, 516  # crosses a 512-path block edge
-    for p, rng in zip(range(lo, hi), path_streams(31, lo, hi)):
-        ref = make_rng(31, p)
-        # a law's gains, then a random_linear strategy row, then noise
-        assert np.array_equal(law.sample(rng, 9), law.sample(ref, 9))
-        assert np.array_equal(rng.uniform(-0.8, 0.0, 9), ref.uniform(-0.8, 0.0, 9))
-        assert np.array_equal(rng.normal(0.0, 2.0, 9), ref.normal(0.0, 2.0, 9))
+def test_sample_takes_a_shape(law):
+    # simulate draws each tile as one (steps, paths) array: the values of a
+    # flat draw of the same size, in C order
+    tile = law.sample(make_rng(31, 2), (9, 5))
+    assert tile.shape == (9, 5)
+    assert np.array_equal(tile, law.sample(make_rng(31, 2), 45).reshape(9, 5))
 
 
 # --- support ---------------------------------------------------------------

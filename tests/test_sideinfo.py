@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from actcap.capacity import eta_capacity, second_moment_closed_form, shannon_capacity
 from actcap.distributions import (
+    Empirical,
     EmptyCell,
     FiniteMixture,
     Gaussian,
@@ -32,6 +33,15 @@ def test_uniform_bit_partition_halves():
     assert model.cells[0].probability == pytest.approx(0.5)
     assert model.cells[0].conditional == Uniform(0, 2)
     assert model.cells[1].conditional == Uniform(2, 4)
+
+
+def test_uniform_bit_partition_of_an_empirical_law():
+    model = uniform_bit_partition(Empirical((1.0, 1.5, 2.0, 2.5, 3.0)), 1)
+    assert [(c.label, c.probability, c.conditional) for c in model.cells] == [
+        ("[1,2)", 0.4, Empirical((1.0, 1.5))),
+        # the closing cell keeps its upper end
+        ("[2,3)", 0.6, Empirical((2.0, 2.5, 3.0))),
+    ]
 
 
 def test_uniform_bit_partition_trivial():
