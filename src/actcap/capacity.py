@@ -52,6 +52,7 @@ _BACKBONE = 50  # evenly spaced scan gains on each side of 0
 _PER_CENTER = 7  # geometric scan gains on each side of each center
 _WINDOW = 100.0  # search half-width, in inverse units of the law
 _REFINE_REL = 1e-12  # absolute part of the Brent stop, relative to the window
+_NARROW = 1e-3  # relative spread below which the convex search's stop shrinks
 _MAX_DOUBLINGS = 60  # of the convex search's bracket
 
 
@@ -319,7 +320,11 @@ def _maximize_convex(objective, dist):
                                            False, False, abs(far))
     grid_evals = calls[0]
     d_star, val = order[j], best
-    tol = _REFINE_REL * abs(far)
+    # the peak at -1/E[B] narrows with the law's relative spread: below
+    # _NARROW the stop shrinks with it, down to a few ulps of d_2
+    spread = dist.std() / abs(dist.moments()[0])
+    tol = max(_REFINE_REL * abs(far) * min(1.0, spread / _NARROW),
+              4.0 * math.ulp(d2))
     for k in (j - 1, j + 1):
         if 0 <= k < len(order):
             lo, hi = sorted((order[j], order[k]))

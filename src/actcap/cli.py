@@ -10,9 +10,11 @@ invocations with the same seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 from . import capacity as cap
@@ -47,7 +49,15 @@ def main(argv=None):
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _emit(args, header, rows, diagnostics)
+    try:
+        _emit(args, header, rows, diagnostics)
+    except BrokenPipeError:
+        # a reader closed the pipe (`| head -1`): flush the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -57,12 +67,10 @@ def main(argv=None):
 
 def _cmd_capacity(args):
     dist = parse_spec(args.dist)
-    rows = []
     sh = cap.shannon_capacity(dist)
-    ze = cap.zero_error_capacity(dist)
-    c2 = cap.second_moment_closed_form(dist)
-    for name, r in (("c_sh", sh), ("c_ze", ze), ("c_2", c2)):
-        rows.append([name, r.value_bits, r.optimal_d])
+    found = (("c_sh", sh), ("c_ze", cap.zero_error_capacity(dist)),
+             ("c_2", cap.second_moment_closed_form(dist)))
+    rows = ((name, r.value_bits, r.optimal_d) for name, r in found)
     diag = {"dist": args.dist, "flat": sh.diagnostics.get("flat", False)}
     return ["quantity", "value_bits", "optimal_d"], rows, diag
 
@@ -71,14 +79,16 @@ def _cmd_curve(args):
     dist = parse_spec(args.dist)
     etas = _float_list(args.etas, "--etas", lo=0.0, hi=cap.ETA_MAX)
     points = cap.capacity_curve(dist, etas)
-    rows = [[eta, value] for eta, value in points]
-    return ["eta", "capacity_bits"], rows, {"dist": args.dist}
+    return ["eta", "capacity_bits"], points, {"dist": args.dist}
 
 
 def _cmd_sweep(args):
     """Capacities versus mean/sigma for the three standard families."""
     ratios = _float_list(args.ratios, "--ratios", lo=0.0)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise ValueError(f"--families needs at least one family, "
+                         f"got {args.families!r}")
     rows = []
     for family in families:
         for r in ratios:
@@ -122,8 +132,7 @@ def _cmd_sideinfo(args):
     if not 0 <= args.si_bits <= si.MAX_BITS:
         raise ValueError(f"--si-bits must be in [0, {si.MAX_BITS}], got {args.si_bits}")
     points = si.si_value_curve(dist, args.si_bits, sense=sense, eta=args.eta)
-    rows = [[k, value] for k, value in points]
-    return ["k_bits", "capacity_bits"], rows, {"dist": args.dist, "sense": sense}
+    return ["k_bits", "capacity_bits"], points, {"dist": args.dist, "sense": sense}
 
 
 def _sense(args, eta=None):
@@ -151,13 +160,18 @@ def _cmd_simulate(args):
     report = run_simulation(spec, strategy, args.horizon, args.paths,
                           eta_list=_float_list(args.etas, "--etas", lo=0.0),
                           threshold=args.threshold_m, seed=args.seed)
-    rows = [list(row) for row in report.csv_rows()]
+    header = (["step", "mean_log2_ratio"]
+              + [f"log2_moment_eta_{eta:g}" for eta in report.eta_list]
+              + _fraction_columns(report.thresholds))
+    rows = zip(range(report.horizon + 1), report.mean_log2_ratio,
+               *(report.log2_moments[eta] for eta in report.eta_list),
+               *(report.fractions[m] for m in report.thresholds))
     diag = {
         "strategy": report.strategy,
         "growth_slope_bits": report.growth_slope_bits,
         "overflow_paths": report.overflow_paths,
     }
-    return report.csv_header(), rows, diag
+    return header, rows, diag
 
 
 def _pick_d(args, dist):
@@ -176,7 +190,7 @@ def _cmd_scan(args):
         dist, sense, _float_list(args.a_grid, "--a-grid"),
         eta=2.0 if args.eta is None else args.eta,
         horizon=args.horizon, paths=args.paths, seed=args.seed)
-    rows = [[p.a, math.log2(p.a), p.verdict, p.slope_bits] for p in points]
+    rows = ((p.a, math.log2(p.a), p.verdict, p.slope_bits) for p in points)
     diag = {"capacity_bits": capres.value_bits, "optimal_d": capres.optimal_d,
             "sense": sense}
     return ["a", "log2_a", "verdict", "slope_bits"], rows, diag
@@ -188,24 +202,21 @@ def _cmd_converse(args):
     rep = strong_converse_experiment(
         dist, args.a, m_list, horizon=args.horizon, paths=args.paths,
         seed=args.seed)
-    header = ["strategy", "step"] + [f"fraction_ge_{m:g}" for m in m_list]
-    rows = []
-    for name in sorted(rep.reports):
-        r = rep.reports[name]
-        for n in range(r.horizon + 1):
-            rows.append([name, n] + [float(r.fractions[m][n]) for m in m_list])
+    rows = ((name, *row) for name, r in sorted(rep.reports.items())
+            for row in zip(range(r.horizon + 1), *(r.fractions[m] for m in m_list)))
     diag = {"capacity_bits": rep.capacity_bits, "log2_a": rep.log2_a}
-    return header, rows, diag
+    return ["strategy", "step"] + _fraction_columns(m_list), rows, diag
+
+
+def _fraction_columns(thresholds):
+    return [f"fraction_ge_{m:g}" for m in thresholds]
 
 
 def _cmd_carryfree(args):
     gain = cf.parse_gain_spec(args.gain)
     rep = cf.simulate_degrees(gain, args.g_a, args.horizon, args.paths,
                               seed=args.seed, start_degree=args.start_degree)
-    rows = [
-        [n, float(rep.max_degree[n]), float(rep.mean_degree[n])]
-        for n in range(rep.horizon + 1)
-    ]
+    rows = zip(range(rep.horizon + 1), rep.max_degree, rep.mean_degree)
     diag = {
         "zero_error_capacity": cf.cf_zero_error_capacity(gain),
         "decay_mean": rep.decay_mean,
@@ -343,11 +354,7 @@ def _json_safe(value):
 
 
 def _emit(args, header, rows, diagnostics):
-    if args.format == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
+    if args.format == "json":
         config = {
             k: _json_safe(v)
             for k, v in sorted(vars(args).items())
@@ -355,17 +362,18 @@ def _emit(args, header, rows, diagnostics):
         }
         payload = {
             "config": config,
-            "results": [
-                dict(zip(header, (_json_safe(v) for v in row))) for row in rows
-            ],
+            "results": [dict(zip(header, map(_json_safe, row))) for row in rows],
             "diagnostics": _json_safe(diagnostics),
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "csv":
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
+        else:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -51,6 +51,9 @@ POS_INF = float("inf")
 # 820) the density itself underflows, so the moment reads its node weights
 # from the log-density.
 _GAUSS_TAIL_SIGMAS = 10.0
+# a truncated Gaussian cell whose closed-form moments would lose more than
+# this factor to cancellation is summed instead (TruncatedGaussian._summed)
+_CLOSED_FORM_LOSS = 2.0**10
 
 _ATOM_MASS_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
@@ -371,6 +374,8 @@ class TruncatedGaussian(ActuationDistribution):
 
     @cached_property
     def cell_probability(self):
+        if self._summed is not None:
+            return self._summed[0]
         a, b, _ = self._lower_side()
         if b <= 0.0:
             return _ndtr(b) - _ndtr(a)
@@ -390,10 +395,50 @@ class TruncatedGaussian(ActuationDistribution):
 
     def _standard_moments(self):
         """Mean and variance of the cell in units of sigma about mu."""
+        if self._summed is not None:
+            return self._summed[1:]
         a, b, sign = self._lower_side()
         z = self.cell_probability
         shift = (_std_normal_pdf(a) - _std_normal_pdf(b)) / z
         return sign * shift, 1.0 + (_times_pdf(a) - _times_pdf(b)) / z - shift**2
+
+    @cached_property
+    def _summed(self):
+        """(mass, mean, variance) of the cell in units of sigma about mu,
+        summed over the cell itself, or None where the closed forms keep
+        their digits.
+
+        The closed forms take differences of Phi, of phi and of z phi(z)
+        at the ends, which cancel on a narrow cell (the variance, about
+        w^2 / 12 for a window w sigma wide, against 1) and on a tail cell
+        (about 1 / z0^2 against z0^2, z0 being the cell's nearest point to
+        mu).  Where the loss (1 + z0^2)(1 + z0^2 + 12 / w^2) passes
+        _CLOSED_FORM_LOSS the cell is summed in its own units u in [0, w]
+        from its window's lower end alpha (mirrored, so that end lies
+        farthest from mu), on even panels at most 1 / max(1, |alpha|,
+        |beta|) wide.  The weights phi(alpha + u) / phi(z0) stay below 1,
+        and u keeps the width's digits, which alpha + u would round away."""
+        _, b, sign = self._lower_side()
+        lo, hi = self._window(0.0)
+        width = (hi - lo) / self.sigma
+        near = 1.0 + min(0.0, b)**2  # the loss, times width^2
+        if not near * (near * width * width + 12.0) > (
+                _CLOSED_FORM_LOSS * width * width):
+            return None
+        alpha = (lo - self.mu if sign > 0.0 else self.mu - hi) / self.sigma
+        beta = alpha + width
+        z0 = min(0.0, beta)
+        gap = width if beta <= 0.0 else -alpha  # z0 - alpha
+        count = max(1, math.ceil(width * max(1.0, -alpha, abs(beta))))
+        u, weights = even_panels(0.0, width, count)
+        weights = weights * np.exp(-0.5 * (u - gap) * (u + (alpha + z0)))
+        mass = weights.sum()
+        if not mass > 0.0:  # an empty cell: __post_init__ raises EmptyCell
+            return 0.0, 0.0, 0.0
+        mean = (weights * u).sum() / mass
+        var = (weights * (u - mean)**2).sum() / mass
+        return (_std_normal_pdf(z0) * float(mass), sign * (alpha + float(mean)),
+                float(var))
 
     def _from_uniform(self, u):
         # Inverse-CDF so the per-draw count is fixed (no rejection).

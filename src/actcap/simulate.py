@@ -131,21 +131,6 @@ class SimulationReport:
         start = self.horizon // 2 if start is None else start
         return _fit_slope(y, start, self.horizon + 1)
 
-    def csv_header(self):
-        return (
-            ["step", "mean_log2_ratio"]
-            + [f"log2_moment_eta_{eta:g}" for eta in self.eta_list]
-            + [f"fraction_ge_{m:g}" for m in self.thresholds]
-        )
-
-    def csv_rows(self):
-        for n in range(self.horizon + 1):
-            yield (
-                [n, self.mean_log2_ratio[n]]
-                + [self.log2_moments[eta][n] for eta in self.eta_list]
-                + [self.fractions[m][n] for m in self.thresholds]
-            )
-
 
 def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
              paths: int, eta_list=(2.0,), threshold=1e6,
@@ -215,10 +200,12 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
                 range(lo // SUB_BLOCK, -(-hi // SUB_BLOCK))]
         overflow += block.evolve(rngs, hi - lo, fold)
 
-    mean_log = total_sum / paths
-    log2_moments = {e: total_lse[e] - math.log2(paths) for e in eta_list}
-    fractions = {m: total_counts[m] / paths for m in thresholds}
+    # in place, fractions after the fit: the fit's temporaries are the peak
+    mean_log = np.divide(total_sum, paths, out=total_sum)
+    for lse in total_lse.values():
+        lse -= math.log2(paths)
     slope = _fit_slope(mean_log, horizon // 2, horizon + 1)
+    fractions = {m: total_counts[m] / paths for m in thresholds}
     return SimulationReport(
         horizon=horizon,
         paths=paths,
@@ -227,7 +214,7 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
         eta_list=eta_list,
         thresholds=thresholds,
         mean_log2_ratio=mean_log,
-        log2_moments=log2_moments,
+        log2_moments=total_lse,
         fractions=fractions,
         growth_slope_bits=slope,
         overflow_paths=overflow,

@@ -1178,14 +1178,30 @@ def test_convex_search_from_the_closed_form_optimum(law, value, d_star,
 
 @pytest.mark.parametrize("eta", [1.0, 2.0])
 def test_convex_search_of_a_cell_whose_spread_rounds_to_zero(eta):
-    # std() of this 2e-8-wide cell rounds to 0, so the closed form reads it
-    # as a point mass; the search must still find the finite optimum near
-    # d = -1/2 rather than report the atom's inf
+    # the closed form read this 2e-8-wide cell's std() as 0, a point mass;
+    # its sums read the reference, and the search must find the finite
+    # optimum near d = -1/2 rather than report an atom's inf
     cell = TruncatedGaussian(2, 1, 2, 2.00000002)
-    assert cell.std() == 0.0
+    assert cell.std() == pytest.approx(5.7735026568079626e-9, rel=1e-14)
     res = eta_capacity(cell, eta)
     assert 28.0 < res.value_bits < 29.0
     assert res.optimal_d == pytest.approx(-0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("law", [Gaussian(1, 1e-15), Uniform(1, 1 + 2**-52),
+                                 Uniform(1, 1 + 1e-13)])
+def test_convex_search_resolves_a_law_narrower_than_its_stop(law):
+    # the eta = 2 peak at -1/E[B] is about sigma / |E[B]| wide; a stop fixed
+    # relative to the bracket left these laws 4 to 12 bits below it
+    res = eta_capacity(law, 2)
+    assert res.value_bits >= eta_objective(law, -1 / law.moments()[0], 2) - 1e-9
+
+
+def test_convex_search_of_a_narrow_cell():
+    # 60-digit mpmath value of the closed form; the search read 40.137 when
+    # the cell's std cancelled and its stop was fixed
+    res = eta_capacity(TruncatedGaussian(2, 1, 0.5, 0.500000000001), 2)
+    assert res.value_bits == pytest.approx(40.655650304259296, abs=1e-3)
 
 
 def test_second_moment_closed_form():

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -112,6 +113,95 @@ def test_output_file_and_rerun_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_ONE_OF_EACH = [
+    "capacity --dist erasure:1,0.5",
+    "curve --dist uniform:1,3 --etas 0.5,2",
+    "sweep --ratios 2,4 --families uniform,erasure",
+    "sideinfo --dist uniform:0,4 --si-bits 2",
+    "simulate --dist uniform:2,6 --a 2 --d -0.2 --noise-w 1 --noise-v 1 "
+    "--horizon 20 --paths 50 --etas 1,2",
+    "scan --dist erasure:1,0.5 --a-grid 1.3,1.5 --sense eta --horizon 8 --paths 100",
+    "converse --dist uniform:1,3 --a 9 --m-list 1e3,1e6 --horizon 20 --paths 50",
+    "carryfree --gain cf:1,0 --g-a 1 --horizon 20 --paths 5 --start-degree 4",
+]
+
+
+@pytest.mark.parametrize("command", _ONE_OF_EACH, ids=lambda c: c.split()[0])
+def test_csv_and_json_print_the_same_table(command, tmp_path, capsys):
+    outputs = {}
+    for fmt in ("csv", "json"):
+        argv = command.split() + ["--format", fmt]
+        assert main(argv) == 0
+        outputs[fmt] = capsys.readouterr().out
+        path = tmp_path / f"table.{fmt}"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == outputs[fmt]
+    text = outputs["json"]
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    header, *rows = [line.split(",") for line in outputs["csv"].splitlines()]
+    results = json.loads(text)["results"]
+    assert len(results) == len(rows) > 0
+    for row, result in zip(rows, results):
+        assert list(result) == header
+        assert row == [repr(v) if isinstance(v, float) else str(v)
+                       for v in result.values()]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_out_exits_2_with_one_line(fmt, tmp_path, capsys):
+    # the table is computed first, so a path that cannot be opened is
+    # reported in one line, like a bad flag
+    for out in (tmp_path / "missing" / "table.csv", tmp_path):
+        assert main(["capacity", "--dist", "uniform:1,3", "--format", fmt,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(fmt):
+    # `actcap simulate ... | head -1` on a table far longer than a pipe
+    # buffer: the writer meets a closed pipe and must exit 0 without a
+    # traceback
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "actcap.cli", "simulate", "--dist", "uniform:1,3",
+         "--a", "2", "--d", "-0.4", "--horizon", "200000", "--paths", "4",
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = cli.stdout.readline()
+    cli.stdout.close()
+    err = cli.stderr.read()
+    assert cli.wait() == 0
+    assert err == b""
+    assert first == (b"{\n" if fmt == "json" else
+                     b"step,mean_log2_ratio,log2_moment_eta_2,fraction_ge_1e+06\n")
+
+
+def test_csv_memory_does_not_grow_with_the_horizon(tmp_path):
+    out = tmp_path / "table.csv"
+
+    def traced_peak(horizon):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--dist", "uniform:2,6", "--a", "2",
+                         "--d", "-0.2", "--horizon", str(horizon), "--paths",
+                         "8", "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # each row is written as it is formatted: only the report's arrays,
+    # a few kB per 1,000 steps, grow with the horizon.  The first run pays
+    # the one-time costs (parser, imports), so it is not measured
+    traced_peak(2_000)
+    small = traced_peak(2_000)
+    assert traced_peak(20_000) - small < 2**20
 
 
 def test_reused_parser_prints_what_a_fresh_one_prints():
@@ -409,6 +499,7 @@ _SIM = ["simulate", "--dist", "uniform:1,3", "--d", "-0.4", "--horizon", "5",
     ["sideinfo", "--dist", "uniform:0,4", "--si-cells", "0,nan,4"],
     ["sweep", "--ratios", "1e200"],
     ["sweep", "--ratios", "nan"],
+    ["sweep", "--ratios", "1", "--families", ","],
 ])
 def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert main(args) == 2
@@ -430,6 +521,7 @@ def test_malformed_input_exits_2_with_one_line(args, capsys):
     (["sideinfo", "--dist", "uniform:0,4", "--si-cells", "0,nan,4"], "--si-cells"),
     (["sweep", "--ratios", "1e200"], "--ratios 1e+200"),
     (["sweep", "--ratios", "nan"], "--ratios"),
+    (["sweep", "--ratios", "1", "--families", ","], "--families needs"),
 ])
 def test_malformed_input_message_names_the_problem(args, message, capsys):
     assert main(args) == 2

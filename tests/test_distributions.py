@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from actcap import distributions
+from actcap.capacity import second_moment_closed_form
 from actcap.distributions import (
     DistSpecError,
     Empirical,
@@ -356,6 +357,35 @@ def test_truncated_gaussian_matches_truncnorm(a, b):
     assert mean == pytest.approx(want_mean, rel=1e-12)
     assert var == pytest.approx(want_var, rel=1e-9)
     assert second == pytest.approx(want_var + want_mean**2, rel=1e-12)
+
+
+# (cell, mass, mean, std, second_moment_closed_form bits): 60-digit mpmath
+# values of the closed forms at the float ends.  The closed forms cancel on
+# these narrow and tail cells; the narrow ones read a mean outside the cell
+# and a std of 0.0127 and 0.0, the tail ones a std 9e-8 and 3e-9 off
+_SUMMED_CELLS = [
+    ((2, 1, 0.5, 0.500000000001), 1.2951473051398673e-13, 0.50000000000049999,
+     2.8866874860427934e-13, 40.655650304259296),
+    ((2, 1, 2, 2.00000002), 7.9788455595374505e-9, 2.0000000099999999,
+     5.7735026568079626e-9, 28.367906025440889),
+    ((0, 1, 37, 38), 5.7255712225245765e-300, 37.02698768612699,
+     0.026968094090563075, 10.423108285850604),
+    ((0, 1, 20, 21), 2.7536241153269557e-89, 20.049753067339751,
+     0.049631244493875321, 8.6581245429729337),
+]
+
+
+@pytest.mark.parametrize("args, mass, mean, std, bits", _SUMMED_CELLS,
+                         ids=["narrow", "narrow-at-mu", "tail-37", "tail-20"])
+def test_narrow_and_tail_cells_read_their_own_moments(args, mass, mean, std,
+                                                      bits):
+    cell = TruncatedGaussian(*args)
+    assert cell.cell_probability == pytest.approx(mass, rel=1e-14)
+    assert cell.moments()[0] == pytest.approx(mean, rel=1e-15)
+    assert cell.lo <= cell.moments()[0] <= cell.hi
+    assert cell.std() == pytest.approx(std, rel=1e-14)
+    assert second_moment_closed_form(cell).value_bits == pytest.approx(
+        bits, rel=1e-14)
 
 
 def test_upper_tail_cell_mirrors_lower_tail_cell():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from actcap.capacity import eta_objective, shannon_capacity, shannon_objective
+from actcap.cli import main
 from actcap.distributions import (
     Empirical,
     FiniteMixture,
@@ -630,9 +631,11 @@ def test_scaling_equivalence_random_cases():
     assert worst <= 1e-9
 
 
-def test_report_serialization_round_trip():
-    rep = simulate(SystemSpec(2.0, Uniform(1, 3)), StrategySpec("linear", d=-0.4),
-                   horizon=5, paths=10, eta_list=(2.0,), seed=0)
-    rows = list(rep.csv_rows())
+def test_report_serialization_round_trip(capsys):
+    # the CLI lays out the report's table: one row per step from 0
+    code = main(["simulate", "--dist", "uniform:1,3", "--a", "2", "--d", "-0.4",
+                 "--horizon", "5", "--paths", "10", "--etas", "2", "--seed", "0"])
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 6
-    assert rows[0][0] == 0 and rows[0][1] == 0.0
+    assert rows[0][0] == "0" and float(rows[0][1]) == 0.0
