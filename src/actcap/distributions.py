@@ -354,16 +354,20 @@ class TruncatedGaussian(ActuationDistribution):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not self.lo < self.hi:
             raise ValueError(f"truncation window empty: [{self.lo}, {self.hi}]")
+        params = (self.mu, self.sigma, 1.0 / self.sigma)
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError(f"{type(self).__name__} parameters must be "
+                             f"finite, got {params}")
+        if self.mu + self.sigma == self.mu:
+            raise ValueError(f"sigma {self.sigma} is below the float "
+                             f"resolution of mu {self.mu}")
         # a mass below the least normal double (a cell past about 37.5
         # sigma) leaves too few digits for any expectation over the cell
         if not self.cell_probability >= _NORMAL_MIN:
             raise EmptyCell(
                 f"Gaussian({self.mu}, {self.sigma}) has no mass in [{self.lo}, {self.hi})"
             )
-        _require_finite(self, self.mu, self.sigma, 1.0 / self.sigma)
-        if self.mu + self.sigma == self.mu:
-            raise ValueError(f"sigma {self.sigma} is below the float "
-                             f"resolution of mu {self.mu}")
+        _require_finite(self)  # the moments, once the cell has mass
 
     def _lower_side(self):
         """(alpha, beta, sign): the standardised cell, mirrored through mu

@@ -77,6 +77,12 @@ class SystemSpec:
             raise ValueError("x0 must be nonzero")
         if self.process_noise_std < 0 or self.obs_noise_std < 0:
             raise ValueError("noise stds must be nonnegative")
+        # noisy states are doubles clamped to +-_CLAMP: a larger std would
+        # draw inf, and a larger |x0| would start past the clamp
+        if max(self.process_noise_std, self.obs_noise_std) > _CLAMP:
+            raise ValueError(f"noise stds must not exceed {_CLAMP:g}")
+        if not self.noise_free and abs(self.x0) > _CLAMP:
+            raise ValueError(f"with noise, |x0| must not exceed {_CLAMP:g}")
 
     @property
     def noise_free(self):
@@ -149,56 +155,97 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     log2_x0 = math.log2(abs(spec.x0))
     cutoffs = {m: math.log2(m) - log2_x0 for m in thresholds}
 
-    # each step sums a sub-block's paths pairwise, along the slab's
-    # contiguous axis, and sub-blocks fold in index order: the result is
-    # bitwise reproducible
     total_sum = np.zeros(horizon + 1)
     total_counts = {m: np.zeros(horizon + 1, dtype=np.int64) for m in thresholds}
     total_lse = {e: np.full(horizon + 1, -INF) for e in eta_list}
     overflow = 0
+    noisy = not spec.noise_free
+    log2_a = math.log2(abs(spec.a))
+    # one block's time-major tiles, allocated once per run and overwritten
+    # by each block: a whole number of sub-blocks (the last block may be
+    # narrower), wide only where no array outgrows one sub-block's at _TILE
     width = SUB_BLOCK * max(1, _WIDE_STEPS // max(horizon, 4))
-    block = _Block(spec, strategy, horizon, min(paths, width))
+    rows, tile_steps = min(paths, width), min(horizon, _TILE)
 
-    def fold(first, dl):
-        steps, bs = dl.shape
-        cols = slice(first, first + steps)
-        mask = block.mask[:steps, :bs]
-        for m in thresholds:
-            np.greater_equal(dl, cutoffs[m], out=mask)
-            total_counts[m][cols] += mask.sum(axis=1)
-        # whole sub-blocks, then a narrower remainder: (steps, sub-block, path)
-        full = bs - bs % SUB_BLOCK
-        for lo, hi in ((0, full), (full, bs)):
-            if hi == lo:
-                continue
-            run = min(hi - lo, SUB_BLOCK)
-            sub = dl[:, lo:hi].reshape(steps, -1, run)
-            z = block.work[:steps, lo:hi].reshape(steps, -1, run)
-            sums = sub.sum(axis=2)
-            for j in range(sums.shape[1]):
-                total_sum[cols] += sums[:, j]
-            for e in eta_list:
-                # log2 sum_paths 2^(e dl), in the block's work array
-                try:
-                    with np.errstate(over="raise"):
-                        np.multiply(e, sub, out=z)
-                except FloatingPointError:
-                    _raise_eta_overflow(sub, eta_list, first)
-                top = z.max(axis=2)
-                with np.errstate(invalid="ignore"):
-                    np.subtract(z, top[:, :, None], out=z)
-                    np.exp2(z, out=z)
-                    lses = top + np.log2(z.sum(axis=2))
-                lses = np.where(np.isfinite(top), lses, top)
-                lse = total_lse[e][cols]
-                for j in range(lses.shape[1]):
-                    np.logaddexp2(lse, lses[:, j], out=lse)
+    def tile(wanted, length=tile_steps, dtype=float):
+        return np.empty((length, rows), dtype=dtype) if wanted else None
+
+    b, d = tile(True), tile(strategy.kind == "random_linear")
+    v, w = tile(spec.obs_noise_std > 0), tile(spec.process_noise_std > 0)
+    # log2|X[n]/x0|, LSE terms and threshold flags; row 0 of dl and of x
+    # carries the step before the tile
+    dl, work = tile(True, tile_steps + 1), tile(True, tile_steps + 1)
+    mask = tile(True, tile_steps + 1, bool)
+    x, bd = tile(noisy, tile_steps + 1), tile(noisy)
 
     for lo in range(0, paths, width):
-        hi = min(lo + width, paths)
+        bs = min(width, paths - lo)
         rngs = [make_rng(seed, sub) for sub in
-                range(lo // SUB_BLOCK, -(-hi // SUB_BLOCK))]
-        overflow += block.evolve(rngs, hi - lo, fold)
+                range(lo // SUB_BLOCK, -(-(lo + bs) // SUB_BLOCK))]
+        dl[0, :bs] = 0.0
+        if noisy:
+            x[0, :bs] = spec.x0
+        overflowed = np.zeros(bs, dtype=bool)
+        for n0 in range(0, horizon, _TILE):
+            steps = min(_TILE, horizon - n0)
+            b_t = b[:steps, :bs]
+            d_t = strategy.d if d is None else d[:steps, :bs]
+            v_t, w_t = (None if t is None else t[:steps, :bs] for t in (v, w))
+            noise = [(t, std) for t, std in ((v_t, spec.obs_noise_std),
+                                            (w_t, spec.process_noise_std))
+                     if t is not None]
+            # sub-block by sub-block: gains, strategy gains, V, W
+            for rng, c0 in zip(rngs, range(0, bs, SUB_BLOCK)):
+                cols = slice(c0, min(c0 + SUB_BLOCK, bs))
+                shape = (steps, cols.stop - c0)
+                b_t[:, cols] = spec.dist.sample(rng, shape)
+                if d is not None:
+                    d_t[:, cols] = rng.uniform(strategy.d_low,
+                                               strategy.d_high, shape)
+                for t, _ in noise:
+                    t[:, cols] = rng.standard_normal(shape)
+            for t, std in noise:
+                # what rng.normal(0.0, std) makes of the same normals: 0.0 + std z
+                t *= std
+                t += 0.0
+            dl_t = dl[:steps + 1, :bs]
+            logs = dl_t[1:]
+            if noisy:
+                xs = x[:steps + 1, :bs]
+                with np.errstate(over="ignore", invalid="ignore",
+                                 divide="ignore"):
+                    bd_t = np.multiply(b_t, d_t, out=bd[:steps, :bs])
+                    _step_tile(spec.a, xs, bd_t, v_t, w_t)
+                    np.abs(xs[1:], out=logs)
+                    # a clamped |X| is exactly _CLAMP: the paths that reached it
+                    overflowed |= (logs >= _CLAMP).any(axis=0)
+                    np.log2(logs, out=logs)
+                np.subtract(logs, log2_x0, out=logs)
+                xs[0] = xs[steps]
+            else:
+                # log2|a (1 + d b)| below the carried log-state, then summed
+                with np.errstate(over="ignore", divide="ignore"):
+                    np.multiply(d_t, b_t, out=logs)
+                    np.add(1.0, logs, out=logs)
+                    np.abs(logs, out=logs)
+                    np.log2(logs, out=logs)
+                    np.add(log2_a, logs, out=logs)
+                    if not logs.max() < INF:
+                        # d b passed the float range: there, and only there,
+                        # log2|1 + d b| is log2|d| + log2|b + 1/d|
+                        big = logs == INF
+                        d_big = d_t if d is None else d_t[big]
+                        closed = (np.log2(np.abs(d_big))
+                                  + np.log2(np.abs(b_t[big] + 1.0 / d_big)))
+                        logs[big] = log2_a + closed
+                # row by row: numpy accumulates a column at a time
+                for k in range(steps):
+                    np.add(dl_t[k], logs[k], out=logs[k])
+            first = 1 if n0 else 0  # step 0 is folded with the first tile
+            _fold(dl_t[first:], n0 + first, work, mask, cutoffs, total_sum,
+                  total_counts, total_lse)
+            dl_t[0] = dl_t[steps]
+        overflow += int(overflowed.sum())
 
     # in place, fractions after the fit: the fit's temporaries are the peak
     mean_log = np.divide(total_sum, paths, out=total_sum)
@@ -221,112 +268,45 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     )
 
 
-class _Block:
-    """Work arrays for one block of paths, allocated once per run and
-    overwritten in place by each block.  A block is a whole number of
-    ``SUB_BLOCK``-path sub-blocks (the run's last block may be narrower),
-    wide only at horizons short enough that every array stays within one
-    sub-block's at ``_TILE`` steps.  Every array, the draws included, holds
-    one time-major tile of at most ``_TILE`` steps, on either route.
-    """
-
-    def __init__(self, spec, strategy, horizon, rows):
-        steps = min(horizon, _TILE)
-
-        def tile(wanted, length=steps, dtype=float):
-            return np.empty((length, rows), dtype=dtype) if wanted else None
-
-        self.spec, self.strategy, self.horizon = spec, strategy, horizon
-        self.b = tile(True)
-        self.d = tile(strategy.kind == "random_linear")
-        self.v = tile(spec.obs_noise_std > 0)
-        self.w = tile(spec.process_noise_std > 0)
-        # log2|X[n]/x0|, time-major: row 0 carries the step before the tile
-        self.dl = tile(True, steps + 1)
-        self.work = tile(True, steps + 1)  # LSE terms
-        self.mask = tile(True, steps + 1, bool)
-        noisy = not spec.noise_free
-        # row 0 of x carries the state into the tile
-        self.x, self.bd = tile(noisy, steps + 1), tile(noisy)
-
-    def draw(self, rngs, steps, bs):
-        """Draw the next ``steps`` steps of the first ``bs`` paths, sub-block
-        by sub-block from the generators ``rngs``, each in a fixed order:
-        gains, strategy gains, V, W."""
-        spec, strategy = self.spec, self.strategy
-        noise = [(tile[:steps, :bs], std) for tile, std in
-                 ((self.v, spec.obs_noise_std), (self.w, spec.process_noise_std))
-                 if tile is not None]
-        for rng, lo in zip(rngs, range(0, bs, SUB_BLOCK)):
-            cols = slice(lo, min(lo + SUB_BLOCK, bs))
-            shape = (steps, cols.stop - lo)
-            self.b[:steps, cols] = spec.dist.sample(rng, shape)
-            if self.d is not None:
-                self.d[:steps, cols] = rng.uniform(strategy.d_low,
-                                                   strategy.d_high, shape)
-            for tile, _ in noise:
-                tile[:, cols] = rng.standard_normal(shape)
-        for tile, std in noise:
-            # what rng.normal(0.0, std) makes of the same normals: 0.0 + std z
-            tile *= std
-            tile += 0.0
-
-    def evolve(self, rngs, bs, fold):
-        """Draw and evolve the first ``bs`` paths tile by tile, sub-block s
-        of them from ``rngs[s]``, and call ``fold(first step, slab)`` on
-        time-major (steps, paths) slabs of log2|X[n]/x0|, one per tile, that
-        cover steps 0 to horizon in order.  Return the number of those paths
-        that hit the clamp."""
-        spec = self.spec
-        self.dl[0, :bs] = 0.0
-        if not spec.noise_free:
-            self.x[0, :bs] = spec.x0
-        overflowed = np.zeros(bs, dtype=bool)
-        for n0 in range(0, self.horizon, _TILE):
-            steps = min(_TILE, self.horizon - n0)
-            self.draw(rngs, steps, bs)
-            b_t = self.b[:steps, :bs]
-            d_t = self.strategy.d if self.d is None else self.d[:steps, :bs]
-            dl = self.dl[:steps + 1, :bs]
-            logs = dl[1:]
-            if spec.noise_free:
-                # log2|a (1 + d b)| below the carried log-state, then summed
-                log2_a = math.log2(abs(spec.a))
-                with np.errstate(over="ignore", divide="ignore"):
-                    np.multiply(d_t, b_t, out=logs)
-                    np.add(1.0, logs, out=logs)
-                    np.abs(logs, out=logs)
-                    np.log2(logs, out=logs)
-                    np.add(log2_a, logs, out=logs)
-                    if not logs.max() < INF:
-                        # d b passed the float range: there, and only there,
-                        # log2|1 + d b| is log2|d| + log2|b + 1/d|
-                        big = logs == INF
-                        d_big = d_t if self.d is None else d_t[big]
-                        closed = (np.log2(np.abs(d_big))
-                                  + np.log2(np.abs(b_t[big] + 1.0 / d_big)))
-                        logs[big] = log2_a + closed
-                # row by row: numpy accumulates a column at a time
-                for k in range(steps):
-                    np.add(dl[k], logs[k], out=logs[k])
-            else:
-                bd, xs = self.bd[:steps, :bs], self.x[:steps + 1, :bs]
-                np.multiply(b_t, d_t, out=bd)
-                v, w = (None if tile is None else tile[:steps, :bs]
-                        for tile in (self.v, self.w))
-                with np.errstate(over="ignore", invalid="ignore",
-                                 divide="ignore"):
-                    _step_tile(spec.a, xs, bd, v, w)
-                    np.abs(xs[1:], out=logs)
-                    # a clamped |X| is exactly _CLAMP: the paths that reached it
-                    overflowed |= (logs >= _CLAMP).any(axis=0)
-                    np.log2(logs, out=logs)
-                np.subtract(logs, math.log2(abs(spec.x0)), out=logs)
-                xs[0] = xs[steps]
-            first = 1 if n0 else 0  # step 0 is folded with the first tile
-            fold(n0 + first, dl[first:])
-            dl[0] = dl[steps]
-        return int(overflowed.sum())
+def _fold(dl, first, work, mask, cutoffs, total_sum, total_counts, total_lse):
+    """Add the time-major (steps, paths) slab ``dl`` of log2|X[n]/x0|, steps
+    ``first`` on, into the per-step sums, threshold counts and log-sum-exp,
+    with ``work`` and ``mask`` as scratch.  Each step sums a sub-block's
+    paths pairwise, along the slab's contiguous axis, and sub-blocks fold in
+    index order: the result is bitwise reproducible."""
+    steps, bs = dl.shape
+    cols = slice(first, first + steps)
+    mask = mask[:steps, :bs]
+    for m, cutoff in cutoffs.items():
+        np.greater_equal(dl, cutoff, out=mask)
+        total_counts[m][cols] += mask.sum(axis=1)
+    # whole sub-blocks, then a narrower remainder: (steps, sub-block, path)
+    full = bs - bs % SUB_BLOCK
+    for lo, hi in ((0, full), (full, bs)):
+        if hi == lo:
+            continue
+        run = min(hi - lo, SUB_BLOCK)
+        sub = dl[:, lo:hi].reshape(steps, -1, run)
+        z = work[:steps, lo:hi].reshape(steps, -1, run)
+        sums = sub.sum(axis=2)
+        for j in range(sums.shape[1]):
+            total_sum[cols] += sums[:, j]
+        for e, total in total_lse.items():
+            # log2 sum_paths 2^(e dl), in the work array
+            try:
+                with np.errstate(over="raise"):
+                    np.multiply(e, sub, out=z)
+            except FloatingPointError:
+                _raise_eta_overflow(sub, tuple(total_lse), first)
+            top = z.max(axis=2)
+            with np.errstate(invalid="ignore"):
+                np.subtract(z, top[:, :, None], out=z)
+                np.exp2(z, out=z)
+                lses = top + np.log2(z.sum(axis=2))
+            lses = np.where(np.isfinite(top), lses, top)
+            lse = total[cols]
+            for j in range(lses.shape[1]):
+                np.logaddexp2(lse, lses[:, j], out=lse)
 
 
 def _raise_eta_overflow(sub, eta_list, first):

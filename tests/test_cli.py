@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -500,6 +501,13 @@ _SIM = ["simulate", "--dist", "uniform:1,3", "--d", "-0.4", "--horizon", "5",
     ["sweep", "--ratios", "1e200"],
     ["sweep", "--ratios", "nan"],
     ["sweep", "--ratios", "1", "--families", ","],
+    _SIM + ["--a", "2", "--noise-v", "1e308"],
+    _SIM + ["--a", "2", "--noise-w", "2e300"],
+    _SIM + ["--a", "2", "--x0", "1e308", "--noise-w", "1"],
+    ["capacity", "--dist", "gaussian:1e18,1"],
+    ["capacity", "--dist", "gaussian:inf,1"],
+    ["capacity", "--dist", "gaussian:nan,1"],
+    ["sweep", "--ratios", "1e18", "--families", "gaussian"],
 ])
 def test_malformed_input_exits_2_with_one_line(args, capsys):
     assert main(args) == 2
@@ -522,6 +530,14 @@ def test_malformed_input_exits_2_with_one_line(args, capsys):
     (["sweep", "--ratios", "1e200"], "--ratios 1e+200"),
     (["sweep", "--ratios", "nan"], "--ratios"),
     (["sweep", "--ratios", "1", "--families", ","], "--families needs"),
+    (_SIM + ["--a", "2", "--noise-v", "1e308"], "noise stds must not exceed"),
+    (_SIM + ["--a", "2", "--x0", "1e308", "--noise-w", "1"],
+     "|x0| must not exceed"),
+    (["capacity", "--dist", "gaussian:1e18,1"], "below the float resolution"),
+    (["sweep", "--ratios", "1e18", "--families", "gaussian"],
+     "below the float resolution"),
+    (["capacity", "--dist", "gaussian:inf,1"], "parameters must be finite"),
+    (["capacity", "--dist", "gaussian:nan,1"], "parameters must be finite"),
 ])
 def test_malformed_input_message_names_the_problem(args, message, capsys):
     assert main(args) == 2
@@ -561,6 +577,52 @@ def test_seed_outside_the_key_range(seed, capsys):
         assert main(args) == 0
         assert capsys.readouterr().out == ignored
 
+
+
+# Monte Carlo commands at extreme sizes, over two tiles and two blocks
+_MC = ["--horizon", "66", "--paths", "513"]
+_EXTREME_RUNS = [
+    ["simulate", "--dist", law, "--a", "2", "--d", "-0.5", *_MC, *size, *noise]
+    for law in ("uniform:1,3", "erasure:1,0.5")
+    for size in ([], ["--d", "1e308"], ["--d=-1e308"], ["--d", "-1"],
+                 ["--a", "1e308"], ["--x0", "1e300"], ["--x0=-1e300"])
+    for noise in ([], ["--noise-w", "1", "--noise-v", "1"],
+                  ["--noise-w", "1e300"], ["--noise-v", "1e300"],
+                  ["--noise-w", "1e308"], ["--noise-v", "1e308"])
+] + [
+    ["scan", "--dist", law, "--a-grid", grid, *_MC, *sense]
+    for law in ("uniform:1,3", "erasure:1,0.5")
+    for grid in ("2", "1e308") for sense in ([], ["--eta", "2"])
+] + [
+    ["converse", "--dist", law, "--a", a, *_MC]
+    for law in ("uniform:1,3", "erasure:1,0.5") for a in ("9", "1e308")
+]
+
+
+@pytest.mark.parametrize("args", _EXTREME_RUNS, ids=" ".join)
+def test_monte_carlo_at_extreme_sizes_keeps_the_exit_contract(args):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(args)
+    assert [str(w.message) for w in caught] == []
+    if code != 0:
+        assert code in (2, 3) and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        return
+    assert err.getvalue() == ""
+    header, *rows = [line.split(",") for line in out.getvalue().splitlines()]
+    for j, name in enumerate(header):
+        column = [row[j] for row in rows]
+        assert "nan" not in column and "inf" not in column, name
+        if "-inf" in column:
+            # only a state that collapsed to exactly 0 reads -inf, and it
+            # stays there; a scan reads such a statistic's slope as -inf
+            assert name.startswith(("mean_log2", "log2_moment", "slope")), name
+            if header[0] == "step":
+                first = column.index("-inf")
+                assert set(column[first:]) == {"-inf"}, name
 
 _EXPONENTS = st.integers(-300, 300)
 _SHAPES = st.integers(-8000, 8000).map(lambda x: x / 1000)

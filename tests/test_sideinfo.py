@@ -271,3 +271,8 @@ def test_high_snr_per_bit_gain_approaches_one():
 def test_model_from_boundaries_rejects_empty():
     with pytest.raises(EmptyCell):
         model_from_boundaries(Uniform(0, 1), [5, 6, 7])
+
+
+def test_si_value_curve_rejects_an_unknown_sense():
+    with pytest.raises(ValueError, match="unknown sense 'zero_error'"):
+        si_value_curve(Uniform(1, 3), 0, sense="zero_error")

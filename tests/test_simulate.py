@@ -242,6 +242,55 @@ def test_clamped_paths_match_oracle():
     assert_matches_reference(rep, reference_simulate(*args, seed=2))
 
 
+
+@pytest.mark.parametrize("kwargs", [
+    dict(obs_noise_std=1e308),
+    dict(process_noise_std=2e300),
+    dict(x0=1.7976931348623157e308, obs_noise_std=1e300),
+    dict(x0=-2e300, process_noise_std=1.0),
+])
+def test_noise_past_the_clamp_is_rejected(kwargs):
+    # std z would overflow to inf, or the state would start past the clamp;
+    # either made NaN statistics with 0 inf
+    with pytest.raises(ValueError, match="must not exceed 1e\\+300"):
+        SystemSpec(2.0, ScaledBernoulli(1, 0.5), **kwargs)
+
+
+def test_noise_and_x0_at_the_clamp_read_finite_statistics():
+    spec = SystemSpec(2.0, ScaledBernoulli(1, 0.5), x0=-1e300,
+                      process_noise_std=1e300, obs_noise_std=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = simulate(spec, StrategySpec("linear", d=-0.5), 3, 600, seed=1)
+    assert np.isfinite(rep.mean_log2_ratio).all()
+    assert np.isfinite(rep.log2_moments[2.0]).all()
+    # a noise-free run steps log2|X|, so its x0 may exceed the clamp
+    assert SystemSpec(2.0, Uniform(1, 3), x0=1.7976931348623157e308).x0 > 1e300
+
+
+def test_noisy_gain_product_past_the_float_range_reads_the_clamp():
+    spec = SystemSpec(2.0, Uniform(1, 3), process_noise_std=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = simulate(spec, StrategySpec("linear", d=1e308), 3, 2)
+    assert rep.overflow_paths == 2
+    assert np.isfinite(rep.mean_log2_ratio).all()
+    assert np.isfinite(rep.log2_moments[2.0]).all()
+
+
+def test_a_repeated_eta_or_threshold_reads_what_one_reads():
+    spec = SystemSpec(2.0, ScaledBernoulli(1, 0.5))
+    strategy = StrategySpec("linear", d=-0.5)
+    once = simulate(spec, strategy, 5, 10, eta_list=(2.0, 1.0),
+                    threshold=(1.5,))
+    twice = simulate(spec, strategy, 5, 10, eta_list=(2.0, 1.0, 2.0),
+                     threshold=(1.5, 1.5))
+    assert twice.eta_list == (2.0, 1.0, 2.0)
+    for eta in (1.0, 2.0):
+        assert np.array_equal(twice.log2_moments[eta], once.log2_moments[eta])
+    assert np.array_equal(twice.fractions[1.5], once.fractions[1.5])
+    assert once.log2_moments[2.0][0] == 0.0 and once.fractions[1.5].max() > 0
+
 _TILE_CASES = {
     "noise_free_uniform": (SystemSpec(1.5, Uniform(1, 3), x0=2.0),
                            StrategySpec("linear", d=-0.4)),
@@ -548,6 +597,23 @@ def test_threshold_scan_erasure_second_moment():
     assert points[1].slope_bits == pytest.approx(math.log2(1.45**2 * 0.5) / 2,
                                                  abs=0.04)
 
+
+
+@pytest.mark.parametrize("sense", ["shannon", "eta"])
+def test_threshold_scan_reads_marginal_where_the_slope_is_zero(sense):
+    # the slope at a is the unit slope plus log2 a, so a0 2^-slope(a0)
+    # puts it within rounding of 0
+    kwargs = dict(eta=2.0, horizon=50, paths=200, seed=3)
+    (at_two,), _ = threshold_scan(Uniform(1, 3), sense, [2.0], **kwargs)
+    a = 2.0 * 2.0 ** -at_two.slope_bits
+    (point,), _ = threshold_scan(Uniform(1, 3), sense, [a], **kwargs)
+    assert point.verdict == "marginal"
+    assert abs(point.slope_bits) < 1e-12
+
+
+def test_threshold_scan_rejects_an_unknown_sense():
+    with pytest.raises(ValueError, match="unknown sense 'zero_error'"):
+        threshold_scan(Uniform(1, 3), "zero_error", [2.0])
 
 def test_strong_converse_all_strategies_blow_up():
     dist = Uniform(1, 3)
