@@ -250,8 +250,8 @@ def test_clamped_paths_match_oracle():
     dict(x0=-2e300, process_noise_std=1.0),
 ])
 def test_noise_past_the_clamp_is_rejected(kwargs):
-    # std z would overflow to inf, or the state would start past the clamp;
-    # either made NaN statistics with 0 inf
+    # std z would overflow to inf, or x + v would: 0 * inf then made NaN
+    # statistics
     with pytest.raises(ValueError, match="must not exceed 1e\\+300"):
         SystemSpec(2.0, ScaledBernoulli(1, 0.5), **kwargs)
 
