@@ -7,17 +7,16 @@ of many bits/step never overflows; where |d B| passes the float range a
 step reads log2|a| + log2|d| + log2|B + 1/d|.  Additive-noise runs step raw
 doubles, clamping every state to +-1e300.
 
-Sub-block s of ``SUB_BLOCK`` paths reads the counter-based stream of
-``make_rng(seed, s)``, Philox keyed by (seed, s).  Just before a tile is
-evolved, each sub-block draws it, time-major: the gains as one (steps,
-paths) array, then a random_linear strategy's gains, then V, then W.  So no
-array spans the horizon, and memory does not grow with it.  A block holds
-whole sub-blocks: one at long horizons, more at short ones, so that draws
-and evolution run over many paths per numpy call while no block array
-outgrows that of one sub-block at ``_TILE`` steps.  Each step sums a
-sub-block's paths pairwise (numpy's summation along a contiguous axis), and
-sub-blocks are folded in path order, so reports are bitwise reproducible
-whatever the block width.
+Sub-block s of ``SUB_BLOCK`` paths reads the stream of ``make_rng(seed,
+s)``.  Just before a tile is evolved, each sub-block draws it, time-major:
+the gains as one (steps, paths) array, then a random_linear strategy's
+gains, then V, then W.  So no array spans the horizon, and memory does not
+grow with it.  A block holds ``_BLOCK`` paths, 8 sub-blocks (the last block
+may be narrower), at every horizon, so draws and evolution run over many
+paths per numpy call while a block's tile arrays stay near those of one
+sub-block at 64 steps.  Each step sums a sub-block's paths pairwise
+(numpy's summation along a contiguous axis), and sub-blocks are folded in
+path order, so reports are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -46,15 +45,12 @@ __all__ = [
 
 INF = float("inf")
 _LN2 = math.log(2.0)
-# A block takes max(1, _WIDE_STEPS // max(horizon, 4)) sub-blocks of
-# SUB_BLOCK paths: at most 8, and one from 32 steps up, so no block array
-# holds more than one sub-block's at _TILE steps
-_WIDE_STEPS = 32
+# Paths per block, 8 sub-blocks: one numpy call per step spans them all
+_BLOCK = 8 * SUB_BLOCK
 _CLAMP = 1e300
-# Steps per tile, part of the stream layout.  Both routes take about the
-# same time from 32 to 256 steps, while a block's tile arrays grow with the
-# width (table in CHANGES.md)
-_TILE = 64
+# Steps per tile, part of the stream layout: (_TILE + 1) x _BLOCK tile
+# arrays are about the size of one sub-block's at 64 steps
+_TILE = 8
 _DEAD_BAND = 0.02  # bits/step; Monte Carlo slope noise stays below this
                    # at the default 1e4 paths x 2000 steps
 
@@ -162,10 +158,8 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     noisy = not spec.noise_free
     log2_a = math.log2(abs(spec.a))
     # one block's time-major tiles, allocated once per run and overwritten
-    # by each block: a whole number of sub-blocks (the last block may be
-    # narrower), wide only where no array outgrows one sub-block's at _TILE
-    width = SUB_BLOCK * max(1, _WIDE_STEPS // max(horizon, 4))
-    rows, tile_steps = min(paths, width), min(horizon, _TILE)
+    # by each block (the last block may be narrower)
+    rows, tile_steps = min(paths, _BLOCK), min(horizon, _TILE)
 
     def tile(wanted, length=tile_steps, dtype=float):
         return np.empty((length, rows), dtype=dtype) if wanted else None
@@ -178,8 +172,8 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
     mask = tile(True, tile_steps + 1, bool)
     x, bd = tile(noisy, tile_steps + 1), tile(noisy)
 
-    for lo in range(0, paths, width):
-        bs = min(width, paths - lo)
+    for lo in range(0, paths, _BLOCK):
+        bs = min(_BLOCK, paths - lo)
         rngs = [make_rng(seed, sub) for sub in
                 range(lo // SUB_BLOCK, -(-(lo + bs) // SUB_BLOCK))]
         dl[0, :bs] = 0.0
@@ -287,7 +281,7 @@ def _fold(dl, first, work, mask, cutoffs, total_sum, total_counts, total_lse):
             continue
         run = min(hi - lo, SUB_BLOCK)
         sub = dl[:, lo:hi].reshape(steps, -1, run)
-        z = work[:steps, lo:hi].reshape(steps, -1, run)
+        z = work.reshape(-1)[:sub.size].reshape(sub.shape)  # contiguous
         sums = sub.sum(axis=2)
         for j in range(sums.shape[1]):
             total_sum[cols] += sums[:, j]

@@ -21,7 +21,6 @@ from actcap.distributions import (
 )
 from actcap.simulate import (
     _TILE,
-    _WIDE_STEPS,
     ScanPoint,
     StrategySpec,
     SystemSpec,
@@ -221,10 +220,9 @@ _STRATEGIES = [
 @pytest.mark.parametrize("law", _LAWS, ids=lambda law: type(law).__name__)
 def test_simulate_equals_per_path_make_rng_oracle(law, paths):
     for strategy in _STRATEGIES:
-        # a wide block; then one tile and two, or for random_linear the
-        # first horizons with one sub-block per block
-        edge = _WIDE_STEPS if strategy.kind == "random_linear" else _TILE
-        for horizon, noise in ((12, 0.0), (12, 0.5), (edge, 0.0), (edge + 1, 0.0)):
+        # two tiles, with and without noise; then one tile, and one step more
+        for horizon, noise in ((12, 0.0), (12, 0.5), (_TILE, 0.0),
+                               (_TILE + 1, 0.0)):
             spec = SystemSpec(1.5, law, x0=2.0, process_noise_std=noise,
                               obs_noise_std=noise)
             args = (spec, strategy, horizon, paths)
@@ -362,25 +360,26 @@ def test_memory_beyond_the_draws_does_not_grow_with_the_horizon(noise):
     assert traced_peak(3000) - traced_peak(1000) <= 2**20
 
 
-# horizons at the wide-block and tile edges; path counts at the
-# sub-block edges and at the widths of wide blocks (2, 4 and 8 sub-blocks)
-_EDGE_HORIZONS = [1, 4, 8, 16, _WIDE_STEPS - 1, _WIDE_STEPS, _WIDE_STEPS + 1,
-                  _TILE, _TILE + 1]
+# horizons at the tile edges; path counts at the sub-block edges and at the
+# edge of a block of 8 sub-blocks (4,096 paths)
+_EDGE_HORIZONS = [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 4 * _TILE,
+                  64, 65]
 _EDGE_PATHS = [1, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4095,
                4096, 4097, 4200]
 
 
 @st.composite
 def _mc_runs(draw):
-    # blocks are wide only below _WIDE_STEPS steps: short runs draw up to
-    # 4,200 paths, longer ones (slower to check) up to 1,100
+    # every block is 4,096 paths wide: runs of up to 4 tiles draw up to
+    # 4,200 paths, past the block edge, longer ones (slower to check) up to
+    # 1,100
     if draw(st.booleans()):
-        edges = [h for h in _EDGE_HORIZONS if h < _WIDE_STEPS]
-        horizon = draw(st.sampled_from(edges) | st.integers(1, _WIDE_STEPS - 1))
+        edges = [h for h in _EDGE_HORIZONS if h <= 4 * _TILE]
+        horizon = draw(st.sampled_from(edges) | st.integers(1, 4 * _TILE))
         most = 4200
     else:
-        edges = [h for h in _EDGE_HORIZONS if h >= _WIDE_STEPS]
-        horizon = draw(st.sampled_from(edges) | st.integers(_WIDE_STEPS, 300))
+        edges = [h for h in _EDGE_HORIZONS if h >= 4 * _TILE]
+        horizon = draw(st.sampled_from(edges) | st.integers(4 * _TILE, 300))
         most = 1100
     paths = draw(st.sampled_from([p for p in _EDGE_PATHS if p <= most])
                  | st.integers(1, most))
@@ -409,13 +408,13 @@ def test_simulate_equals_oracle_on_random_runs(run):
 
 
 # noise-free uniform draws, noisy runs and Gaussian draws; the last two are
-# slower under tracemalloc and run 4,200 paths, past the widest block of 8
+# slower under tracemalloc and run 4,200 paths, past one block of 8
 # sub-blocks
 @pytest.mark.parametrize("law,noise,paths", [(Uniform(1, 3), 0.0, 20_000),
                                              (Uniform(1, 3), 1.0, 4_200),
                                              (Gaussian(4, 1), 0.0, 4_200)],
                          ids=["kernel", "noisy", "generator"])
-def test_wide_blocks_stay_within_one_sub_block_at_a_tile(law, noise, paths):
+def test_blocks_stay_within_one_full_block(law, noise, paths):
     spec = SystemSpec(1.5, law, process_noise_std=noise, obs_noise_std=noise)
 
     def traced_peak(horizon, paths):
@@ -427,10 +426,11 @@ def test_wide_blocks_stay_within_one_sub_block_at_a_tile(law, noise, paths):
         finally:
             tracemalloc.stop()
 
-    # short runs take many sub-blocks per block, but no more memory than
-    # one sub-block takes at a full tile
-    ceiling = traced_peak(_TILE, 512)
-    for horizon in (1, 4, 8, 16):
+    # every block is 4,096 paths at a tile of _TILE steps, whatever the
+    # horizon, so no run takes more memory than one full block over a few
+    # tiles: past a tile only the O(horizon) report grows
+    ceiling = traced_peak(4 * _TILE, 4096)
+    for horizon in (1, 4, _TILE, 2 * _TILE + 1):
         assert traced_peak(horizon, paths) <= ceiling
 
 
