@@ -30,7 +30,8 @@ from .simulate import (
 from .distributions import Gaussian, ScaledBernoulli, Uniform, parse_spec
 
 _SQRT3 = math.sqrt(3.0)
-# commands that draw random streams; --seed is a word of their Philox keys
+# commands that draw random streams; --seed is the first of the two 64-bit
+# words that seed each stream (distributions.make_rng)
 _DRAWING = ("simulate", "scan", "converse", "carryfree")
 
 

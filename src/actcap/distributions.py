@@ -77,19 +77,23 @@ SUB_BLOCK = 512
 
 
 def make_rng(seed, stream=0):
-    """Counter-based generator of stream ``stream`` under ``seed``.
+    """Generator of stream ``stream`` under ``seed``.
 
-    Philox keyed by the pair (seed, stream) itself, one uint64 word each,
-    with the counter at 0.  Distinct keys give independent streams (Salmon
-    et al., SC'11), and a key gives the same draws on every run, which is
-    what makes all Monte Carlo in this package reproducible: sub-block s of
-    ``SUB_BLOCK`` paths reads stream s.  Both words must lie in [0, 2^64).
+    SFC64 seeded by numpy's ``SeedSequence`` from four fixed-width uint32
+    words: the low and high halves of ``seed``, then of ``stream``.  Fixed
+    widths keep distinct pairs distinct (a sequence of variable-length
+    words would read (2^32, 5) and (0, 5 2^32 + 1) alike), hashing them
+    gives independent streams, and a pair gives the same draws on every
+    run, which is what makes all Monte Carlo in this package reproducible:
+    sub-block s of ``SUB_BLOCK`` paths reads stream s.  Both must lie in
+    [0, 2^64).
     """
-    words = (int(seed), int(stream))
-    if not all(0 <= w < 2**64 for w in words):
-        raise ValueError(f"seed and stream must lie in [0, 2^64), got {words}")
-    key = np.array(words, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    pair = (int(seed), int(stream))
+    if not all(0 <= w < 2**64 for w in pair):
+        raise ValueError(f"seed and stream must lie in [0, 2^64), got {pair}")
+    words = [half for w in pair for half in (w & 0xFFFFFFFF, w >> 32)]
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 @dataclass(frozen=True)

@@ -932,10 +932,13 @@ def test_each_cell_scans_its_grid_in_one_objective_call(monkeypatch):
 
 
 def _two_cluster_law():
-    # 990 atoms near 1 and 10 near 100: at eta = 1 the optimum is near the
-    # kink -1/1, past four times the eta = 2 optimum, so the bracket doubles
-    return Empirical(tuple(Uniform(0.9, 1.1).sample(make_rng(0), 990))
-                     + tuple(Uniform(90.0, 110.0).sample(make_rng(1), 10)))
+    # mass 199/200 at 1 and 1/200 at 100: E[B] = 1.495 and E[B^2] = 50.995,
+    # so the eta = 2 optimum d_2 is -0.0293 and the far ends run 4 d_2 times
+    # 1, 2, 4, 8, 16.  At eta = 1, E|1 + B d| falls from d = 0 to the kink
+    # -1/1 (its slope 1 - p - 100 p is positive at p = 1/200) and rises past
+    # it, so each far end beats every gain inside it until the fifth round,
+    # the first whose bracket (|4 d_2 16| = 1.88) holds the kink
+    return Empirical((1.0,) * 199 + (100.0,))
 
 
 @pytest.mark.parametrize("law, eta, rounds", [

@@ -562,7 +562,7 @@ _IGNORING = [
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_the_key_range(seed, capsys):
-    # a seed is one uint64 word of each path's Philox key
+    # a seed is the first of the two 64-bit words that seed each stream
     for args in _DRAWING:
         assert main(args + ["--seed", seed]) == 2, args
         captured = capsys.readouterr()

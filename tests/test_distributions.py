@@ -27,21 +27,39 @@ EULER_GAMMA = 0.5772156649015329
 
 # --- random streams --------------------------------------------------------
 
-# one uint64 key word each, with the 32-bit and 64-bit edges
+# seeds and streams at the 32-bit and 64-bit edges
 _WORDS = st.one_of(st.sampled_from([0, 1, 511, 512, 2**32 - 1, 2**32,
                                     2**32 + 1, 2**64 - 1]),
                    st.integers(0, 2**64 - 1))
 
 
-def _key(rng):
-    return [int(w) for w in rng.bit_generator.state["state"]["key"]]
+def _raw(rng, n=4):
+    return rng.bit_generator.random_raw(n).tolist()
+
+
+def _sfc64(seed, stream):
+    """SFC64 from the uint32 words (seed low, seed high, stream low, stream
+    high), formed by division rather than by the shifts of make_rng."""
+    words = [*divmod(seed, 2**32)[::-1], *divmod(stream, 2**32)[::-1]]
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 @settings(max_examples=200)
 @given(_WORDS, _WORDS)
-def test_path_key_is_the_seed_path_pair(seed, stream):
-    assert _key(make_rng(seed, stream)) == [seed, stream]
-    assert _key(make_rng(seed)) == [seed, 0]
+def test_stream_is_sfc64_of_four_fixed_width_words(seed, stream):
+    assert _raw(make_rng(seed, stream)) == _raw(_sfc64(seed, stream))
+    assert _raw(make_rng(seed)) == _raw(_sfc64(seed, 0))
+
+
+def test_pairs_with_the_same_variable_length_words_draw_apart():
+    # a SeedSequence of the pair itself reads both as the words [0, 1, 5]
+    a, b = (2**32, 5), (0, 5 * 2**32 + 1)
+    assert np.array_equal(np.random.SeedSequence(a).generate_state(4),
+                          np.random.SeedSequence(b).generate_state(4))
+    assert _raw(make_rng(*a)) != _raw(make_rng(*b))
+    assert _raw(make_rng(*a)) == _raw(make_rng(*a))
+    assert _raw(make_rng(*b)) == _raw(make_rng(*b))
 
 
 def test_negative_seed_rejected_like_make_rng():
