@@ -114,7 +114,7 @@ class SupportInfo:
         for loc, _ in atoms:
             if not lower <= loc <= upper:
                 raise ValueError(f"atom at {loc} outside [{lower}, {upper}]")
-        mass = sum(m for _, m in atoms)
+        mass = math.fsum(m for _, m in atoms)
         if mass > 1.0 + _ATOM_MASS_TOL:
             raise ValueError(f"atom masses sum to {mass} > 1")
         return SupportInfo(

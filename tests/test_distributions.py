@@ -111,6 +111,16 @@ def test_erasure_support_atoms():
     assert info.has_nonzero_atom
 
 
+def test_many_distinct_samples_keep_their_atoms():
+    # 200,000 masses of 1/200,000 added one by one read 1.0000000000023175,
+    # past the 1e-12 tolerance; summed exactly they read 1
+    n = 200_000
+    info = Empirical(tuple(1.0 + np.arange(n) / n)).support()
+    assert len(info.atoms) == n
+    assert math.fsum(m for _, m in info.atoms) == 1.0
+    assert (info.lower, info.upper) == (1.0, 1.0 + (n - 1) / n)
+
+
 def test_gaussian_support_unbounded():
     info = Gaussian(4, 1).support()
     assert info.lower == -math.inf and info.upper == math.inf
