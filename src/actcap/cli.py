@@ -37,7 +37,8 @@ _DRAWING = ("simulate", "scan", "converse", "carryfree")
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else argv))
     if args.command in _DRAWING and not 0 <= args.seed < 2**64:
         print(f"error: --seed must lie in [0, 2^64), got {args.seed}",
               file=sys.stderr)
@@ -322,6 +323,32 @@ def _build_parser():
     p.add_argument("--paths", type=int, default=100)
     p.add_argument("--start-degree", type=int, default=16)
     return parser
+
+
+def _join_negative_values(argv):
+    """``argv`` with each long option joined to a following value that
+    starts with "-" and reads as numbers, ``--d -1e3`` as ``--d=-1e3``:
+    argparse takes such a value for an option unless it is a plain
+    negative decimal, and ends with a usage block."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2
+                and "=" not in out[-1] and arg.startswith("-")
+                and _numbers(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _numbers(text):
+    """Whether every comma-separated part of ``text`` reads as a float."""
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
 
 
 def _float_list(text, flag, lo=None, hi=math.inf):

@@ -544,6 +544,37 @@ def test_malformed_input_message_names_the_problem(args, message, capsys):
     assert message in capsys.readouterr().err
 
 
+# values that start with "-" but are no plain negative decimal, which
+# argparse took for options, and each read as if written --flag=value
+@pytest.mark.parametrize("args", [
+    _SIM + ["--a", "2", "--d", "-1e3"],
+    _SIM + ["--a", "2", "--x0", "-1e300"],
+    ["converse", "--dist", "uniform:1,3", "--horizon", "5", "--paths", "10",
+     "--a", "-1e3"],
+    _SIM + ["--a", "-1E3"],
+    _SIM + ["--a", "2", "--noise-w", "-1e-3"],
+    _SIM + ["--a", "2", "--threshold-M", "-1e6"],
+    _SIM + ["--a", "2", "--etas", "-1e-3,2"],
+    _SIM + ["--a", "2", "--d", "-inf"],
+    ["scan", "--dist", "uniform:1,3", "--horizon", "5", "--paths", "10",
+     "--a-grid", "-1e3,2"],
+    ["sideinfo", "--dist", "gaussian:4,1", "--si-cells", "-10,4,14"],
+    ["curve", "--dist", "uniform:1,3", "--etas", "-.5e1"],
+], ids=" ".join)
+def test_negative_values_in_exponent_form_run_or_exit_2_with_one_line(
+        args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out and captured.err == ""
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+    assert main(args[:-2] + [f"{args[-2]}={args[-1]}"]) == code
+    assert capsys.readouterr() == captured
+
+
 _DRAWING = [
     _SIM + ["--a", "2"],
     ["scan", "--dist", "uniform:1,3", "--a-grid", "2", "--horizon", "5",
