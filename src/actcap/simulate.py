@@ -241,7 +241,7 @@ def simulate(spec: SystemSpec, strategy: StrategySpec, horizon: int,
             dl_t[0] = dl_t[steps]
         overflow += int(overflowed.sum())
 
-    # in place, fractions after the fit: the fit's temporaries are the peak
+    # in place, fractions after the fit: its one temporary is freed first
     mean_log = np.divide(total_sum, paths, out=total_sum)
     for lse in total_lse.values():
         lse -= math.log2(paths)
@@ -345,8 +345,15 @@ def _fit_slope(y, start, stop):
     if not np.all(np.isfinite(window)):
         # a statistic that collapsed to exactly zero reads as full decay
         return -INF if window[-1] == -INF else float("nan")
-    x = np.arange(start, stop, dtype=float)
-    return float(np.polyfit(x, window, 1)[0])
+    # the least-squares slope sum_k c_k y_k, c_k = (k - kbar) / sum (k - kbar)^2,
+    # summed pairwise by add.reduce: the bits of a BLAS dot move with its
+    # thread count
+    n = len(window)
+    c = np.arange(n, dtype=float)
+    c -= (n - 1) / 2
+    c /= n * (n * n - 1) / 12
+    c *= window
+    return float(np.add.reduce(c))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from actcap.simulate import (
     ScanPoint,
     StrategySpec,
     SystemSpec,
+    _fit_slope,
     _log2_abs_gauss_moment,
     _moment_ceiling_log2,
     _raise_eta_overflow,
@@ -187,6 +188,15 @@ def test_zero_control_pure_powers():
     assert rep.mean_log2_ratio[-1] == pytest.approx(200.0, abs=1e-9)
     assert rep.fractions[2.0**100][200] == 1.0
     assert rep.fractions[2.0**100][50] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1001, 50_001, 500_001])
+def test_fit_slope_matches_polyfit(n):
+    # a random walk of mean -1.4 bits/step, fitted from its midpoint on
+    y = np.cumsum(np.random.default_rng(n).normal(-1.4, 1.0, 2 * n - 1))
+    start = n - 1
+    want = np.polyfit(np.arange(start, 2 * n - 1), y[start:], 1)[0]
+    assert _fit_slope(y, start, 2 * n - 1) == pytest.approx(want, rel=1e-12)
 
 
 def test_seed_determinism_on_rerun():
@@ -427,9 +437,10 @@ def test_blocks_stay_within_one_full_block(law, noise, paths):
             tracemalloc.stop()
 
     # every block is 4,096 paths at a tile of _TILE steps, whatever the
-    # horizon, so no run takes more memory than one full block over a few
-    # tiles: past a tile only the O(horizon) report grows
-    ceiling = traced_peak(4 * _TILE, 4096)
+    # horizon, so no run takes more memory than one full block.  The
+    # ceiling's 32 tiles leave room for a few hundred bytes of Python
+    # objects per further block, not for one more row of a tile (4 kB)
+    ceiling = traced_peak(32 * _TILE, 4096)
     for horizon in (1, 4, _TILE, 2 * _TILE + 1):
         assert traced_peak(horizon, paths) <= ceiling
 
