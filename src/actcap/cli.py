@@ -332,20 +332,18 @@ def _join_negative_values(argv):
     negative decimal, and ends with a usage block."""
     out = []
     for arg in argv:
-        if (out and out[-1].startswith("--") and len(out[-1]) > 2
-                and "=" not in out[-1] and arg.startswith("-")
-                and _numbers(arg)):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and _reads_as_numbers(arg)):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
-def _numbers(text):
+def _reads_as_numbers(text):
     """Whether every comma-separated part of ``text`` reads as a float."""
     try:
-        for part in text.split(","):
-            float(part)
+        [float(part) for part in text.split(",")]
     except ValueError:
         return False
     return True

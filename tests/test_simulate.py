@@ -439,7 +439,9 @@ def test_blocks_stay_within_one_full_block(law, noise, paths):
     # every block is 4,096 paths at a tile of _TILE steps, whatever the
     # horizon, so no run takes more memory than one full block.  The
     # ceiling's 32 tiles leave room for a few hundred bytes of Python
-    # objects per further block, not for one more row of a tile (4 kB)
+    # objects per further block, not for one more row of a tile (4 kB).
+    # The first run of a process imports numpy.random: not measured
+    traced_peak(1, 1)
     ceiling = traced_peak(32 * _TILE, 4096)
     for horizon in (1, 4, _TILE, 2 * _TILE + 1):
         assert traced_peak(horizon, paths) <= ceiling
