@@ -281,7 +281,8 @@ def _fold(dl, first, work, mask, cutoffs, total_sum, total_counts, total_lse):
             continue
         run = min(hi - lo, SUB_BLOCK)
         sub = dl[:, lo:hi].reshape(steps, -1, run)
-        z = work.reshape(-1)[:sub.size].reshape(sub.shape)  # contiguous
+        # contiguous scratch: on a strided view the in-place subtract copies
+        z = work.reshape(-1)[:sub.size].reshape(sub.shape)
         sums = sub.sum(axis=2)
         for j in range(sums.shape[1]):
             total_sum[cols] += sums[:, j]
